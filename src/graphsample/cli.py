@@ -1,15 +1,16 @@
 """Command-line surface: generate inputs, run samplers, estimate densities
 and profiles, run invariance tests, and diagnose input-size stabilization.
 
-Exit codes: 0 success / test pass, 1 test failure, 2 usage error,
-3 I/O error.  Every output file starts with a ``# seed=<u64>`` comment so
-any run can be replayed exactly.
+Exit codes: 0 success / test pass, 1 test failure, 2 usage error or
+invalid input, 3 I/O error, 4 internal error.  Every output file starts
+with a ``# seed=<u64>`` comment so any run can be replayed exactly.
+``--threads`` is accepted by estimate, test and diagnose and has no
+effect: runs are single-threaded and results never depended on it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import io as gio
@@ -45,7 +46,7 @@ GENERATORS = ("y4", "star", "star_edges", "matching", "half_multiplicity",
               "paintbox")
 
 _SEQUENCE_ALGOS = {SEQUENCE, PARTITION}
-_EDGE_ALGOS = {EDGE}
+_THREADS_HELP = "accepted, has no effect; results never depended on it"
 
 
 def _parse_schedule(text: str):
@@ -96,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="label whose first-entry indicator lln traces")
     est.add_argument("--misspec-k", type=int, default=None)
     est.add_argument("--misspec-j", type=int, default=None)
-    est.add_argument("--threads", type=int, default=None)
+    est.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     tst = sub.add_parser("test", help="invariance / idempotence / equivalence tests")
     tst.add_argument("--test", choices=("exchangeability", "idempotence",
@@ -114,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tst.add_argument("--reps", type=int, default=10_000)
     tst.add_argument("--p", type=float, default=None)
     tst.add_argument("--rho", type=float, default=None)
-    tst.add_argument("--threads", type=int, default=None)
+    tst.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     dia = sub.add_parser("diagnose", help="limit-in-input-size stabilization trace")
     dia.add_argument("--algo", choices=ALGORITHMS, required=True)
@@ -125,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dia.add_argument("--tol", type=float, default=0.02)
     dia.add_argument("--p", type=float, default=None)
     dia.add_argument("--rho", type=float, default=None)
-    dia.add_argument("--threads", type=int, default=None)
+    dia.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     return top
 
@@ -139,13 +140,15 @@ def _spec_from_args(args) -> SamplerSpec:
     return SamplerSpec(args.algo, **kwargs)
 
 
-def _load_input(args):
-    if args.algo in _SEQUENCE_ALGOS:
-        seq = gio.read_label_seq(args.infile)
-        return Partition(seq) if args.algo == PARTITION else seq
-    if args.algo in _EDGE_ALGOS:
-        return gio.read_edge_seq(args.infile)
-    return gio.read_vertex_graph(args.infile)
+def _load(algo: str, path):
+    """Read the structure kind that ``algo`` samples from (also used for
+    patterns and second inputs)."""
+    if algo in _SEQUENCE_ALGOS:
+        seq = gio.read_label_seq(path)
+        return Partition(seq) if algo == PARTITION else seq
+    if algo == EDGE:
+        return gio.read_edge_seq(path)
+    return gio.read_vertex_graph(path)
 
 
 def _emit(args, text: str):
@@ -153,11 +156,6 @@ def _emit(args, text: str):
         gio.write_text(args.out, text)
     else:
         sys.stdout.write(text)
-
-
-def _threads(args) -> int:
-    t = getattr(args, "threads", None)
-    return t if t else (os.cpu_count() or 1)
 
 
 def _cmd_generate(args) -> int:
@@ -208,7 +206,7 @@ class UsageError(Exception):
 
 def _cmd_sample(args) -> int:
     spec = _spec_from_args(args)
-    y = _load_input(args)
+    y = _load(args.algo, args.infile)
     sampler = make_sampler(spec)
     n = _require(args.n, "--n")
     k = args.k if args.k is not None else 1
@@ -234,18 +232,16 @@ def _cmd_estimate(args) -> int:
         _require(args.algo, "--algo")
         _require(args.infile, "--in")
         spec = _spec_from_args(args)
-        y = _load_input(args)
+        y = _load(args.algo, args.infile)
         n = _require(args.n, "--n")
         if args.what == "vector":
             k = _require(args.k, "--k")
-            tally = prefix_density_vector(spec, y, n, k, args.reps, rng,
-                                          threads=_threads(args))
+            tally = prefix_density_vector(spec, y, n, k, args.reps, rng)
             _emit(args, gio.render_tally_csv(tally, seed=args.seed))
             return 0
         if args.what == "density":
-            pattern = _load_pattern(args)
-            est, err = estimate_prefix_density(spec, y, n, pattern, args.reps, rng,
-                                               threads=_threads(args))
+            pattern = _load(args.algo, _require(args.pattern, "--pattern"))
+            est, err = estimate_prefix_density(spec, y, n, pattern, args.reps, rng)
             _emit(args, f"# seed={args.seed}\npattern_key,count,density,stderr\n"
                         f"{key_for(pattern).hex()},"
                         f"{round(est * args.reps)},{est:.10g},{err:.10g}\n")
@@ -278,16 +274,6 @@ def _cmd_estimate(args) -> int:
     raise AssertionError(args.what)  # pragma: no cover
 
 
-def _load_pattern(args):
-    path = _require(args.pattern, "--pattern")
-    if args.algo in _SEQUENCE_ALGOS:
-        seq = gio.read_label_seq(path)
-        return Partition(seq) if args.algo == PARTITION else seq
-    if args.algo in _EDGE_ALGOS:
-        return gio.read_edge_seq(path)
-    return gio.read_vertex_graph(path)
-
-
 def _cmd_test(args) -> int:
     rng = RandomStream(args.seed)
     n = _require(args.n, "--n")
@@ -299,20 +285,16 @@ def _cmd_test(args) -> int:
     else:
         _require(args.algo, "--algo")
         spec = _spec_from_args(args)
-        y = _load_input(args)
+        y = _load(args.algo, args.infile)
         if args.test == "exchangeability":
             report = test_exchangeability(spec, y, n, _require(args.k, "--k"),
-                                          args.reps, rng, threads=_threads(args))
+                                          args.reps, rng)
         elif args.test == "idempotence":
             report = test_idempotence(spec, y, n, _require(args.m, "--m"),
-                                      _require(args.k, "--k"), args.reps, rng,
-                                      threads=_threads(args))
+                                      _require(args.k, "--k"), args.reps, rng)
         else:
-            args2 = argparse.Namespace(**vars(args))
-            args2.infile = _require(args.in2, "--in2")
-            y2 = _load_input(args2)
-            report = test_equivalence(spec, y, y2, n, args.k_max, args.reps, rng,
-                                      threads=_threads(args))
+            y2 = _load(args.algo, _require(args.in2, "--in2"))
+            report = test_equivalence(spec, y, y2, n, args.k_max, args.reps, rng)
     text = report.summary() + "\n"
     if args.out:
         text += gio.render_tally_csv(report.tally_a, seed=args.seed,
@@ -325,12 +307,11 @@ def _cmd_test(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     spec = _spec_from_args(args)
-    y = _load_input(args)
+    y = _load(args.algo, args.infile)
     k = _require(args.k, "--k")
     schedule = _parse_schedule(args.schedule)
     rng = RandomStream(args.seed)
-    result = diagnose_limit(spec, y, k, schedule, args.reps, rng,
-                            tolerance=args.tol, threads=_threads(args))
+    result = diagnose_limit(spec, y, k, schedule, args.reps, rng, tolerance=args.tol)
     _emit(args, gio.render_diagnose_csv(result, seed=args.seed))
     sys.stderr.write(f"verdict: {result.verdict}\n")
     return 0
@@ -353,6 +334,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:  # a fault in the package, never a test verdict
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 4
     return code
 
 

@@ -2,29 +2,21 @@
 degree/multiplicity profiles.
 
 Monte Carlo estimators assign replicate r its own random stream derived from
-the master stream, so tallies are reproducible and independent of how
-replicates are scheduled across threads.
+the master stream, rng.substream(r), so a tally is a pure function of the
+input, sizes and seed: any split of the replicate range into blocks, in any
+order, merges to the same counts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import fsum
 
 from .rng import RandomStream
-from .structures import (
-    EdgeSeqGraph,
-    Partition,
-    VertexGraph,
-    _restriction_depth,
-    induced_ordered,
-    key_for,
-    relabel_r,
-    relabel_rprime,
-)
+from .sampling import _as_sampler, _draw_distinct
+from .structures import EdgeSeqGraph, key_for, size_of, subsample_in_order
 
 EXACT_SYMMETRIZATION_MAX = 7  # k! grows past 5040 permutations above this
 
@@ -76,86 +68,49 @@ class PatternTally:
 
 
 def tally_outputs(sampler, y, n: int, k: int, reps: int, rng: RandomStream,
-                  transform=None, threads: int = 1) -> PatternTally:
+                  transform=None) -> PatternTally:
     """Run ``sampler(y, n, k, stream_r)`` for reps replicates and tally the
     canonical keys of the outputs.
 
     ``transform(out, stream)`` is applied before keying when given (used by
-    the invariance tests).  Replicate r always uses rng.substream(r), so the
-    result is identical for any thread count.
+    the invariance tests).  Replicate r always uses rng.substream(r).
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-
-    def run_block(lo: int, hi: int) -> PatternTally:
-        t = PatternTally()
-        for r in range(lo, hi):
-            stream = rng.substream(r)
-            out = sampler(y, n, k, stream)
-            if transform is not None:
-                out = transform(out, stream)
-            t.add(key_for(out))
-        return t
-
-    if threads <= 1 or reps < 2 * threads:
-        return run_block(0, reps)
-    bounds = [reps * i // threads for i in range(threads + 1)]
     tally = PatternTally()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run_block, bounds[i], bounds[i + 1])
-                   for i in range(threads)]
-        for fut in futures:
-            tally.merge(fut.result())
+    for r in range(reps):
+        stream = rng.substream(r)
+        out = sampler(y, n, k, stream)
+        if transform is not None:
+            out = transform(out, stream)
+        tally.add(key_for(out))
     return tally
 
 
 def estimate_prefix_density(spec_or_sampler, y, n: int, pattern, reps: int,
-                            rng: RandomStream, k: int | None = None,
-                            threads: int = 1) -> tuple:
+                            rng: RandomStream, k: int | None = None) -> tuple:
     """Monte Carlo estimate of the probability that a size-k sample equals
     ``pattern``.  Returns (estimate, stderr)."""
     sampler = _as_sampler(spec_or_sampler)
     if k is None:
-        k = _restriction_depth(pattern)
+        k = size_of(pattern)
     if k > n:
         raise ValueError(f"pattern size {k} exceeds n = {n}")
-    tally = tally_outputs(sampler, y, n, k, reps, rng, threads=threads)
+    tally = tally_outputs(sampler, y, n, k, reps, rng)
     key = key_for(pattern)
     return tally.density(key), tally.stderr(key)
 
 
 def prefix_density_vector(spec_or_sampler, y, n: int, k: int, reps: int,
-                          rng: RandomStream, threads: int = 1) -> PatternTally:
+                          rng: RandomStream) -> PatternTally:
     """Tally of all observed size-k outputs; unobserved patterns implicitly
     carry density 0."""
     sampler = _as_sampler(spec_or_sampler)
-    return tally_outputs(sampler, y, n, k, reps, rng, threads=threads)
-
-
-def _as_sampler(spec_or_sampler):
-    if callable(spec_or_sampler):
-        return spec_or_sampler
-    from .sampling import make_sampler
-
-    return make_sampler(spec_or_sampler)
+    return tally_outputs(sampler, y, n, k, reps, rng)
 
 
 # ---------------------------------------------------------------------------
 # symmetrized empirical averages (the group-averaged LLN estimator)
-
-
-def _subsample_in_order(x, positions):
-    """Restriction of the relabeling action: the structure carried by the
-    given positions/vertices, relabeled in that order."""
-    if isinstance(x, VertexGraph):
-        return induced_ordered(x, positions)
-    if isinstance(x, EdgeSeqGraph):
-        return relabel_rprime(tuple(x.edges[p - 1] for p in positions))
-    if isinstance(x, Partition):
-        return Partition(relabel_r(tuple(x.labels[p - 1] for p in positions)))
-    if isinstance(x, tuple):
-        return tuple(x[p - 1] for p in positions)
-    raise TypeError(f"no relabeling action for {type(x).__name__}")
 
 
 def empirical_average(x, f, j: int, mode: str = "exact",
@@ -173,14 +128,14 @@ def empirical_average(x, f, j: int, mode: str = "exact",
     the exact average is computed over ordered j-arrangements (each appears
     (k-j)! times in the full sum -- the value is identical).
     """
-    k = _restriction_depth(x)
+    k = size_of(x)
     if not 1 <= j <= k:
         raise ValueError(f"j = {j} outside 1..{k}")
     if mode == "exact":
         if k > EXACT_SYMMETRIZATION_MAX:
             raise ValueError(f"exact symmetrization needs k <= "
                              f"{EXACT_SYMMETRIZATION_MAX}, got {k}")
-        vals = [f(_subsample_in_order(x, pos))
+        vals = [f(subsample_in_order(x, pos))
                 for pos in itertools.permutations(range(1, k + 1), j)]
         return fsum(vals) / len(vals)
     if mode == "monte_carlo":
@@ -188,17 +143,8 @@ def empirical_average(x, f, j: int, mode: str = "exact",
             raise ValueError("monte_carlo mode needs an rng")
         if num_perms < 1:
             raise ValueError("num_perms must be >= 1")
-        total = 0.0
-        vals = []
-        for _ in range(num_perms):
-            pos = []
-            seen = set()
-            while len(pos) < j:
-                v = rng.randbelow(k) + 1
-                if v not in seen:
-                    seen.add(v)
-                    pos.append(v)
-            vals.append(f(_subsample_in_order(x, pos)))
+        vals = [f(subsample_in_order(x, _draw_distinct(k, j, rng)))
+                for _ in range(num_perms)]
         return fsum(vals) / num_perms
     raise ValueError(f"unknown mode {mode!r}")
 

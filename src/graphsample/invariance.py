@@ -15,16 +15,15 @@ from dataclasses import dataclass, field
 
 from .estimate import PatternTally, prefix_density_vector, tally_outputs
 from .rng import RandomStream
+from .sampling import _as_sampler
 from .structures import (
-    EdgeSeqGraph,
-    Partition,
     VertexGraph,
     _bfs_distances,
     ball,
     key_for,
-    relabel_r,
-    relabel_rprime,
     restrict_vertices,
+    size_of,
+    subsample_in_order,
 )
 
 
@@ -84,28 +83,11 @@ def apply_relabeling(x, perm: tuple):
     """Apply a permutation of [k] to a size-k output structure, in the
     action native to its kind: vertices for vertex graphs, positions for
     sequences, positions followed by canonical relabeling for partitions
-    and edge sequences."""
-    if isinstance(x, VertexGraph):
-        edges = frozenset(
-            (perm[u - 1], perm[v - 1]) if perm[u - 1] < perm[v - 1]
-            else (perm[v - 1], perm[u - 1])
-            for u, v in x.edges)
-        return VertexGraph(x.n, edges)
-    if isinstance(x, EdgeSeqGraph):
-        inv = _invert(perm)
-        return relabel_rprime(tuple(x.edges[inv[i] - 1] for i in range(1, len(perm) + 1)))
-    if isinstance(x, Partition):
-        inv = _invert(perm)
-        return Partition(relabel_r(tuple(x.labels[inv[i] - 1]
-                                         for i in range(1, len(perm) + 1))))
-    if isinstance(x, tuple):
-        inv = _invert(perm)
-        return tuple(x[inv[i] - 1] for i in range(1, len(perm) + 1))
-    raise TypeError(f"no relabeling action for {type(x).__name__}")
+    and edge sequences.
 
-
-def _invert(perm: tuple) -> dict:
-    return {perm[i]: i + 1 for i in range(len(perm))}
+    Position p moves to perm[p-1], so the result lists the positions in
+    the inverse order (perm^-1(1), ..., perm^-1(k))."""
+    return subsample_in_order(x, sorted(range(1, len(perm) + 1), key=lambda p: perm[p - 1]))
 
 
 def _random_perm(k: int, rng: RandomStream) -> tuple:
@@ -116,68 +98,44 @@ def _random_perm(k: int, rng: RandomStream) -> tuple:
     return tuple(vals)
 
 
-def _size_of(x) -> int:
-    if isinstance(x, VertexGraph):
-        return x.n
-    if isinstance(x, EdgeSeqGraph):
-        return len(x.edges)
-    if isinstance(x, Partition):
-        return len(x.labels)
-    if isinstance(x, tuple):
-        return len(x)
-    raise TypeError(f"no size for {type(x).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # the tests
 
 
-def _as_sampler(spec_or_sampler):
-    if callable(spec_or_sampler):
-        return spec_or_sampler
-    from .sampling import make_sampler
-
-    return make_sampler(spec_or_sampler)
-
-
 def test_exchangeability(spec_or_sampler, y, n: int, k: int, reps: int,
-                         rng: RandomStream, threads: int = 1) -> TestReport:
+                         rng: RandomStream) -> TestReport:
     """Compare the law of S_{n->k}(y) to the law of T_pi(S_{n->k}(y)) for an
     independent uniform pi in Sym(k).  Exchangeable output passes."""
     sampler = _as_sampler(spec_or_sampler)
-    tally_a = tally_outputs(sampler, y, n, k, reps,
-                            rng.substream("exch", 0), threads=threads)
+    tally_a = tally_outputs(sampler, y, n, k, reps, rng.substream("exch", 0))
 
     def permute(out, stream):
-        return apply_relabeling(out, _random_perm(_size_of(out), stream))
+        return apply_relabeling(out, _random_perm(size_of(out), stream))
 
-    tally_b = tally_outputs(sampler, y, n, k, reps,
-                            rng.substream("exch", 1),
-                            transform=permute, threads=threads)
+    tally_b = tally_outputs(sampler, y, n, k, reps, rng.substream("exch", 1),
+                            transform=permute)
     return _report("exchangeability", tally_a, tally_b)
 
 
 def test_idempotence(spec_or_sampler, y, n: int, m: int, k: int, reps: int,
-                     rng: RandomStream, threads: int = 1) -> TestReport:
+                     rng: RandomStream) -> TestReport:
     """Compare the direct sample S_{n->k}(y) against the two-stage
     composition S_{m->k}(S_{n->m}(y)).  Idempotent samplers pass."""
     if not (1 <= k <= m <= n):
         raise ValueError("need k <= m <= n")
     sampler = _as_sampler(spec_or_sampler)
-    tally_a = tally_outputs(sampler, y, n, k, reps,
-                            rng.substream("idem", 0), threads=threads)
+    tally_a = tally_outputs(sampler, y, n, k, reps, rng.substream("idem", 0))
 
     def composed(yy, nn, kk, stream):
         z = sampler(yy, nn, m, stream)
         return sampler(z, m, kk, stream)
 
-    tally_b = tally_outputs(composed, y, n, k, reps,
-                            rng.substream("idem", 1), threads=threads)
+    tally_b = tally_outputs(composed, y, n, k, reps, rng.substream("idem", 1))
     return _report(f"idempotence(n={n},m={m},k={k})", tally_a, tally_b)
 
 
 def test_equivalence(spec_or_sampler, y, y2, n: int, k_max: int, reps: int,
-                     rng: RandomStream, threads: int = 1) -> TestReport:
+                     rng: RandomStream) -> TestReport:
     """Compare the truncated prefix-density vectors of two inputs: tallies
     at every k <= k_max.  Equivalent inputs (t(y) = t(y2) up to depth k_max)
     pass; the statistic is the worst TV over k.
@@ -187,10 +145,8 @@ def test_equivalence(spec_or_sampler, y, y2, n: int, k_max: int, reps: int,
     sampler = _as_sampler(spec_or_sampler)
     worst = None
     for k in range(1, k_max + 1):
-        ta = prefix_density_vector(sampler, y, n, k, reps,
-                                   rng.substream("equiv", 0, k), threads=threads)
-        tb = prefix_density_vector(sampler, y2, n, k, reps,
-                                   rng.substream("equiv", 1, k), threads=threads)
+        ta = prefix_density_vector(sampler, y, n, k, reps, rng.substream("equiv", 0, k))
+        tb = prefix_density_vector(sampler, y2, n, k, reps, rng.substream("equiv", 1, k))
         rep = _report(f"equivalence(k={k})", ta, tb)
         if worst is None or rep.statistic - rep.threshold > worst.statistic - worst.threshold:
             worst = rep

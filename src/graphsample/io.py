@@ -128,7 +128,11 @@ def parse_edge_seq(text: str) -> EdgeSeqGraph:
 
 def parse_label_seq(text: str) -> tuple:
     _, lines = _data_lines(text)
-    return tuple(int(line) for line in lines)
+    seq = tuple(int(line) for line in lines)
+    for v in seq:
+        if v < 1:
+            raise ValueError(f"label {v} is not a positive integer")
+    return seq
 
 
 def write_structure(path, x, seed=None):

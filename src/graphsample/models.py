@@ -96,17 +96,9 @@ def graphon_draw(w: StepGraphon, k: int, rng: RandomStream) -> VertexGraph:
 
     Draws are interleaved (U_1, U_2, U_12, U_3, U_13, U_23, ...) so a draw
     of size k is a pathwise prefix of a draw of size k+1 on the same stream.
+    This is the sparsified draw at rho = 1 (1.0 * p == p exactly).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    marks = []
-    edges = set()
-    for j in range(1, k + 1):
-        marks.append(rng.uniform())
-        for i in range(j - 1):
-            if rng.uniform() < w(marks[i], marks[j - 1]):
-                edges.add((i + 1, j))
-    return VertexGraph(k, frozenset(edges))
+    return sparsified_graphon_draw(w, 1.0, k, rng)
 
 
 def sparsified_graphon_draw(w: StepGraphon, rho, k: int, rng: RandomStream) -> VertexGraph:

@@ -27,12 +27,11 @@ from .structures import (
     induced_ordered,
     relabel_r,
     relabel_rprime,
+    restrict,
     restrict_edges,
-    restrict_marked,
-    restrict_partition,
-    restrict_rooted,
     restrict_vertices,
     shortest_path_marks,
+    size_of,
 )
 
 UNIFORM_VERTEX = "uniform_vertex"
@@ -89,25 +88,21 @@ class SamplerSpec:
             raise ValueError(f"{self.algorithm} takes no rho parameter")
 
 
-def input_size(y) -> int:
-    """Size of an input structure in its own restriction world."""
-    if isinstance(y, VertexGraph):
-        return y.n
-    if isinstance(y, EdgeSeqGraph):
-        return len(y.edges)
-    if isinstance(y, Partition):
-        return len(y.labels)
-    if isinstance(y, tuple):
-        return len(y)
-    raise TypeError(f"unsupported input type {type(y).__name__}")
-
-
-def _check_nk(y, n: int, k: int):
-    size = input_size(y)
+def _check_n(y, n: int, kind=VertexGraph):
+    """Bounds of n for a non-empty input of the sampler's kind.  A wrong
+    kind (e.g. a shortest-path output fed back by the idempotence test) is
+    a TypeError, not a failure deep inside the sampler."""
+    if not isinstance(y, kind):
+        raise TypeError(f"unsupported input type {type(y).__name__}")
+    size = size_of(y)
     if size == 0:
         raise ValueError("empty input")
     if not 1 <= n <= size:
         raise ValueError(f"n = {n} outside 1..{size}")
+
+
+def _check_nk(y, n: int, k: int, kind=VertexGraph):
+    _check_n(y, n, kind)
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} outside 1..{n}")
 
@@ -195,11 +190,7 @@ def sample_p(y: VertexGraph, n: int, p: float, rng: RandomStream) -> VertexGraph
     """p-sampling: keep each vertex of y|n independently with probability p,
     take the induced subgraph, delete isolated vertices, and relabel the
     survivors in increasing original order.  Output size is random."""
-    size = input_size(y)
-    if size == 0:
-        raise ValueError("empty input")
-    if not 1 <= n <= size:
-        raise ValueError(f"n = {n} outside 1..{size}")
+    _check_n(y, n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0,1]")
     y_n = restrict_vertices(y, n)
@@ -239,7 +230,7 @@ def sample_shortest_path(y: VertexGraph, n: int, k: int, rng: RandomStream) -> M
 def sample_sequence(y: tuple, n: int, k: int, rng: RandomStream) -> tuple:
     """k uniform without-replacement positions J_1..J_k of [n]; report the
     subsequence (y_J1, ..., y_Jk)."""
-    _check_nk(y, n, k)
+    _check_nk(y, n, k, tuple)
     positions = _draw_distinct(n, k, rng)
     return tuple(y[j - 1] for j in positions)
 
@@ -247,7 +238,7 @@ def sample_sequence(y: tuple, n: int, k: int, rng: RandomStream) -> tuple:
 def sample_partition(pi: Partition, n: int, k: int, rng: RandomStream) -> Partition:
     """Subsample the block-label sequence of pi and reorder the labels by
     first appearance; the output is always an ordered partition."""
-    _check_nk(pi, n, k)
+    _check_nk(pi, n, k, Partition)
     sub = sample_sequence(pi.labels, n, k, rng)
     return Partition(relabel_r(sub))
 
@@ -255,7 +246,7 @@ def sample_partition(pi: Partition, n: int, k: int, rng: RandomStream) -> Partit
 def sample_edges(y: EdgeSeqGraph, n: int, k: int, rng: RandomStream) -> EdgeSeqGraph:
     """k uniform without-replacement edge positions of y|n; report the
     selected subsequence relabeled canonically.  Output is always canonical."""
-    _check_nk(y, n, k)
+    _check_nk(y, n, k, EdgeSeqGraph)
     y_n = restrict_edges(y, n)
     positions = _draw_distinct(n, k, rng)
     sub = tuple(y_n.edges[j - 1] for j in positions)
@@ -273,11 +264,7 @@ def sample_ego(y: VertexGraph, n: int, k: int, rng: RandomStream) -> list:
 
 def sample_bs(y: VertexGraph, n: int, k: int, rng: RandomStream) -> RootedGraph:
     """Uniform root V in y|n; report the ball of radius k centered at V."""
-    size = input_size(y)
-    if size == 0:
-        raise ValueError("empty input")
-    if not 1 <= n <= size:
-        raise ValueError(f"n = {n} outside 1..{size}")
+    _check_n(y, n)
     if k < 0:
         raise ValueError("radius must be >= 0")
     y_n = restrict_vertices(y, n)
@@ -313,24 +300,9 @@ def make_sampler(spec: SamplerSpec):
     raise ValueError(f"unknown algorithm {alg!r}")
 
 
-def restrict_output(x, j: int):
-    """Restriction map in the output world of each sampler (used to state
-    the nesting contract output(k)|_j == output(j))."""
-    if isinstance(x, VertexGraph):
-        return restrict_vertices(x, j)
-    if isinstance(x, EdgeSeqGraph):
-        return restrict_edges(x, j)
-    if isinstance(x, Partition):
-        return restrict_partition(x, j)
-    if isinstance(x, MarkedCompleteGraph):
-        return restrict_marked(x, j)
-    if isinstance(x, RootedGraph):
-        return restrict_rooted(x, j)
-    if isinstance(x, tuple):
-        return x[:j]
-    if isinstance(x, list):
-        return x[:j]
-    raise TypeError(f"no output restriction for {type(x).__name__}")
+def _as_sampler(spec_or_sampler):
+    """A sampler callable as is, or make_sampler of a SamplerSpec."""
+    return spec_or_sampler if callable(spec_or_sampler) else make_sampler(spec_or_sampler)
 
 
 @dataclass
@@ -378,8 +350,7 @@ class DiagnoseResult:
 
 
 def diagnose_limit(spec: SamplerSpec, y, k: int, schedule, reps: int,
-                   rng: RandomStream, tolerance: float = 0.02,
-                   threads: int = 1) -> DiagnoseResult:
+                   rng: RandomStream, tolerance: float = 0.02) -> DiagnoseResult:
     """Monte Carlo check that the size-k output law stabilizes as the input
     size n runs up a schedule.
 
@@ -396,15 +367,15 @@ def diagnose_limit(spec: SamplerSpec, y, k: int, schedule, reps: int,
         raise ValueError("schedule must be strictly increasing")
     if not schedule:
         raise ValueError("empty schedule")
-    if schedule[-1] > input_size(y):
+    if schedule[-1] > size_of(y):
         raise ValueError(f"schedule maximum {schedule[-1]} exceeds input size "
-                         f"{input_size(y)}")
+                         f"{size_of(y)}")
     sampler = make_sampler(spec)
     tallies = []
     for i, n in enumerate(schedule):
-        y_n = restrict_output(y, n)  # restrict once, not per replicate
+        y_n = restrict(y, n)  # restrict once, not per replicate
         tallies.append(tally_outputs(sampler, y_n, n, k, reps,
-                                     rng.substream("diagnose", i), threads=threads))
+                                     rng.substream("diagnose", i)))
     tvs = tuple(tallies[i].tv(tallies[i + 1]) for i in range(len(tallies) - 1))
     checked = tvs[1:] if len(tvs) > 1 else tvs
     verdict = "STABILIZING" if all(t < tolerance for t in checked) else "NOT_STABILIZING"

@@ -14,6 +14,9 @@ Ground types for everything else in the package:
 
 Label sequences are plain tuples of positive ints.  All values here are
 immutable after construction and safe to share across threads.
+
+Each operation that depends on the kind has one home here: size_of,
+restrict, subsample_in_order (the relabeling action) and key_for.
 """
 
 from __future__ import annotations
@@ -445,10 +448,13 @@ def shortest_path_marks(g: VertexGraph, chosen) -> MarkedCompleteGraph:
 
 
 # ---------------------------------------------------------------------------
-# prefix metric
+# per-kind operations: size, restriction, relabeling
 
 
-def _restriction_depth(x) -> int:
+def size_of(x) -> int:
+    """Size of a structure in its own restriction world: vertices of a
+    vertex graph or marked complete graph, edges of an edge sequence,
+    entries of a partition or label sequence."""
     if isinstance(x, VertexGraph):
         return x.n
     if isinstance(x, EdgeSeqGraph):
@@ -459,10 +465,13 @@ def _restriction_depth(x) -> int:
         return x.k
     if isinstance(x, tuple):
         return len(x)
-    raise TypeError(f"no restriction defined for {type(x).__name__}")
+    raise TypeError(f"no size defined for {type(x).__name__}")
 
 
-def _restrict_at(x, d: int):
+def restrict(x, d: int):
+    """Restriction map of each kind: the size-d initial substructure, the
+    radius-d ball for rooted graphs, the first d balls of an ego output
+    list.  Sampler outputs nest under it: output(k)|_j == output(j)."""
     if isinstance(x, VertexGraph):
         return restrict_vertices(x, d)
     if isinstance(x, EdgeSeqGraph):
@@ -473,9 +482,29 @@ def _restrict_at(x, d: int):
         return restrict_marked(x, d)
     if isinstance(x, RootedGraph):
         return restrict_rooted(x, d)
-    if isinstance(x, tuple):
+    if isinstance(x, (tuple, list)):
         return x[:d]
     raise TypeError(f"no restriction defined for {type(x).__name__}")
+
+
+def subsample_in_order(x, positions):
+    """The structure carried by the given positions/vertices, relabeled in
+    that order: vertices for vertex graphs, positions for sequences,
+    positions followed by canonical relabeling for partitions and edge
+    sequences.  A permutation of all positions is the relabeling action."""
+    if isinstance(x, VertexGraph):
+        return induced_ordered(x, positions)
+    if isinstance(x, EdgeSeqGraph):
+        return relabel_rprime(tuple(x.edges[p - 1] for p in positions))
+    if isinstance(x, Partition):
+        return Partition(relabel_r(tuple(x.labels[p - 1] for p in positions)))
+    if isinstance(x, tuple):
+        return tuple(x[p - 1] for p in positions)
+    raise TypeError(f"no relabeling action for {type(x).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# prefix metric
 
 
 def prefix_distance(x, x2, max_depth: int) -> float:
@@ -490,10 +519,10 @@ def prefix_distance(x, x2, max_depth: int) -> float:
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     if not isinstance(x, RootedGraph):
-        if _restriction_depth(x) < max_depth or _restriction_depth(x2) < max_depth:
+        if size_of(x) < max_depth or size_of(x2) < max_depth:
             raise ValueError("restriction not defined to max_depth")
     for d in range(1, max_depth + 1):
-        if _restrict_at(x, d) != _restrict_at(x2, d):
+        if restrict(x, d) != restrict(x2, d):
             return 2.0 ** -(d - 1)
     return 2.0 ** -max_depth
 

@@ -260,6 +260,27 @@ def test_missing_input_file_io_error(tmp_path):
     assert code == 3
 
 
+def test_non_positive_label_usage_error(tmp_path, capsys):
+    seq = tmp_path / "seq.txt"
+    seq.write_text("0\n1\n")
+    code = main(["estimate", "--what", "vector", "--algo", "sequence", "--in", str(seq),
+                 "--n", "2", "--k", "1", "--reps", "10"])
+    assert code == 2
+    assert "label 0 is not a positive integer" in capsys.readouterr().err
+
+
+def test_internal_error_exits_4(tmp_path, capsys):
+    # a label of 2^31 does not fit the 32-bit pattern-key packing
+    seq = tmp_path / "seq.txt"
+    seq.write_text("1\n2147483648\n")
+    code = main(["estimate", "--what", "vector", "--algo", "sequence", "--in", str(seq),
+                 "--n", "2", "--k", "2", "--reps", "10"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ")
+    assert err.count("\n") == 1
+
+
 def test_console_entry_point_runs():
     code, out, _ = run_cli(["generate", "y4"])
     assert code == 0

@@ -57,15 +57,18 @@ def test_tally_tv_against_dict_and_tally():
     assert t.tv(u) == pytest.approx(0.4)
 
 
-def test_tally_threads_do_not_change_result():
-    spec = SamplerSpec("uniform_vertex")
+def test_tally_replicate_r_uses_substream_r():
+    # Replicate r depends only on rng.substream(r), so any sharding of the
+    # replicate range merges to these exact counts.
     from graphsample.sampling import make_sampler
 
-    s = make_sampler(spec)
+    s = make_sampler(SamplerSpec("uniform_vertex"))
     rng = RandomStream(5)
-    t1 = tally_outputs(s, y4(), 4, 3, 500, rng, threads=1)
-    t4 = tally_outputs(s, y4(), 4, 3, 500, rng, threads=4)
-    assert t1.counts == t4.counts
+    expected = {}
+    for r in range(500):
+        key = key_for(s(y4(), 4, 3, rng.substream(r)))
+        expected[key] = expected.get(key, 0) + 1
+    assert tally_outputs(s, y4(), 4, 3, 500, rng).counts == expected
 
 
 # -- prefix densities --------------------------------------------------------------

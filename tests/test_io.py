@@ -58,6 +58,13 @@ def test_label_seq_roundtrip(tmp_path):
     assert gio.read_label_seq(path) == (1, 2, 1)
 
 
+def test_label_seq_rejects_non_positive_labels():
+    with pytest.raises(ValueError, match="label 0 is not a positive integer"):
+        gio.parse_label_seq("0\n1\n")
+    with pytest.raises(ValueError, match="label -2"):
+        gio.parse_label_seq("1\n-2\n")
+
+
 def test_marked_graph_rendering():
     m = sample_shortest_path(VertexGraph(4, frozenset({(1, 2), (3, 4)})),
                              4, 2, RandomStream(1))

@@ -16,7 +16,6 @@ from graphsample.sampling import (
     SamplerSpec,
     diagnose_limit,
     make_sampler,
-    restrict_output,
     run_nested,
     sample_bs,
     sample_degree_biased,
@@ -36,6 +35,7 @@ from graphsample.structures import (
     ball,
     key_for,
 )
+from graphsample.structures import restrict as restrict_output
 
 import oracles
 
@@ -375,6 +375,17 @@ def test_nestedness_bs_by_radius():
         run = run_nested(SamplerSpec("bs_root"), c, 9, range(1, 4), seed)
         for k in (1, 2):
             assert restrict_output(run.outputs[k + 1], k) == run.outputs[k]
+
+
+def test_mismatched_input_kind_is_type_error():
+    rng = RandomStream(0)
+    with pytest.raises(TypeError, match="unsupported input type tuple"):
+        sample_uniform_vertex((1, 2, 3), 3, 2, rng)
+    with pytest.raises(TypeError, match="unsupported input type VertexGraph"):
+        sample_sequence(y4(), 4, 2, rng)
+    marked = sample_shortest_path(cycle_vertex(6), 6, 3, rng)
+    with pytest.raises(TypeError, match="unsupported input type MarkedCompleteGraph"):
+        sample_shortest_path(marked, 3, 2, rng)
 
 
 def test_p_sample_marked_size_random():
