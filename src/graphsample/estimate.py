@@ -16,7 +16,7 @@ from math import fsum
 
 from .rng import RandomStream
 from .sampling import _as_sampler, _draw_distinct
-from .structures import EdgeSeqGraph, key_for, size_of, subsample_in_order
+from .structures import EdgeSeqGraph, key_for, restrict, size_of, subsample_in_order
 
 EXACT_SYMMETRIZATION_MAX = 7  # k! grows past 5040 permutations above this
 
@@ -74,9 +74,23 @@ def tally_outputs(sampler, y, n: int, k: int, reps: int, rng: RandomStream,
 
     ``transform(out, stream)`` is applied before keying when given (used by
     the invariance tests).  Replicate r always uses rng.substream(r).
+
+    A sampler is taken to see y only through y|n, as every sampler of
+    the paper does.  So for a structure y with 1 <= n < size_of(y), y is
+    replaced by y|n once, and every replicate samples the same prepared
+    structure (the graph samplers reuse its memoised adjacency and
+    degrees).  Any other n, or a y with no size (a graphon, say, for a
+    custom sampler), reaches the sampler as given, and the sampler's own
+    checks apply.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    try:
+        size = size_of(y)
+    except TypeError:
+        size = 0
+    if 1 <= n < size:
+        y = restrict(y, n)
     tally = PatternTally()
     for r in range(reps):
         stream = rng.substream(r)

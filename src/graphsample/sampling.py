@@ -23,11 +23,11 @@ from .structures import (
     RootedGraph,
     VertexGraph,
     ball,
+    degree_tree,
     degrees,
     induced_ordered,
     relabel_r,
     relabel_rprime,
-    restrict,
     restrict_edges,
     restrict_vertices,
     shortest_path_marks,
@@ -123,30 +123,51 @@ def _draw_distinct(n: int, k: int, rng: RandomStream) -> list:
     return chosen
 
 
-def _draw_weighted_distinct(weights: list, k: int, rng: RandomStream) -> list:
+def _draw_weighted_distinct(weights, tree: tuple, k: int, rng: RandomStream) -> list:
     """k distinct draws without replacement, each proportional to its fixed
-    weight among the not-yet-selected; uniform among the remaining when all
-    remaining weights are zero.  1-based values, selection order."""
+    integer weight among the not-yet-selected; uniform among the remaining
+    when all remaining weights are zero.  1-based values, selection order.
+
+    ``tree`` is structures.fenwick(weights), built once per input (for a
+    graph's degrees, structures.degree_tree); it is copied, never changed.
+    A draw with uniform u descends the tree to the first vertex whose
+    prefix sum of remaining weight exceeds u * total and then zeroes that
+    vertex's weight, O(log n) each (Wong & Easton 1980).  Integer sums are exact and u * total < total for u < 1, so
+    this is the vertex a linear scan over the remaining vertices in
+    ascending order picks."""
     n = len(weights)
-    remaining = list(range(1, n + 1))
+    tree = list(tree)
+    total = 0
+    i = n
+    while i:
+        total += tree[i]
+        i -= i & -i
+    top = 1 << (n.bit_length() - 1) if n else 0
     chosen = []
+    rest = None  # remaining vertices in ascending order, once all weigh zero
     for _ in range(k):
-        total = 0.0
-        for v in remaining:
-            total += weights[v - 1]
         u = rng.uniform()
-        if total <= 0.0:  # degenerate case: no positive weights left
-            idx = min(int(u * len(remaining)), len(remaining) - 1)
-        else:
-            acc = 0.0
-            target = u * total
-            idx = len(remaining) - 1
-            for i, v in enumerate(remaining):
-                acc += weights[v - 1]
-                if target < acc:
-                    idx = i
-                    break
-        chosen.append(remaining.pop(idx))
+        if not total:
+            if rest is None:
+                taken = set(chosen)
+                rest = [v for v in range(1, n + 1) if v not in taken]
+            chosen.append(rest.pop(int(u * len(rest))))
+            continue
+        target = u * total
+        pos, acc, step = 0, 0, top
+        while step:
+            nxt = pos + step
+            if nxt <= n and acc + tree[nxt] <= target:
+                pos = nxt
+                acc += tree[nxt]
+            step >>= 1
+        v = pos + 1
+        w = weights[pos]
+        total -= w
+        while v <= n:
+            tree[v] -= w
+            v += v & -v
+        chosen.append(pos + 1)
     return chosen
 
 
@@ -212,8 +233,7 @@ def sample_degree_biased(y: VertexGraph, n: int, k: int, rng: RandomStream) -> V
     sampler total and reduces to the uniform sampler there."""
     _check_nk(y, n, k)
     y_n = restrict_vertices(y, n)
-    weights = [float(d) for d in degrees(y_n)]
-    order = _draw_weighted_distinct(weights, k, rng)
+    order = _draw_weighted_distinct(degrees(y_n), degree_tree(y_n), k, rng)
     return induced_ordered(y_n, order)
 
 
@@ -371,11 +391,8 @@ def diagnose_limit(spec: SamplerSpec, y, k: int, schedule, reps: int,
         raise ValueError(f"schedule maximum {schedule[-1]} exceeds input size "
                          f"{size_of(y)}")
     sampler = make_sampler(spec)
-    tallies = []
-    for i, n in enumerate(schedule):
-        y_n = restrict(y, n)  # restrict once, not per replicate
-        tallies.append(tally_outputs(sampler, y_n, n, k, reps,
-                                     rng.substream("diagnose", i)))
+    tallies = [tally_outputs(sampler, y, n, k, reps, rng.substream("diagnose", i))
+               for i, n in enumerate(schedule)]
     tvs = tuple(tallies[i].tv(tallies[i + 1]) for i in range(len(tallies) - 1))
     checked = tvs[1:] if len(tvs) > 1 else tvs
     verdict = "STABILIZING" if all(t < tolerance for t in checked) else "NOT_STABILIZING"

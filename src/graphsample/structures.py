@@ -13,7 +13,12 @@ Ground types for everything else in the package:
 * MarkedCompleteGraph-- complete graph whose edges carry hop-distance marks.
 
 Label sequences are plain tuples of positive ints.  All values here are
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads.  That holds
+also for the derived data a vertex graph memoises on first use (adjacency,
+degree vector, the degree-biased sampler's Fenwick tree): it is a function
+of the graph alone, kept outside the dataclass fields, so equality, hashing
+and repr ignore it, and it is never mutated once built.  Samplers called
+many times on one input therefore build it once, not per replicate.
 
 Each operation that depends on the kind has one home here: size_of,
 restrict, subsample_in_order (the relabeling action) and key_for.
@@ -33,6 +38,18 @@ from typing import Iterable
 UNREACHABLE = float("inf")
 
 Edge = tuple[int, int]
+
+
+def _memo(obj, name: str, build):
+    """build(), computed once per obj and kept in the private attribute
+    ``name``.  Only for values that depend on nothing but an immutable obj;
+    object.__setattr__ passes the frozen dataclass guard."""
+    try:
+        return obj.__dict__[name]
+    except KeyError:
+        value = build()
+        object.__setattr__(obj, name, value)
+        return value
 
 
 def _check_edge(u: int, v: int) -> Edge:
@@ -65,11 +82,16 @@ class VertexGraph:
         object.__setattr__(self, "edges", norm)
 
     def adjacency(self) -> dict:
+        """Vertex -> tuple of neighbours, built once per graph; callers
+        must not mutate the dict."""
+        return _memo(self, "_adjacency", self._build_adjacency)
+
+    def _build_adjacency(self) -> dict:
         adj = {v: [] for v in range(1, self.n + 1)}
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return adj
+        return {v: tuple(nbrs) for v, nbrs in adj.items()}
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges if u < v else (v, u) in self.edges
@@ -85,12 +107,33 @@ def restrict_vertices(g: VertexGraph, m: int) -> VertexGraph:
 
 
 def degrees(g: VertexGraph) -> tuple:
-    """Degree vector (deg(1), ..., deg(n))."""
-    deg = [0] * (g.n + 1)
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return tuple(deg[1:])
+    """Degree vector (deg(1), ..., deg(n)), computed once per graph.  Counted
+    off the edge set: a degree-biased sampler needs no adjacency dict."""
+    def build():
+        deg = [0] * (g.n + 1)
+        for u, v in g.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(deg[1:])
+    return _memo(g, "_degrees", build)
+
+
+def fenwick(weights) -> tuple:
+    """Fenwick tree of integer weights (Fenwick 1994): entry i holds the sum
+    of weights[i - lowbit(i) .. i - 1]; entry 0 is unused."""
+    n = len(weights)
+    tree = [0]
+    tree.extend(weights)
+    for i in range(1, n + 1):
+        j = i + (i & -i)
+        if j <= n:
+            tree[j] += tree[i]
+    return tuple(tree)
+
+
+def degree_tree(g: VertexGraph) -> tuple:
+    """fenwick(degrees(g)), computed once per graph."""
+    return _memo(g, "_degree_tree", lambda: fenwick(degrees(g)))
 
 
 def induced_ordered(g: VertexGraph, order) -> VertexGraph:
@@ -115,14 +158,16 @@ def induced_ordered(g: VertexGraph, order) -> VertexGraph:
 
 def ball(g: VertexGraph, center: int, r: int) -> "RootedGraph":
     """Induced subgraph on vertices within hop-distance r of center,
-    rooted at center.  Vertices keep their labels from g."""
+    rooted at center.  Vertices keep their labels from g; the edges are read
+    off the adjacency of the ball's vertices."""
     if not 1 <= center <= g.n:
         raise ValueError(f"center {center} outside 1..{g.n}")
     if r < 0:
         raise ValueError("radius must be >= 0")
-    dist = _bfs_distances(g.adjacency(), center, limit=r)
+    adj = g.adjacency()
+    dist = _bfs_distances(adj, center, limit=r)
     verts = frozenset(dist)
-    edges = frozenset(e for e in g.edges if e[0] in verts and e[1] in verts)
+    edges = frozenset((u, w) for u in verts for w in adj[u] if u < w and w in verts)
     return RootedGraph(verts, edges, center)
 
 
@@ -137,6 +182,28 @@ def _bfs_distances(adj: dict, source: int, limit: float = UNREACHABLE) -> dict:
             if w not in dist:
                 dist[w] = dist[u] + 1
                 queue.append(w)
+    return dist
+
+
+def _distances_to(adj: dict, source: int, targets) -> dict:
+    """BFS hop distances from source, stopped as soon as every vertex of
+    targets (non-empty, source excluded) has one.  A distance is final when
+    first assigned, so the targets' distances equal those of a full search;
+    targets left out of the result are unreachable."""
+    pending = set(targets)
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        du = dist[u] + 1
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = du
+                queue.append(w)
+                if w in pending:
+                    pending.remove(w)
+                    if not pending:
+                        return dist
     return dist
 
 
@@ -440,8 +507,8 @@ def shortest_path_marks(g: VertexGraph, chosen) -> MarkedCompleteGraph:
     adj = g.adjacency()
     k = len(chosen)
     marks = {}
-    for a in range(k):
-        dist = _bfs_distances(adj, chosen[a])
+    for a in range(k - 1):
+        dist = _distances_to(adj, chosen[a], chosen[a + 1:])
         for b in range(a + 1, k):
             marks[(a + 1, b + 1)] = dist.get(chosen[b], UNREACHABLE)
     return MarkedCompleteGraph(k, tuple(sorted(marks.items())))

@@ -73,6 +73,34 @@ def law_degree_biased(y, n, k):
     return law
 
 
+def draw_weighted_distinct_linear(weights, k, rng):
+    """Reference for sampling._draw_weighted_distinct: the same draws by a
+    linear scan over the remaining vertices in ascending order, with float
+    weights, consuming one uniform per draw.  Returns 1-based vertices in
+    selection order."""
+    weights = [float(w) for w in weights]
+    remaining = list(range(1, len(weights) + 1))
+    chosen = []
+    for _ in range(k):
+        total = 0.0
+        for v in remaining:
+            total += weights[v - 1]
+        u = rng.uniform()
+        if total <= 0.0:  # no positive weights left: uniform among the remaining
+            idx = min(int(u * len(remaining)), len(remaining) - 1)
+        else:
+            acc = 0.0
+            target = u * total
+            idx = len(remaining) - 1
+            for i, v in enumerate(remaining):
+                acc += weights[v - 1]
+                if target < acc:
+                    idx = i
+                    break
+        chosen.append(remaining.pop(idx))
+    return chosen
+
+
 def law_sequence(y, n, k):
     law = {}
     total = 0

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from graphsample import io as gio
 from graphsample.cli import main
@@ -7,9 +9,16 @@ from graphsample.models import y4
 from graphsample.structures import Partition
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(args):
+    # The child needs src/ on its path even when pytest found the package
+    # only through its own ``pythonpath`` setting.
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
     proc = subprocess.run([sys.executable, "-m", "graphsample.cli"] + args,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 

@@ -17,6 +17,8 @@ from graphsample.estimate import (
 from graphsample.models import (
     MultiplicitySpec,
     Paintbox,
+    StepGraphon,
+    graphon_draw,
     half_multiplicity,
     matching_edgeseq,
     multigraph_from_multiplicities,
@@ -318,3 +320,27 @@ def test_endpoint_slot_stats_matching_and_repeat():
 def test_endpoint_slot_stats_empty_error():
     with pytest.raises(ValueError):
         endpoint_slot_stats(EdgeSeqGraph(()))
+
+
+def test_custom_sampler_gets_an_unsized_input_as_given():
+    w = StepGraphon((0.0, 0.5, 1.0), ((0.9, 0.1), (0.1, 0.9)))
+    seen = []
+
+    def draw(y, n, k, stream):
+        seen.append(y)
+        return graphon_draw(y, k, stream)
+
+    tally = prefix_density_vector(draw, w, 1, 2, 50, RandomStream(3))
+    assert tally.reps == 50 and len(seen) == 50 and all(y is w for y in seen)
+    tally = tally_outputs(lambda y, n, k, stream: seen.append(y) or (1,), None, 1, 1, 5,
+                          RandomStream(3))
+    assert tally.reps == 5 and seen[-5:] == [None] * 5
+
+
+def test_sized_input_reaches_sampler_restricted_once():
+    g = complete_vertex(6)
+    seen = []
+    tally_outputs(lambda y, n, k, stream: seen.append(y) or (1,), g, 4, 1, 3, RandomStream(0))
+    assert seen == [complete_vertex(4)] * 3 and seen[0] is seen[2]
+    tally_outputs(lambda y, n, k, stream: seen.append(y) or (1,), g, 6, 1, 1, RandomStream(0))
+    assert seen[-1] is g

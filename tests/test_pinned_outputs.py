@@ -15,9 +15,9 @@ import pytest
 from graphsample import io as gio
 from graphsample.estimate import empirical_average, prefix_density_vector
 from graphsample.invariance import test_exchangeability
-from graphsample.models import alternating_seq, cycle_vertex, half_multiplicity
+from graphsample.models import alternating_seq, cycle_vertex, half_multiplicity, star_vertex
 from graphsample.rng import RandomStream
-from graphsample.sampling import SamplerSpec
+from graphsample.sampling import SamplerSpec, diagnose_limit
 from graphsample.structures import Partition, VertexGraph
 
 REPS = 200
@@ -28,6 +28,14 @@ GRAPH = VertexGraph(7, frozenset({(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)
 EDGES = half_multiplicity(10)
 PARTITION = Partition((1, 2, 1, 3, 2, 1, 4, 3, 1))
 SEQUENCE = (3, 1, 4, 1, 5, 9, 2, 6, 5)
+# Vertex 4's only edge goes to vertex 8, so it is isolated in the restriction
+# to 7 vertices (a zero weight for degree-biased draws).
+ISOLATED = VertexGraph(8, frozenset({(1, 2), (1, 3), (2, 3), (3, 5), (5, 6), (6, 7),
+                                     (4, 8)}))
+EDGELESS = VertexGraph(6)
+# Vertex 8 joins {1, 2, 3}, {4, 5} and {6, 7}; without it they are disconnected.
+BRIDGED = VertexGraph(8, frozenset({(1, 2), (2, 3), (4, 5), (6, 7), (3, 8), (5, 8),
+                                    (7, 8)}))
 
 
 def _digest(text: str) -> str:
@@ -43,6 +51,12 @@ def _exchangeability(algo, y, n, k):
     report = test_exchangeability(SamplerSpec(algo), y, n, k, REPS, RandomStream(SEED))
     return (report.summary() + "\n" + gio.render_tally_csv(report.tally_a)
             + gio.render_tally_csv(report.tally_b))
+
+
+def _diagnose_star():
+    result = diagnose_limit(SamplerSpec("degree_biased"), star_vertex(50), 2,
+                            (10, 25, 50), REPS, RandomStream(SEED))
+    return gio.render_diagnose_csv(result)
 
 
 def _monte_carlo_average():
@@ -62,6 +76,13 @@ CASES = {
     "vector.p_sample": lambda: _vector(SamplerSpec("p_sample", p=0.5), GRAPH, 7, 1),
     "vector.degree_biased": lambda: _vector(SamplerSpec("degree_biased"), GRAPH, 7, 3),
     "vector.shortest_path": lambda: _vector(SamplerSpec("shortest_path"), GRAPH, 6, 3),
+    "vector.degree_biased.isolated": lambda: _vector(SamplerSpec("degree_biased"),
+                                                     ISOLATED, 7, 4),
+    "vector.degree_biased.edgeless": lambda: _vector(SamplerSpec("degree_biased"),
+                                                     EDGELESS, 6, 3),
+    "vector.shortest_path.disconnected": lambda: _vector(SamplerSpec("shortest_path"),
+                                                         BRIDGED, 7, 4),
+    "diagnose.degree_biased.star": _diagnose_star,
     "vector.sequence": lambda: _vector(SamplerSpec("sequence"), SEQUENCE, 9, 3),
     "vector.partition": lambda: _vector(SamplerSpec("partition"), PARTITION, 9, 4),
     "vector.edge": lambda: _vector(SamplerSpec("edge"), EDGES, 10, 3),
@@ -87,6 +108,11 @@ DIGESTS = {
     "vector.shortest_path": "36b9b0e4b2b268e4742ce903cd1aebcf2372f85f6314774333db6756cc0c05db",
     "vector.sparsified": "e9362ae02347ef164a4eaa16ac126490fefc9c4530309fbaf15e853391020594",
     "vector.uniform_vertex": "144db4e1faf3ef8f3ad2e7ec7fd20c02e17a278de58265bb624ae34a93c63ec6",
+    # captured before inputs were prepared once per tally
+    "diagnose.degree_biased.star": "678cb0b0437a798786a55d7b21c266f6e9bd80a4e8829e6ab6490a7e53983223",
+    "vector.degree_biased.edgeless": "cbd4e22f9208732e8edb7e23f7633f41c7013ef672a1b851cd294af9997af17a",
+    "vector.degree_biased.isolated": "a0b995691f5b099b9bfe213707d3fce779d1f6dd3d0ae2ffce07b5b48cf5a892",
+    "vector.shortest_path.disconnected": "025505578fad7847fe9becda3ebd89a8f0bab0c510a16cdb9494362a69cc2c26",
 }
 
 

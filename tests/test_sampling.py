@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsample.estimate import tally_outputs
 from graphsample.models import (
@@ -14,6 +16,7 @@ from graphsample.models import (
 from graphsample.rng import RandomStream
 from graphsample.sampling import (
     SamplerSpec,
+    _draw_weighted_distinct,
     diagnose_limit,
     make_sampler,
     run_nested,
@@ -33,6 +36,7 @@ from graphsample.structures import (
     Partition,
     VertexGraph,
     ball,
+    fenwick,
     key_for,
 )
 from graphsample.structures import restrict as restrict_output
@@ -193,6 +197,49 @@ def test_degree_biased_uniform_fallback_on_empty_graph():
     g = VertexGraph(4)
     out = sample_degree_biased(g, 4, 2, RandomStream(0))
     assert out == VertexGraph(2)
+
+
+_WEIGHTS = st.integers(1, 40).flatmap(lambda n: st.one_of(
+    st.lists(st.integers(0, 10**6), min_size=n, max_size=n),
+    st.lists(st.sampled_from((0, 0, 1, 2, 3)), min_size=n, max_size=n),
+    st.just([0] * n),
+    st.integers(1, n).map(lambda i: [0] * (i - 1) + [7] + [0] * (n - i)),
+))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_WEIGHTS, st.data(), st.integers(0, 2**63))
+def test_fenwick_draw_matches_linear_scan(weights, data, seed):
+    n = len(weights)
+    k = data.draw(st.one_of(st.just(n), st.integers(1, n)))
+    expected = oracles.draw_weighted_distinct_linear(weights, k, RandomStream(seed))
+    assert _draw_weighted_distinct(weights, fenwick(weights), k, RandomStream(seed)) == expected
+
+
+class _Uniforms:
+    """Stand-in stream that replays the given uniforms."""
+
+    def __init__(self, us):
+        self._us = iter(us)
+
+    def uniform(self):
+        return next(self._us)
+
+
+# u * total lands exactly on a prefix sum for these, which a seeded stream
+# almost never produces.
+_EDGE_UNIFORMS = st.sampled_from((0.0, 0.125, 0.25, 0.5, 0.75, 1 - 2.0 ** -53))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_WEIGHTS, st.data())
+def test_fenwick_draw_matches_linear_scan_at_exact_prefix_sums(weights, data):
+    n = len(weights)
+    k = data.draw(st.integers(1, n))
+    us = data.draw(st.lists(st.one_of(_EDGE_UNIFORMS, st.floats(0, 1, exclude_max=True)),
+                            min_size=k, max_size=k))
+    expected = oracles.draw_weighted_distinct_linear(weights, k, _Uniforms(us))
+    assert _draw_weighted_distinct(weights, fenwick(weights), k, _Uniforms(us)) == expected
 
 
 # -- shortest path ------------------------------------------------------------------

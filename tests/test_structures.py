@@ -13,6 +13,7 @@ from graphsample.structures import (
     ball,
     canonical_rooted,
     count_edge_patterns,
+    degree_tree,
     degrees,
     is_ordered,
     key_for,
@@ -121,6 +122,37 @@ def test_ball_radius_zero_and_star_leaf():
 def test_ball_bad_center():
     with pytest.raises(ValueError):
         ball(y4(), 9, 1)
+
+
+def _ball_by_edge_scan(g, center, r):
+    """Reference ball: BFS layer by layer over the edge set."""
+    from graphsample.structures import RootedGraph
+
+    dist = {center: 0}
+    for d in range(r):
+        for u, v in g.edges:
+            for a, b in ((u, v), (v, u)):
+                if dist.get(a) == d and b not in dist:
+                    dist[b] = d + 1
+    verts = frozenset(dist)
+    return RootedGraph(verts, frozenset(e for e in g.edges if set(e) <= verts), center)
+
+
+@pytest.mark.parametrize("g, center, r", [
+    (cycle_vertex(20), 1, 2),                  # sparse: a 5-vertex ball
+    (VertexGraph(8, frozenset(itertools.combinations(range(1, 9), 2))), 3, 1),
+    (VertexGraph(9, frozenset(itertools.combinations(range(1, 9), 2))
+                 | {(8, 9)}), 9, 1),           # dense graph, small ball at its pendant
+])
+def test_ball_same_through_adjacency_and_edge_scan(g, center, r):
+    assert ball(g, center, r) == _ball_by_edge_scan(g, center, r)
+
+
+@given(small_graphs(), st.data())
+def test_ball_matches_edge_scan_reference(g, data):
+    center = data.draw(st.integers(1, g.n))
+    r = data.draw(st.integers(0, 3))
+    assert ball(g, center, r) == _ball_by_edge_scan(g, center, r)
 
 
 def test_restrict_rooted_shrinks_radius():
@@ -239,6 +271,37 @@ def test_degrees_and_multiplicity_examples():
     assert degrees(VertexGraph(3, frozenset())) == (0, 0, 0)
     g = EdgeSeqGraph(((1, 2), (1, 2), (1, 3)))
     assert multiplicity_counts(g) == {(1, 2): 2, (1, 3): 1}
+
+
+# -- memoised derived data -------------------------------------------------------
+
+_CHORDED = VertexGraph(7, frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
+                                     (1, 7), (2, 6), (3, 7)}))
+
+
+def test_memoised_graph_equals_fresh_copy():
+    g = VertexGraph(_CHORDED.n, _CHORDED.edges)
+    fresh = VertexGraph(_CHORDED.n, _CHORDED.edges)
+    adj, deg, tree = g.adjacency(), degrees(g), degree_tree(g)
+    assert g.adjacency() is adj and degrees(g) is deg and degree_tree(g) is tree
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    assert all(isinstance(nbrs, tuple) for nbrs in adj.values())
+    assert {v: sorted(nbrs) for v, nbrs in adj.items()} == {
+        1: [2, 7], 2: [1, 3, 6], 3: [2, 4, 7], 4: [3, 5], 5: [4, 6], 6: [2, 5, 7],
+        7: [1, 3, 6]}
+    assert deg == tuple(len(adj[v]) for v in range(1, 8)) == (2, 3, 3, 2, 2, 3, 3)
+    # entry i sums deg over i - lowbit(i) + 1 .. i
+    assert tree == (0, 2, 5, 3, 10, 2, 5, 3)
+
+
+def test_restriction_does_not_inherit_parent_memo():
+    g = VertexGraph(_CHORDED.n, _CHORDED.edges)
+    g.adjacency(), degrees(g)
+    sub = restrict_vertices(g, 5)
+    fresh = VertexGraph(5, frozenset(e for e in _CHORDED.edges if e[1] <= 5))
+    assert sub.adjacency() == fresh.adjacency()
+    assert degrees(sub) == degrees(fresh) == (1, 2, 2, 2, 1)
+    assert set(sub.adjacency()) == {1, 2, 3, 4, 5}
 
 
 # -- shortest paths --------------------------------------------------------------
