@@ -67,13 +67,9 @@ class PatternTally:
         return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0].kind, kv[0].data))
 
 
-def tally_outputs(sampler, y, n: int, k: int, reps: int, rng: RandomStream,
-                  transform=None) -> PatternTally:
+def tally_outputs(sampler, y, n: int, k: int, reps: int, rng: RandomStream) -> PatternTally:
     """Run ``sampler(y, n, k, stream_r)`` for reps replicates and tally the
-    canonical keys of the outputs.
-
-    ``transform(out, stream)`` is applied before keying when given (used by
-    the invariance tests).  Replicate r always uses rng.substream(r).
+    canonical keys of the outputs; replicate r always uses rng.substream(r).
 
     A sampler is taken to see y only through y|n, as every sampler of
     the paper does.  So for a structure y with 1 <= n < size_of(y), y is
@@ -93,11 +89,7 @@ def tally_outputs(sampler, y, n: int, k: int, reps: int, rng: RandomStream,
         y = restrict(y, n)
     tally = PatternTally()
     for r in range(reps):
-        stream = rng.substream(r)
-        out = sampler(y, n, k, stream)
-        if transform is not None:
-            out = transform(out, stream)
-        tally.add(key_for(out))
+        tally.add(key_for(sampler(y, n, k, rng.substream(r))))
     return tally
 
 

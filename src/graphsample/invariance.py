@@ -109,11 +109,11 @@ def test_exchangeability(spec_or_sampler, y, n: int, k: int, reps: int,
     sampler = _as_sampler(spec_or_sampler)
     tally_a = tally_outputs(sampler, y, n, k, reps, rng.substream("exch", 0))
 
-    def permute(out, stream):
+    def permuted(yy, nn, kk, stream):
+        out = sampler(yy, nn, kk, stream)
         return apply_relabeling(out, _random_perm(size_of(out), stream))
 
-    tally_b = tally_outputs(sampler, y, n, k, reps, rng.substream("exch", 1),
-                            transform=permute)
+    tally_b = tally_outputs(permuted, y, n, k, reps, rng.substream("exch", 1))
     return _report("exchangeability", tally_a, tally_b)
 
 
@@ -161,6 +161,9 @@ def _normalize_root_law(root_law, y_n: VertexGraph) -> list:
     if root_law is None or root_law == "uniform":
         return [(v, 1.0 / y_n.n) for v in range(1, y_n.n + 1)]
     items = sorted(root_law.items())
+    for v, _ in items:
+        if not 1 <= v <= y_n.n:
+            raise ValueError(f"root {v} outside 1..{y_n.n}")
     total = sum(w for _, w in items)
     if total <= 0:
         raise ValueError("root law must have positive total mass")
@@ -227,17 +230,15 @@ def test_involution_invariance(root_law, y: VertexGraph, n: int, radius: int,
         rep.notes.append("exact enumeration over the root law (no Monte Carlo)")
         return rep
 
-    ta, tb = PatternTally(), PatternTally()
-    for r in range(reps):
-        stream = rng.substream("inv", 0, r)
-        v = _draw_from_law(law, stream)
-        ta.add(key_for(ball(y_n, v, radius)))
-    for r in range(reps):
-        stream = rng.substream("inv", 1, r)
-        v = _draw_from_law(law, stream)
-        nbrs = adj[v]
-        u = nbrs[stream.randbelow(len(nbrs))]
-        tb.add(key_for(ball(y_n, u, radius)))
+    def at_root(g, nn, r, stream):
+        return ball(g, _draw_from_law(law, stream), r)
+
+    def one_step(g, nn, r, stream):
+        nbrs = adj[_draw_from_law(law, stream)]
+        return ball(g, nbrs[stream.randbelow(len(nbrs))], r)
+
+    ta = tally_outputs(at_root, y_n, n, radius, reps, rng.substream("inv", 0))
+    tb = tally_outputs(one_step, y_n, n, radius, reps, rng.substream("inv", 1))
     return _report("involution_invariance", ta, tb, notes=notes)
 
 

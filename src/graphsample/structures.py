@@ -14,11 +14,12 @@ Ground types for everything else in the package:
 
 Label sequences are plain tuples of positive ints.  All values here are
 immutable after construction and safe to share across threads.  That holds
-also for the derived data a vertex graph memoises on first use (adjacency,
-degree vector, the degree-biased sampler's Fenwick tree): it is a function
-of the graph alone, kept outside the dataclass fields, so equality, hashing
-and repr ignore it, and it is never mutated once built.  Samplers called
-many times on one input therefore build it once, not per replicate.
+also for derived data kept outside the dataclass fields (equality, hashing
+and repr ignore it; it is never mutated once built).  A vertex graph
+memoises its adjacency, degrees and Fenwick tree on first use, so samplers
+build them once per input, not per replicate.  A rooted graph keeps the
+adjacency and depth map its validation builds; restriction and canonical
+form read them.
 
 Each operation that depends on the kind has one home here: size_of,
 restrict, subsample_in_order (the relabeling action) and key_for.
@@ -50,6 +51,15 @@ def _memo(obj, name: str, build):
         value = build()
         object.__setattr__(obj, name, value)
         return value
+
+
+def _adjacency(vertices, edges) -> dict:
+    """Vertex -> tuple of neighbours, in the order the edges list them."""
+    adj = {v: [] for v in vertices}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return {v: tuple(nbrs) for v, nbrs in adj.items()}
 
 
 def _check_edge(u: int, v: int) -> Edge:
@@ -84,14 +94,8 @@ class VertexGraph:
     def adjacency(self) -> dict:
         """Vertex -> tuple of neighbours, built once per graph; callers
         must not mutate the dict."""
-        return _memo(self, "_adjacency", self._build_adjacency)
-
-    def _build_adjacency(self) -> dict:
-        adj = {v: [] for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: tuple(nbrs) for v, nbrs in adj.items()}
+        return _memo(self, "_adjacency",
+                     lambda: _adjacency(range(1, self.n + 1), self.edges))
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges if u < v else (v, u) in self.edges
@@ -165,10 +169,13 @@ def ball(g: VertexGraph, center: int, r: int) -> "RootedGraph":
     if r < 0:
         raise ValueError("radius must be >= 0")
     adj = g.adjacency()
-    dist = _bfs_distances(adj, center, limit=r)
-    verts = frozenset(dist)
+    return _induced_rooted(adj, frozenset(_bfs_distances(adj, center, limit=r)), center)
+
+
+def _induced_rooted(adj: dict, verts: frozenset, root: int) -> "RootedGraph":
+    """The rooted graph induced on verts, its edges read off adj."""
     edges = frozenset((u, w) for u in verts for w in adj[u] if u < w and w in verts)
-    return RootedGraph(verts, edges, center)
+    return RootedGraph(verts, edges, root)
 
 
 def _bfs_distances(adj: dict, source: int, limit: float = UNREACHABLE) -> dict:
@@ -370,29 +377,28 @@ class RootedGraph:
         for u, v in norm:
             if u not in self.vertices or v not in self.vertices:
                 raise ValueError(f"edge ({u},{v}) has endpoint outside vertex set")
-        if not self._connected():
+        adj = _adjacency(self.vertices, norm)
+        depths = _bfs_distances(adj, self.root)
+        if len(depths) != len(self.vertices):
             raise ValueError("rooted graph must be connected")
-
-    def _connected(self) -> bool:
-        adj = self.adjacency()
-        return len(_bfs_distances(adj, self.root)) == len(self.vertices)
+        object.__setattr__(self, "_adjacency", adj)
+        object.__setattr__(self, "_depths", depths)
 
     def adjacency(self) -> dict:
-        adj = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+        """Vertex -> tuple of neighbours, kept by validation; do not mutate."""
+        return self._adjacency
+
+    def depths(self) -> dict:
+        """Vertex -> hop distance from the root, kept by validation."""
+        return self._depths
 
 
 def restrict_rooted(rg: RootedGraph, r: int) -> RootedGraph:
     """Ball of radius r around the root, within rg."""
     if r < 0:
         raise ValueError("radius must be >= 0")
-    dist = _bfs_distances(rg.adjacency(), rg.root, limit=r)
-    verts = frozenset(dist)
-    edges = frozenset(e for e in rg.edges if e[0] in verts and e[1] in verts)
-    return RootedGraph(verts, edges, rg.root)
+    verts = frozenset(v for v, d in rg.depths().items() if d <= r)
+    return _induced_rooted(rg.adjacency(), verts, rg.root)
 
 
 # Exact rooted canonicalization enumerates label assignments within BFS
@@ -411,9 +417,9 @@ def canonical_rooted(rg: RootedGraph) -> tuple:
     by (layer, degree, original label), which is invariant for the symmetric
     shapes handled here but not for general graphs.
     """
-    dist = _bfs_distances(rg.adjacency(), rg.root)
+    depths = rg.depths()
     layers = {}
-    for v, d in dist.items():
+    for v, d in depths.items():
         layers.setdefault(d, []).append(v)
     layer_lists = [sorted(layers[d]) for d in sorted(layers)]
 
@@ -434,23 +440,21 @@ def canonical_rooted(rg: RootedGraph) -> tuple:
                 for v in lay:
                     label[v] = nxt
                     nxt += 1
-            enc = tuple(sorted(
-                (label[u], label[v]) if label[u] < label[v] else (label[v], label[u])
-                for u, v in rg.edges))
+            enc = _encode(rg.edges, label)
             if best is None or enc < best:
                 best = enc
         return (len(rg.vertices), best)
 
-    deg = {v: 0 for v in rg.vertices}
-    for u, v in rg.edges:
-        deg[u] += 1
-        deg[v] += 1
-    order = sorted(rg.vertices, key=lambda v: (dist[v], deg[v], v))
-    label = {v: i + 1 for i, v in enumerate(order)}
-    enc = tuple(sorted(
+    adj = rg.adjacency()
+    order = sorted(rg.vertices, key=lambda v: (depths[v], len(adj[v]), v))
+    return (len(rg.vertices), _encode(rg.edges, {v: i + 1 for i, v in enumerate(order)}))
+
+
+def _encode(edges, label: dict) -> tuple:
+    """Sorted edge tuple of edges under the vertex relabeling label."""
+    return tuple(sorted(
         (label[u], label[v]) if label[u] < label[v] else (label[v], label[u])
-        for u, v in rg.edges))
-    return (len(rg.vertices), enc)
+        for u, v in edges))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ of the sampler implementations.  They are the reference laws that the
 Monte Carlo samplers are checked against.
 """
 
+from collections import deque
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from graphsample.structures import (
     Partition,
@@ -99,6 +100,43 @@ def draw_weighted_distinct_linear(weights, k, rng):
                     break
         chosen.append(remaining.pop(idx))
     return chosen
+
+
+def canonical_rooted_reference(rg, budget=5040):
+    """Reference for structures.canonical_rooted, with its own adjacency
+    and BFS: the minimum sorted edge encoding over all relabelings that
+    permute vertices within BFS layers when their number is at most
+    ``budget``, else the encoding of the order (layer, degree, label)."""
+    adj = {v: [] for v in rg.vertices}
+    for u, v in rg.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = {rg.root: 0}
+    queue = deque([rg.root])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    layers = [sorted(v for v in dist if dist[v] == d)
+              for d in range(max(dist.values()) + 1)]
+
+    def encode(order):
+        label = {v: i + 1 for i, v in enumerate(order)}
+        return tuple(sorted((min(label[u], label[v]), max(label[u], label[v]))
+                            for u, v in rg.edges))
+
+    count = 1
+    for lay in layers:
+        for i in range(2, len(lay) + 1):
+            count *= i
+    if count <= budget:
+        best = min(encode([v for lay in choice for v in lay])
+                   for choice in product(*(permutations(lay) for lay in layers)))
+    else:
+        best = encode(sorted(rg.vertices, key=lambda v: (dist[v], len(adj[v]), v)))
+    return (len(rg.vertices), best)
 
 
 def law_sequence(y, n, k):

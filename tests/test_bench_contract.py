@@ -1,0 +1,50 @@
+"""The benchmark's trace contract, checked against the package.
+
+``perfbench/trace_layers.py`` wraps package functions by name (``SPANS``)
+and the benchmark's set-up script loads each input through
+``io.read_<kind>`` (``workloads.LOADS``).  A rename that breaks either
+would otherwise show only in a benchmark run.  The benchmark modules are
+imported read-only.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from graphsample import io as gio
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+
+
+def _bench_module(name):
+    sys.path.insert(0, PERFBENCH)
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(PERFBENCH)
+
+
+trace_layers = _bench_module("trace_layers")
+workloads = _bench_module("workloads")
+
+
+def _resolve(owner, attr):
+    mod_name, _, cls_name = owner.partition(":")
+    mod = importlib.import_module(f"graphsample.{mod_name}")
+    if cls_name:
+        return getattr(mod, cls_name).__dict__.get(attr)
+    return getattr(mod, attr, None)
+
+
+@pytest.mark.parametrize("span", sorted(trace_layers.SPANS))
+def test_span_targets_are_package_callables(span):
+    for owner, attr in trace_layers.SPANS[span]:
+        assert callable(_resolve(owner, attr)), f"{span}: {owner}.{attr}"
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.LOADS))
+def test_loaded_kinds_have_readers(workload):
+    for kind, _ in workloads.LOADS[workload]:
+        assert callable(getattr(gio, f"read_{kind}", None)), f"io.read_{kind}"

@@ -223,6 +223,25 @@ def test_cmd_test_involution(tmp_path):
     assert code == 1
 
 
+def test_involution_root_outside_graph_usage_error(tmp_path, capsys):
+    c50 = tmp_path / "c50.txt"
+    main(["generate", "cycle", "--n", "50", "--out", str(c50)])
+    for root in ("99", "0"):
+        code = main(["test", "--test", "involution", "--in", str(c50), "--n", "50",
+                     "--root", root, "--reps", "10"])
+        assert code == 2
+        assert f"error: root {root} outside 1..50" in capsys.readouterr().err.splitlines()
+
+
+def test_involution_zero_reps_usage_error(tmp_path, capsys):
+    c50 = tmp_path / "c50.txt"
+    main(["generate", "cycle", "--n", "50", "--out", str(c50)])
+    code = main(["test", "--test", "involution", "--in", str(c50), "--n", "50",
+                 "--reps", "0"])
+    assert code == 2
+    assert "error: reps must be >= 1" in capsys.readouterr().err.splitlines()
+
+
 def test_cmd_diagnose(tmp_path, capsys):
     star = tmp_path / "star.txt"
     main(["generate", "star", "--n", "400", "--out", str(star)])

@@ -214,6 +214,19 @@ def test_involution_zero_degree_root_error():
         test_involution_invariance("uniform", g, 3, 1, 100, RandomStream(0))
 
 
+def test_involution_root_outside_graph_error():
+    # vertex 8 is in the star but not in its restriction to 5 vertices
+    for root, n in ((0, 10), (11, 10), (8, 5)):
+        with pytest.raises(ValueError, match=f"root {root} outside 1..{n}"):
+            test_involution_invariance({root: 1.0}, star_vertex(10), n, 1, 100,
+                                       RandomStream(0))
+
+
+def test_involution_monte_carlo_needs_a_replicate():
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        test_involution_invariance("uniform", cycle_vertex(10), 10, 1, 0, RandomStream(0))
+
+
 # -- report plumbing ---------------------------------------------------------------------
 
 def test_report_summary_and_threshold():

@@ -4,8 +4,14 @@ Each case runs 200 replicates at seed 1 on a small input and compares the
 SHA-256 of the rendered tally (or value) with a recorded digest.  A
 refactor that changes any draw, key or rendering byte fails here, so
 "same program, less code" is checked by the unit suite and not only by
-the benchmark.  ``ego`` and ``bs_root`` are left out: their rooted keys
-are expected to change with an exact canonical form.
+the benchmark.
+
+Rooted outputs are pinned too: ``ego`` and ``bs_root`` tallies (balls on
+both the exact layer-permutation path and the fallback order of
+``canonical_rooted``) and the Monte Carlo involution-invariance report.
+Their keys come from the rooted canonical form, so replacing the fallback
+by an exact canonical form changes them on purpose; such a change
+re-records these digests and says so in its change notes.
 """
 
 import hashlib
@@ -14,7 +20,7 @@ import pytest
 
 from graphsample import io as gio
 from graphsample.estimate import empirical_average, prefix_density_vector
-from graphsample.invariance import test_exchangeability
+from graphsample.invariance import test_exchangeability, test_involution_invariance
 from graphsample.models import alternating_seq, cycle_vertex, half_multiplicity, star_vertex
 from graphsample.rng import RandomStream
 from graphsample.sampling import SamplerSpec, diagnose_limit
@@ -48,9 +54,18 @@ def _vector(spec, y, n, k):
 
 
 def _exchangeability(algo, y, n, k):
-    report = test_exchangeability(SamplerSpec(algo), y, n, k, REPS, RandomStream(SEED))
+    return _report(test_exchangeability(SamplerSpec(algo), y, n, k, REPS,
+                                        RandomStream(SEED)))
+
+
+def _report(report):
     return (report.summary() + "\n" + gio.render_tally_csv(report.tally_a)
             + gio.render_tally_csv(report.tally_b))
+
+
+def _involution():
+    return _report(test_involution_invariance("uniform", GRAPH, 7, 1, REPS,
+                                              RandomStream(SEED)))
 
 
 def _diagnose_star():
@@ -91,6 +106,12 @@ CASES = {
     "exchangeability.partition": lambda: _exchangeability("partition", PARTITION, 9, 4),
     "exchangeability.sequence": lambda: _exchangeability("sequence", alternating_seq(9), 9, 3),
     "empirical_average.monte_carlo": _monte_carlo_average,
+    # every radius-1 ball of GRAPH is small enough for the exact layer search
+    "vector.ego": lambda: _vector(SamplerSpec("ego"), GRAPH, 7, 2),
+    "vector.bs_root": lambda: _vector(SamplerSpec("bs_root"), GRAPH, 7, 2),
+    # layers 1+9 at the hub and 1+1+8 at a leaf: every ball takes the fallback
+    "vector.bs_root.star": lambda: _vector(SamplerSpec("bs_root"), star_vertex(10), 10, 2),
+    "involution.monte_carlo": _involution,
 }
 
 # captured before the structure-kind operations were merged
@@ -113,6 +134,11 @@ DIGESTS = {
     "vector.degree_biased.edgeless": "cbd4e22f9208732e8edb7e23f7633f41c7013ef672a1b851cd294af9997af17a",
     "vector.degree_biased.isolated": "a0b995691f5b099b9bfe213707d3fce779d1f6dd3d0ae2ffce07b5b48cf5a892",
     "vector.shortest_path.disconnected": "025505578fad7847fe9becda3ebd89a8f0bab0c510a16cdb9494362a69cc2c26",
+    # captured before rooted graphs kept their adjacency and depth map
+    "involution.monte_carlo": "dbc564907fca98427f0f2a4e6247ac4e661cbcd4e9b35d3132ea821a68c507ce",
+    "vector.bs_root": "2274fb13fc1263f69358163163180172a1ab26cf9507ca5bad30fa34308b3f5b",
+    "vector.bs_root.star": "ed68e99cb3d863d8da7b511f03b724f85f381f7e46cdde8788c74acb5d399a93",
+    "vector.ego": "b708016e85be8d92df22d1cee9818304a4d96a2481386bedec853c1acedf1c08",
 }
 
 

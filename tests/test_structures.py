@@ -9,6 +9,7 @@ from graphsample.structures import (
     EdgeSeqGraph,
     MarkedCompleteGraph,
     Partition,
+    RootedGraph,
     VertexGraph,
     ball,
     canonical_rooted,
@@ -27,6 +28,8 @@ from graphsample.structures import (
     shortest_path_marks,
 )
 from graphsample.models import cycle_vertex, star_vertex, y4
+
+from oracles import canonical_rooted_reference
 
 
 # -- construction invariants -------------------------------------------------
@@ -124,17 +127,20 @@ def test_ball_bad_center():
         ball(y4(), 9, 1)
 
 
-def _ball_by_edge_scan(g, center, r):
-    """Reference ball: BFS layer by layer over the edge set."""
-    from graphsample.structures import RootedGraph
-
+def _hops_by_edge_scan(g, center, r):
+    """Reference hop distances up to r: BFS layer by layer over the edge set."""
     dist = {center: 0}
     for d in range(r):
         for u, v in g.edges:
             for a, b in ((u, v), (v, u)):
                 if dist.get(a) == d and b not in dist:
                     dist[b] = d + 1
-    verts = frozenset(dist)
+    return dist
+
+
+def _ball_by_edge_scan(g, center, r):
+    """Reference ball on the vertices _hops_by_edge_scan reaches."""
+    verts = frozenset(_hops_by_edge_scan(g, center, r))
     return RootedGraph(verts, frozenset(e for e in g.edges if set(e) <= verts), center)
 
 
@@ -162,8 +168,6 @@ def test_restrict_rooted_shrinks_radius():
 
 
 def test_rooted_graph_invariants():
-    from graphsample.structures import RootedGraph
-
     with pytest.raises(ValueError):  # root outside vertex set
         RootedGraph(frozenset({1, 2}), frozenset({(1, 2)}), 3)
     with pytest.raises(ValueError):  # disconnected
@@ -302,6 +306,73 @@ def test_restriction_does_not_inherit_parent_memo():
     assert sub.adjacency() == fresh.adjacency()
     assert degrees(sub) == degrees(fresh) == (1, 2, 2, 2, 1)
     assert set(sub.adjacency()) == {1, 2, 3, 4, 5}
+
+
+# -- rooted graphs keep their adjacency and depth map ------------------------------
+
+@given(small_graphs(), st.data())
+def test_restricted_ball_is_the_smaller_ball(g, data):
+    center = data.draw(st.integers(1, g.n))
+    big = data.draw(st.integers(0, 3))
+    r = data.draw(st.integers(0, big))
+    assert restrict_rooted(ball(g, center, big), r) == ball(g, center, r)
+
+
+@given(small_graphs(), st.data())
+def test_depths_are_hop_distances(g, data):
+    center = data.draw(st.integers(1, g.n))
+    r = data.draw(st.integers(0, 3))
+    assert ball(g, center, r).depths() == _hops_by_edge_scan(g, center, r)
+
+
+def test_rooted_graph_index_is_outside_its_fields():
+    rg = ball(_CHORDED, 1, 2)
+    adj, depths = rg.adjacency(), rg.depths()
+    fresh = RootedGraph(rg.vertices, rg.edges, rg.root)
+    assert rg.adjacency() is adj and rg.depths() is depths
+    assert rg == fresh and hash(rg) == hash(fresh) and repr(rg) == repr(fresh)
+    assert all(isinstance(nbrs, tuple) for nbrs in adj.values())
+    assert {v: sorted(nbrs) for v, nbrs in adj.items()} == {
+        1: [2, 7], 2: [1, 3, 6], 3: [2, 7], 6: [2, 7], 7: [1, 3, 6]}
+    assert depths == {1: 0, 2: 1, 7: 1, 3: 2, 6: 2}
+
+
+@st.composite
+def rooted_balls(draw):
+    """Balls at vertex 1 of graphs on up to 12 vertices, vertex 1 joined to
+    a drawn number of others: both small layers (exact canonical search)
+    and layers too large for it (fallback order) occur."""
+    n = draw(st.sampled_from(range(1, 13)))
+    hub = draw(st.sampled_from(range(n)))
+    pairs = list(itertools.combinations(range(2, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = {(1, v) for v in range(2, hub + 2)} | {p for p, k in zip(pairs, keep) if k}
+    return ball(VertexGraph(n, frozenset(edges)), 1, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rooted_balls())
+def test_canonical_rooted_matches_reference(rg):
+    assert canonical_rooted(rg) == canonical_rooted_reference(rg)
+
+
+_TWO_LAYERS_OF_FIVE = VertexGraph(11, frozenset(
+    [(1, v) for v in range(2, 7)] + [(v, v + 5) for v in range(2, 7)]
+    + [(2, 3), (7, 8), (8, 9), (10, 11)]))
+_ROOT_AND_EIGHT = VertexGraph(9, frozenset(
+    [(1, v) for v in range(2, 10)] + [(2, 3), (3, 4), (5, 6), (7, 8)]))
+
+
+@pytest.mark.parametrize("rg", [
+    ball(star_vertex(10), 1, 1),               # layers 1 + 9: fallback
+    ball(star_vertex(10), 2, 2),               # layers 1 + 1 + 8: fallback
+    ball(_TWO_LAYERS_OF_FIVE, 1, 2),           # 5! * 5! > budget: fallback
+    ball(_ROOT_AND_EIGHT, 1, 1),               # 8! > budget: fallback
+    ball(_TWO_LAYERS_OF_FIVE, 2, 1),           # exact
+    ball(cycle_vertex(12), 1, 3),              # exact
+])
+def test_canonical_rooted_matches_reference_examples(rg):
+    assert canonical_rooted(rg) == canonical_rooted_reference(rg)
 
 
 # -- shortest paths --------------------------------------------------------------
