@@ -161,9 +161,11 @@ def _normalize_root_law(root_law, y_n: VertexGraph) -> list:
     if root_law is None or root_law == "uniform":
         return [(v, 1.0 / y_n.n) for v in range(1, y_n.n + 1)]
     items = sorted(root_law.items())
-    for v, _ in items:
+    for v, w in items:
         if not 1 <= v <= y_n.n:
             raise ValueError(f"root {v} outside 1..{y_n.n}")
+        if w < 0:
+            raise ValueError(f"root {v} has negative weight {w}")
     total = sum(w for _, w in items)
     if total <= 0:
         raise ValueError("root law must have positive total mass")
@@ -186,7 +188,7 @@ def test_involution_invariance(root_law, y: VertexGraph, n: int, radius: int,
     """Compare the law of the radius-r ball at a random root against the law
     after one step of simple random walk from that root.
 
-    root_law is "uniform"/None or a dict vertex -> weight on y|n; every
+    root_law is "uniform"/None or a dict vertex -> weight >= 0 on y|n; every
     supported root must have at least one neighbor.  With exact=True both
     ball laws are enumerated over the (finite) root distribution instead of
     sampled.  The comparison is purely distributional: balls are tallied by
@@ -201,7 +203,7 @@ def test_involution_invariance(root_law, y: VertexGraph, n: int, radius: int,
             raise ValueError(f"supported root {v} has degree zero")
 
     notes = []
-    diam = _diameter(y_n, adj)
+    diam = _diameter(y_n, adj, 2 * radius + 2)
     if 2 * radius + 1 >= diam:
         notes.append(f"truncation warning: 2*radius+1 = {2 * radius + 1} is not "
                      f"below the diameter {diam}; ball comparison may not be "
@@ -242,11 +244,14 @@ def test_involution_invariance(root_law, y: VertexGraph, n: int, radius: int,
     return _report("involution_invariance", ta, tb, notes=notes)
 
 
-def _diameter(g: VertexGraph, adj) -> int:
+def _diameter(g: VertexGraph, adj, cap: int) -> int:
+    """The largest eccentricity of a vertex within its component, or cap as
+    soon as some vertex has another at distance cap or more."""
     best = 0
     for v in range(1, g.n + 1):
-        dist = _bfs_distances(adj, v)
-        ecc = max(dist.values(), default=0)
+        ecc = max(_bfs_distances(adj, v, limit=cap).values())
+        if ecc >= cap:
+            return cap
         best = max(best, ecc)
     return best
 

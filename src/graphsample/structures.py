@@ -22,7 +22,10 @@ adjacency and depth map its validation builds; restriction and canonical
 form read them.
 
 Each operation that depends on the kind has one home here: size_of,
-restrict, subsample_in_order (the relabeling action) and key_for.
+restrict, subsample_in_order (the relabeling action) and key_for.  Keys
+are exact: a rooted graph is keyed by its canonical form under
+root-preserving isomorphism (canonical_rooted), and the packing takes any
+Python int.
 """
 
 from __future__ import annotations
@@ -370,14 +373,15 @@ class RootedGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", frozenset(self.vertices))
-        norm = frozenset(_check_edge(u, v) for u, v in self.edges)
+        norm = frozenset((u, v) if u < v else _check_edge(u, v) for u, v in self.edges)
         object.__setattr__(self, "edges", norm)
         if self.root not in self.vertices:
             raise ValueError("root must be a vertex")
-        for u, v in norm:
-            if u not in self.vertices or v not in self.vertices:
-                raise ValueError(f"edge ({u},{v}) has endpoint outside vertex set")
-        adj = _adjacency(self.vertices, norm)
+        try:
+            adj = _adjacency(self.vertices, norm)
+        except KeyError:
+            u, v = next(e for e in norm if not self.vertices.issuperset(e))
+            raise ValueError(f"edge ({u},{v}) has endpoint outside vertex set") from None
         depths = _bfs_distances(adj, self.root)
         if len(depths) != len(self.vertices):
             raise ValueError("rooted graph must be connected")
@@ -401,60 +405,258 @@ def restrict_rooted(rg: RootedGraph, r: int) -> RootedGraph:
     return _induced_rooted(rg.adjacency(), verts, rg.root)
 
 
-# Exact rooted canonicalization enumerates label assignments within BFS
-# layers; above this budget fall back to a deterministic BFS relabeling.
-_CANON_BUDGET = 5040
-
-
 def canonical_rooted(rg: RootedGraph) -> tuple:
     """Canonical form of a rooted graph: (size, edge tuple) after relabeling
-    the root to 1 and remaining vertices to 2..m.
+    the root to 1 and the other vertices to 2..m.  Two rooted graphs have
+    equal forms exactly when an isomorphism maps one root to the other.
 
-    Any isomorphism fixing the root preserves distance from the root, so
-    candidate relabelings permute vertices only within BFS layers.  When the
-    number of such relabelings is small the exact minimum encoding is taken
-    (isomorphism-invariant); otherwise vertices are ordered deterministically
-    by (layer, degree, original label), which is invariant for the symmetric
-    shapes handled here but not for general graphs.
+    An individualization-refinement search (McKay & Piperno 2014,
+    "Practical graph isomorphism II").  Colours start as the rank of
+    (BFS depth, degree), which puts the root alone in the first cell, and
+    are refined until stable (_refine).  A colour is the position of its
+    cell in the ordered partition, so a colouring with one vertex per cell
+    is a labeling 1..m: a leaf of the search.  Elsewhere _search
+    individualizes the vertices of the first smallest tied cell in turn; a
+    tied cell of pairwise twins is split in one fixed order instead, since
+    permuting twins is an automorphism that keeps the colouring.  The form
+    is the least _encode over the leaves.  Automorphisms prune: two leaves
+    with equal encodings reveal one, and so does a child whose cells the
+    first child's match vertex for vertex (_automorphism); the search skips
+    the subtrees they map onto ones already visited.
     """
-    depths = rg.depths()
-    layers = {}
-    for v, d in depths.items():
-        layers.setdefault(d, []).append(v)
-    layer_lists = [sorted(layers[d]) for d in sorted(layers)]
-
-    budget = 1
-    for lay in layer_lists:
-        for i in range(2, len(lay) + 1):
-            budget *= i
-        if budget > _CANON_BUDGET:
-            break
-
-    if budget <= _CANON_BUDGET:
-        best = None
-        for perm_choice in itertools.product(
-                *(itertools.permutations(lay) for lay in layer_lists)):
-            label = {}
-            nxt = 1
-            for lay in perm_choice:
-                for v in lay:
-                    label[v] = nxt
-                    nxt += 1
-            enc = _encode(rg.edges, label)
-            if best is None or enc < best:
-                best = enc
-        return (len(rg.vertices), best)
-
     adj = rg.adjacency()
-    order = sorted(rg.vertices, key=lambda v: (depths[v], len(adj[v]), v))
-    return (len(rg.vertices), _encode(rg.edges, {v: i + 1 for i, v in enumerate(order)}))
+    colour = _refine(adj, _cells({v: (d, len(adj[v])) for v, d in rg.depths().items()}))
+    leaves = _Leaves(adj)
+    _search(adj, colour, leaves)
+    return (len(rg.vertices), leaves.best[0])
 
 
-def _encode(edges, label: dict) -> tuple:
-    """Sorted edge tuple of edges under the vertex relabeling label."""
-    return tuple(sorted(
-        (label[u], label[v]) if label[u] < label[v] else (label[v], label[u])
-        for u, v in edges))
+def _cells(keys: dict) -> dict:
+    """Ordered partition by key: vertex -> 1 + the number of vertices whose
+    key is smaller, so vertices of equal key share a colour."""
+    order = sorted(keys, key=keys.__getitem__)
+    colour = {}
+    start = prev = None
+    for i, v in enumerate(order, 1):
+        if keys[v] != prev:
+            start, prev = i, keys[v]
+        colour[v] = start
+    return colour
+
+
+def _refine(adj: dict, colour: dict) -> dict:
+    """Colour refinement: split every cell by its vertices' sorted neighbour
+    colours until no cell splits.  A split keeps the cell's place, so the
+    result depends on the colouring and the graph, not on the labels."""
+    count = len(set(colour.values()))
+    while count < len(colour):
+        colour = _cells({v: (c, sorted(map(colour.__getitem__, adj[v])))
+                         for v, c in colour.items()})
+        split = len(set(colour.values()))
+        if split == count:
+            break
+        count = split
+    return colour
+
+
+def _target_cell(colour: dict):
+    """The first smallest cell of more than one vertex, or None when every
+    vertex has a colour of its own.  A cell's size is the gap from its
+    colour to the next one."""
+    starts = set(colour.values())
+    if len(starts) == len(colour):
+        return None
+    starts = sorted(starts)
+    _, start = min((end - c, c) for c, end in zip(starts, starts[1:] + [len(colour) + 1])
+                   if end - c > 1)
+    return [v for v, c in colour.items() if c == start]
+
+
+def _twins(adj: dict, cell: list) -> bool:
+    """True when every two vertices of cell have the same neighbours outside
+    the pair: the same neighbours outside cell, and cell a clique or
+    independent."""
+    members = set(cell)
+    outside = None
+    for v in cell:
+        nbrs = set(adj[v])
+        if len(nbrs & members) not in (0, len(cell) - 1):
+            return False
+        nbrs -= members
+        if outside is None:
+            outside = nbrs
+        elif nbrs != outside:
+            return False
+    return True
+
+
+def _recolour(colour: dict, cell: list, order) -> dict:
+    """colour with cell's place given to the vertices of order, one place
+    each in turn; cell vertices not in order share the next place."""
+    start = colour[cell[0]]
+    out = dict(colour)
+    for v in cell:
+        out[v] = start + len(order)
+    for i, v in enumerate(order):
+        out[v] = start + i
+    return out
+
+
+class _Leaves:
+    """The leaves one search has met: the first and the least, each as
+    (encoding, labeling, branch path), and the automorphisms the search has
+    found, each as a dict of the vertices it moves."""
+
+    __slots__ = ("adj", "first", "best", "autos")
+
+    def __init__(self, adj):
+        self.adj = adj
+        self.first = self.best = None
+        self.autos = []
+
+    def visit(self, colour: dict, path: tuple):
+        """Record a leaf.  When it equals the first or the least leaf, the
+        automorphism between them maps that leaf's branch at their common
+        node onto this one; return the node's depth, else None."""
+        enc = _encode(self.adj, colour)
+        if self.first is None:
+            self.first = self.best = (enc, colour, path)
+            return None
+        for known, label, known_path in (self.first, self.best):
+            if enc == known:
+                vertex_at = {c: v for v, c in colour.items()}
+                self.autos.append({v: vertex_at[c] for v, c in label.items()
+                                   if vertex_at[c] != v})
+                depth = 0
+                for a, b in zip(path, known_path):
+                    if a != b:
+                        break
+                    depth += 1
+                return depth
+        if enc < self.best[0]:
+            self.best = (enc, colour, path)
+        return None
+
+
+class _Node:
+    """An open node of the search tree: its stable colouring, target cell
+    and branch path, the index in cell of the next child to try and the
+    first child's colouring.  Its orbits under the automorphisms found so
+    far that keep colour, the first `seen` of them merged, form a
+    union-find forest (parent) in which the explored children share the
+    tree of the key None: a child in that tree is covered, that is in the
+    orbit of an explored one."""
+
+    __slots__ = ("colour", "cell", "path", "next", "first", "parent", "seen")
+
+    def __init__(self, colour: dict, cell: list, path: tuple):
+        self.colour, self.cell, self.path = colour, cell, path
+        self.next, self.first, self.parent, self.seen = 0, None, {}, 0
+
+    def root(self, v):
+        parent = self.parent
+        while parent.get(v, v) != v:
+            parent[v] = v = parent.get(parent[v], parent[v])
+        return v
+
+    def join(self, u, v):
+        u, v = self.root(u), self.root(v)
+        if u != v:
+            self.parent[u] = v
+
+    def covered(self, v, autos: list) -> bool:
+        colour = self.colour
+        for g in autos[self.seen:]:
+            if all(colour[x] == colour[y] for x, y in g.items()):
+                for x, y in g.items():
+                    self.join(x, y)
+        self.seen = len(autos)
+        return self.root(v) == self.root(None)
+
+
+def _automorphism(adj: dict, source: dict, target: dict):
+    """The map that sends each vertex whose colour differs in source and
+    target to one of its source colour in target, in a fixed order, and
+    fixes the rest, as a dict of the vertices it moves.  Returned when it
+    is an automorphism of the graph, which then carries source onto
+    target, else None."""
+    vertex_at = {}
+    for w, c in target.items():
+        if source[w] != c:
+            vertex_at.setdefault(c, []).append(w)
+    g = {}
+    for v, c in source.items():
+        if target[v] != c:
+            ws = vertex_at.get(c)
+            if not ws:
+                return None
+            g[v] = ws.pop()
+    for v, w in g.items():
+        if set(map(g.get, adj[v], adj[v])) != set(adj[w]):
+            return None
+    return g
+
+
+def _search(adj: dict, colour: dict, leaves: _Leaves) -> None:
+    """Visit the leaves of the search tree below the stable colouring
+    colour, depth first.  The open nodes sit on an explicit stack, so the
+    depth of the tree (one level per individualized vertex) is not bounded
+    by the interpreter's recursion limit.  Before a node descends into a
+    later child, _automorphism tries the map that matches the child's
+    cells with the first child's; when it is one, the child's subtree
+    repeats the first's and is skipped, and its orbit is merged."""
+    stack = []
+    path = ()
+    while True:
+        cell = _target_cell(colour)
+        while cell is not None and _twins(adj, cell):
+            colour = _refine(adj, _recolour(colour, cell, cell))
+            cell = _target_cell(colour)
+        back = None
+        if cell is None:
+            # A leaf equal to an earlier one returns the depth of the node
+            # to go on from; the nodes below it only repeat visited branches.
+            back = leaves.visit(colour, path)
+        else:
+            stack.append(_Node(colour, cell, path))
+        while stack:
+            node = stack[-1]
+            if back is not None and len(node.path) > back:
+                stack.pop()
+                continue
+            back = child = None
+            while child is None and node.next < len(node.cell):
+                v = node.cell[node.next]
+                node.next += 1
+                if node.first is not None and node.covered(v, leaves.autos):
+                    continue
+                child = _refine(adj, _recolour(node.colour, node.cell, (v,)))
+                if node.first is None:
+                    node.first = child
+                else:
+                    g = _automorphism(adj, child, node.first)
+                    if g is not None:
+                        leaves.autos.append(g)
+                        child = None
+            if child is None:
+                stack.pop()
+                continue
+            node.join(v, None)
+            colour, path = child, node.path + (v,)
+            break
+        else:
+            return
+
+
+def _encode(adj: dict, label: dict) -> tuple:
+    """Sorted edge tuple of a graph under the bijective vertex labeling
+    label: each vertex in label order, paired with its higher-labelled
+    neighbours in order."""
+    out = []
+    for v in sorted(label, key=label.__getitem__):
+        i = label[v]
+        out.extend([(i, j) for j in sorted(map(label.__getitem__, adj[v])) if j > i])
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +820,25 @@ class PatternKey:
         return f"{self.kind}:{self.data.hex()}"
 
 
+#: Stands for an int outside the signed 32-bit range, or for itself: it is
+#: followed by a 32-bit byte count and the int's big-endian two's complement.
+_ESCAPE = -2 ** 31
+_WORD = struct.Struct(">i").pack
+
+
 def _pack(ints) -> bytes:
+    """The count, then each int as a signed 32-bit big-endian word; an int
+    that has no word of its own is escaped, so the packing is total over
+    Python ints and injective."""
     ints = list(ints)
-    return struct.pack(f">{len(ints) + 1}i", len(ints), *ints)
+    words = [_WORD(len(ints))]
+    for v in ints:
+        if _ESCAPE < v < 2 ** 31:
+            words.append(_WORD(v))
+        else:
+            raw = v.to_bytes(v.bit_length() // 8 + 1, "big", signed=True)
+            words += (_WORD(_ESCAPE), _WORD(len(raw)), raw)
+    return b"".join(words)
 
 
 def key_for(x) -> PatternKey:
@@ -646,10 +864,7 @@ def key_for(x) -> PatternKey:
         return PatternKey("mc", _pack(flat))
     if isinstance(x, RootedGraph):
         size, edges = canonical_rooted(x)
-        flat = [size]
-        for u, v in edges:
-            flat.extend((u, v))
-        return PatternKey("ball", _pack(flat))
+        return PatternKey("ball", _pack([size, *itertools.chain.from_iterable(edges)]))
     if isinstance(x, list):  # list of rooted balls (ego sampler output)
         parts = [key_for(b) for b in x]
         blob = struct.pack(">i", len(parts)) + b"".join(p.data for p in parts)

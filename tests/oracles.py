@@ -102,11 +102,11 @@ def draw_weighted_distinct_linear(weights, k, rng):
     return chosen
 
 
-def canonical_rooted_reference(rg, budget=5040):
-    """Reference for structures.canonical_rooted, with its own adjacency
-    and BFS: the minimum sorted edge encoding over all relabelings that
-    permute vertices within BFS layers when their number is at most
-    ``budget``, else the encoding of the order (layer, degree, label)."""
+def canonical_rooted_reference(rg):
+    """Brute-force canonical form of a rooted graph, with its own adjacency
+    and BFS: the minimum sorted edge encoding over every relabeling that
+    permutes vertices within BFS layers (root first, then layer by layer).
+    Exact, and cheap while the layer permutations number a few thousand."""
     adj = {v: [] for v in rg.vertices}
     for u, v in rg.edges:
         adj[u].append(v)
@@ -127,15 +127,8 @@ def canonical_rooted_reference(rg, budget=5040):
         return tuple(sorted((min(label[u], label[v]), max(label[u], label[v]))
                             for u, v in rg.edges))
 
-    count = 1
-    for lay in layers:
-        for i in range(2, len(lay) + 1):
-            count *= i
-    if count <= budget:
-        best = min(encode([v for lay in choice for v in lay])
-                   for choice in product(*(permutations(lay) for lay in layers)))
-    else:
-        best = encode(sorted(rg.vertices, key=lambda v: (dist[v], len(adj[v]), v)))
+    best = min(encode([v for lay in choice for v in lay])
+               for choice in product(*(permutations(lay) for lay in layers)))
     return (len(rg.vertices), best)
 
 

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from graphsample import estimate
 from graphsample import io as gio
 from graphsample.cli import main
 from graphsample.models import y4
@@ -297,16 +298,32 @@ def test_non_positive_label_usage_error(tmp_path, capsys):
     assert "label 0 is not a positive integer" in capsys.readouterr().err
 
 
-def test_internal_error_exits_4(tmp_path, capsys):
-    # a label of 2^31 does not fit the 32-bit pattern-key packing
+def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    # a fault inside the package, injected where every tally keys its outputs
+    def broken_key(x):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(estimate, "key_for", broken_key)
     seq = tmp_path / "seq.txt"
-    seq.write_text("1\n2147483648\n")
+    seq.write_text("1\n2\n")
     code = main(["estimate", "--what", "vector", "--algo", "sequence", "--in", str(seq),
                  "--n", "2", "--k", "2", "--reps", "10"])
     assert code == 4
     err = capsys.readouterr().err
-    assert err.startswith("internal error: ")
-    assert err.count("\n") == 1
+    assert err == "internal error: RuntimeError: injected fault\n"
+
+
+def test_labels_beyond_32_bits_are_estimated(tmp_path):
+    seq = tmp_path / "seq.txt"
+    seq.write_text("2147483648\n9223372036854775808\n")
+    out = tmp_path / "tally.csv"
+    code = main(["estimate", "--what", "vector", "--algo", "sequence", "--in", str(seq),
+                 "--n", "2", "--k", "1", "--reps", "50", "--out", str(out)])
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if line.startswith("seq:")]
+    assert len(rows) == 2 and rows[0][0] != rows[1][0]
+    assert sum(int(count) for _, count, _, _ in rows) == 50
 
 
 def test_console_entry_point_runs():

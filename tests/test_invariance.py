@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from graphsample import invariance
 from graphsample.invariance import (
     apply_relabeling,
     test_equivalence,
@@ -220,6 +221,62 @@ def test_involution_root_outside_graph_error():
         with pytest.raises(ValueError, match=f"root {root} outside 1..{n}"):
             test_involution_invariance({root: 1.0}, star_vertex(10), n, 1, 100,
                                        RandomStream(0))
+
+
+def test_involution_root_law_rejects_negative_weights():
+    with pytest.raises(ValueError, match="root 2 has negative weight -1.0"):
+        test_involution_invariance({1: 2.0, 2: -1.0}, star_vertex(10), 10, 1, 0,
+                                   RandomStream(0), exact=True)
+
+
+def _diameter_by_brute_force(g):
+    """Largest hop distance between two vertices of one component."""
+    best = 0
+    for source in range(1, g.n + 1):
+        dist = {source: 0}
+        for d in range(g.n):
+            for u, v in g.edges:
+                for a, b in ((u, v), (v, u)):
+                    if dist.get(a) == d and b not in dist:
+                        dist[b] = d + 1
+        best = max(best, max(dist.values()))
+    return best
+
+
+# Vertices 1-3 form a triangle and 4-11 an 8-cycle: the diameter, 4, is the
+# 8-cycle's, not that of the root's component.
+_TWO_CYCLES = VertexGraph(11, frozenset(
+    [(1, 2), (2, 3), (1, 3)] + [(v, v + 1) for v in range(4, 11)] + [(4, 11)]))
+
+
+@pytest.mark.parametrize("g", [cycle_vertex(9), star_vertex(6), y4(), complete_vertex(5),
+                               VertexGraph(7, frozenset((v, v + 1) for v in range(1, 7))),
+                               _TWO_CYCLES])
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_truncation_note_matches_brute_force_diameter(g, radius):
+    rep = test_involution_invariance({1: 1.0}, g, g.n, radius, 0, RandomStream(0),
+                                     exact=True)
+    diam = _diameter_by_brute_force(g)
+    want = [f"truncation warning: 2*radius+1 = {2 * radius + 1} is not "
+            f"below the diameter {diam}; ball comparison may not be "
+            f"meaningful for the infinite-graph statement"] if 2 * radius + 1 >= diam else []
+    assert [note for note in rep.notes if note.startswith("truncation")] == want
+
+
+def test_truncation_check_stops_at_the_first_deep_vertex(monkeypatch):
+    # cycle 2000 at radius 1: the first BFS reaches depth 2r+2 = 4 and settles it
+    searches = []
+    bfs = invariance._bfs_distances
+
+    def counted(adj, source, limit):
+        searches.append(source)
+        return bfs(adj, source, limit=limit)
+
+    monkeypatch.setattr(invariance, "_bfs_distances", counted)
+    rep = test_involution_invariance("uniform", cycle_vertex(2000), 2000, 1, 200,
+                                     RandomStream(0))
+    assert searches == [1]
+    assert rep.notes == []
 
 
 def test_involution_monte_carlo_needs_a_replicate():

@@ -6,12 +6,11 @@ refactor that changes any draw, key or rendering byte fails here, so
 "same program, less code" is checked by the unit suite and not only by
 the benchmark.
 
-Rooted outputs are pinned too: ``ego`` and ``bs_root`` tallies (balls on
-both the exact layer-permutation path and the fallback order of
-``canonical_rooted``) and the Monte Carlo involution-invariance report.
-Their keys come from the rooted canonical form, so replacing the fallback
-by an exact canonical form changes them on purpose; such a change
-re-records these digests and says so in its change notes.
+Rooted outputs are pinned too: ``ego`` and ``bs_root`` tallies and the
+Monte Carlo involution-invariance report.  Their keys are the bytes of
+``canonical_rooted``'s form, so a change of canonical form that keeps
+every isomorphism class re-records these digests and says so in its
+change notes.
 """
 
 import hashlib
@@ -106,10 +105,9 @@ CASES = {
     "exchangeability.partition": lambda: _exchangeability("partition", PARTITION, 9, 4),
     "exchangeability.sequence": lambda: _exchangeability("sequence", alternating_seq(9), 9, 3),
     "empirical_average.monte_carlo": _monte_carlo_average,
-    # every radius-1 ball of GRAPH is small enough for the exact layer search
     "vector.ego": lambda: _vector(SamplerSpec("ego"), GRAPH, 7, 2),
     "vector.bs_root": lambda: _vector(SamplerSpec("bs_root"), GRAPH, 7, 2),
-    # layers 1+9 at the hub and 1+1+8 at a leaf: every ball takes the fallback
+    # layers 1+9 at the hub and 1+1+8 at a leaf: twin cells, no branching
     "vector.bs_root.star": lambda: _vector(SamplerSpec("bs_root"), star_vertex(10), 10, 2),
     "involution.monte_carlo": _involution,
 }
@@ -134,11 +132,14 @@ DIGESTS = {
     "vector.degree_biased.edgeless": "cbd4e22f9208732e8edb7e23f7633f41c7013ef672a1b851cd294af9997af17a",
     "vector.degree_biased.isolated": "a0b995691f5b099b9bfe213707d3fce779d1f6dd3d0ae2ffce07b5b48cf5a892",
     "vector.shortest_path.disconnected": "025505578fad7847fe9becda3ebd89a8f0bab0c510a16cdb9494362a69cc2c26",
-    # captured before rooted graphs kept their adjacency and depth map
-    "involution.monte_carlo": "dbc564907fca98427f0f2a4e6247ac4e661cbcd4e9b35d3132ea821a68c507ce",
-    "vector.bs_root": "2274fb13fc1263f69358163163180172a1ab26cf9507ca5bad30fa34308b3f5b",
+    # captured before rooted graphs kept their adjacency and depth map; the
+    # star's keys came out the same under the individualization-refinement form
     "vector.bs_root.star": "ed68e99cb3d863d8da7b511f03b724f85f381f7e46cdde8788c74acb5d399a93",
-    "vector.ego": "b708016e85be8d92df22d1cee9818304a4d96a2481386bedec853c1acedf1c08",
+    # re-recorded for the individualization-refinement form: the same
+    # isomorphism classes of balls as before, under other key bytes
+    "involution.monte_carlo": "b9db763183acbb8cbc338bac2604efedbe53b7a252a0bb2102a786d0a5111aac",
+    "vector.bs_root": "ff32e52c3eef4b8435f09b502d34d28d182357409ed2d1fe156aaee4927b934e",
+    "vector.ego": "1b2d5fb22122173ca868a265f726a0bd1ceaa5cf7c75f43316d9e53f53c8bfe4",
 }
 
 

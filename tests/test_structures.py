@@ -1,9 +1,14 @@
+import inspect
 import itertools
+import random
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphsample import structures
 from graphsample.structures import (
     UNREACHABLE,
     EdgeSeqGraph,
@@ -174,6 +179,18 @@ def test_rooted_graph_invariants():
         RootedGraph(frozenset({1, 2, 3}), frozenset({(1, 2)}), 1)
 
 
+def test_rooted_graph_checks_in_order():
+    assert RootedGraph({1, 2, 3}, {(2, 1), (3, 2)}, 2).edges == frozenset({(1, 2), (2, 3)})
+    with pytest.raises(ValueError, match="^self-loop at vertex 2$"):  # before the root
+        RootedGraph({1, 2}, {(1, 2), (2, 2)}, 3)
+    with pytest.raises(ValueError, match="^root must be a vertex$"):  # before endpoints
+        RootedGraph({1, 2}, {(5, 1)}, 3)
+    with pytest.raises(ValueError, match=r"^edge \(1,5\) has endpoint outside vertex set$"):
+        RootedGraph({1, 2}, {(2, 1), (5, 1)}, 1)
+    with pytest.raises(ValueError, match="^rooted graph must be connected$"):
+        RootedGraph({1, 2, 3, 4}, {(1, 2), (4, 3)}, 1)
+
+
 # -- relabeling maps -----------------------------------------------------------
 
 def test_relabel_r_examples():
@@ -338,22 +355,93 @@ def test_rooted_graph_index_is_outside_its_fields():
 
 
 @st.composite
-def rooted_balls(draw):
-    """Balls at vertex 1 of graphs on up to 12 vertices, vertex 1 joined to
-    a drawn number of others: both small layers (exact canonical search)
-    and layers too large for it (fallback order) occur."""
-    n = draw(st.sampled_from(range(1, 13)))
-    hub = draw(st.sampled_from(range(n)))
+def rooted_balls(draw, n):
+    """Balls at vertex 1 of a graph on n vertices, vertex 1 joined to a
+    drawn number of others."""
+    hub = draw(st.integers(0, n - 1))
     pairs = list(itertools.combinations(range(2, n + 1), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = {(1, v) for v in range(2, hub + 2)} | {p for p, k in zip(pairs, keep) if k}
     return ball(VertexGraph(n, frozenset(edges)), 1, draw(st.integers(1, 3)))
 
 
-@settings(max_examples=100, deadline=None)
-@given(rooted_balls())
-def test_canonical_rooted_matches_reference(rg):
-    assert canonical_rooted(rg) == canonical_rooted_reference(rg)
+@st.composite
+def ball_pairs(draw, max_n):
+    """Two balls of graphs on the same number of vertices (often isomorphic
+    when it is small), or a ball and one of its variants."""
+    n = draw(st.integers(1, max_n))
+    a = draw(rooted_balls(n))
+    how = draw(st.sampled_from(("independent", "relabeled", "moved")))
+    if how == "independent":
+        return a, draw(rooted_balls(n))
+    rnd = draw(st.randoms(use_true_random=False))
+    return a, _relabeled(a, rnd) if how == "relabeled" else _moved_edge(a, rnd)
+
+
+@st.composite
+def sparse_balls(draw):
+    """Radius-2 balls of sparse random graphs (mean degree 3 to 6), the
+    shape whose layers are too large for any layer-permutation search."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(20, 80))
+    p = draw(st.floats(3.0, 6.0)) / (n - 1)
+    edges = {(u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
+             if rnd.random() < p}
+    return ball(VertexGraph(n, frozenset(edges)), 1, 2)
+
+
+def _relabeled(rg, rnd):
+    """rg with its vertices renamed by a random injection into 1..2**40."""
+    name = dict(zip(rg.vertices, rnd.sample(range(1, 2 ** 40), len(rg.vertices))))
+    return RootedGraph(frozenset(name.values()),
+                       frozenset((name[u], name[v]) for u, v in rg.edges), name[rg.root])
+
+
+def _moved_edge(rg, rnd):
+    """rg with one edge moved onto a vertex pair it lacked, when that keeps
+    it connected; else rg itself."""
+    absent = [p for p in itertools.combinations(sorted(rg.vertices), 2)
+              if p not in rg.edges]
+    if not rg.edges or not absent:
+        return rg
+    edges = (rg.edges - {rnd.choice(sorted(rg.edges))}) | {rnd.choice(absent)}
+    try:
+        return RootedGraph(rg.vertices, edges, rg.root)
+    except ValueError:  # the move disconnected it
+        return rg
+
+
+def _nx_isomorphic(nx, a, b):
+    """networkx's verdict on a root-preserving isomorphism between a and b."""
+    def graph(rg):
+        g = nx.Graph()
+        g.add_nodes_from((v, {"root": v == rg.root}) for v in rg.vertices)
+        g.add_edges_from(rg.edges)
+        return g
+    return nx.is_isomorphic(graph(a), graph(b),
+                            node_match=lambda x, y: x["root"] == y["root"])
+
+
+# Balls of up to 8 vertices have at most 7! layer permutations, few enough
+# for the brute-force reference form.
+@settings(max_examples=150, deadline=None)
+@given(ball_pairs(8))
+def test_canonical_rooted_matches_reference(pair):
+    a, b = pair
+    assert (canonical_rooted(a) == canonical_rooted(b)) == (
+        canonical_rooted_reference(a) == canonical_rooted_reference(b))
+
+
+def test_canonical_rooted_matches_networkx():
+    nx = pytest.importorskip("networkx")
+
+    @settings(max_examples=150, deadline=None)
+    @given(ball_pairs(14))
+    def agree(pair):
+        a, b = pair
+        assert (key_for(a) == key_for(b)) == _nx_isomorphic(nx, a, b)
+
+    agree()
 
 
 _TWO_LAYERS_OF_FIVE = VertexGraph(11, frozenset(
@@ -364,15 +452,159 @@ _ROOT_AND_EIGHT = VertexGraph(9, frozenset(
 
 
 @pytest.mark.parametrize("rg", [
-    ball(star_vertex(10), 1, 1),               # layers 1 + 9: fallback
-    ball(star_vertex(10), 2, 2),               # layers 1 + 1 + 8: fallback
-    ball(_TWO_LAYERS_OF_FIVE, 1, 2),           # 5! * 5! > budget: fallback
-    ball(_ROOT_AND_EIGHT, 1, 1),               # 8! > budget: fallback
-    ball(_TWO_LAYERS_OF_FIVE, 2, 1),           # exact
-    ball(cycle_vertex(12), 1, 3),              # exact
+    ball(star_vertex(10), 1, 1),               # layers 1 + 9
+    ball(star_vertex(10), 2, 2),               # layers 1 + 1 + 8
+    ball(_TWO_LAYERS_OF_FIVE, 1, 2),           # layers 1 + 5 + 5
+    ball(_ROOT_AND_EIGHT, 1, 1),               # layers 1 + 8
+    ball(_TWO_LAYERS_OF_FIVE, 2, 1),
+    ball(cycle_vertex(12), 1, 3),
 ])
 def test_canonical_rooted_matches_reference_examples(rg):
-    assert canonical_rooted(rg) == canonical_rooted_reference(rg)
+    """Balls whose layers are too large for the brute-force form.
+    Relabelings keep the key, and a variant with one edge moved has the
+    same key exactly when networkx finds it isomorphic to the ball with the
+    root matched (checked where networkx is installed)."""
+    rnd = random.Random(7)
+    assert {key_for(_relabeled(rg, rnd)) for _ in range(50)} == {key_for(rg)}
+    nx = pytest.importorskip("networkx")
+    for _ in range(30):
+        variant = _moved_edge(rg, rnd)
+        assert (key_for(variant) == key_for(rg)) == _nx_isomorphic(nx, rg, variant)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(1, 12).flatmap(rooted_balls), sparse_balls()),
+       st.randoms(use_true_random=False))
+def test_canonical_rooted_invariant_under_random_relabeling(rg, rnd):
+    assert canonical_rooted(_relabeled(rg, rnd)) == canonical_rooted(rg)
+
+
+def test_root_with_eight_neighbours_has_one_key():
+    rg = ball(_ROOT_AND_EIGHT, 1, 1)
+    rnd = random.Random(1)
+    assert len({key_for(_relabeled(rg, rnd)) for _ in range(200)}) == 1
+
+
+def _legs_over_cycles(lengths):
+    """Root 1 joined to x_1..x_k, each x_i to its own y_i, and the y_i
+    forming disjoint cycles of the given lengths.  Colour refinement cannot
+    tell these balls apart for one k; two are isomorphic exactly when their
+    cycle lengths agree as multisets."""
+    k = sum(lengths)
+    edges = [(1, 1 + i) for i in range(1, k + 1)] + [(1 + i, 1 + k + i) for i in range(1, k + 1)]
+    first = 2 + k
+    for length in lengths:
+        cycle = list(range(first, first + length))
+        edges += [(cycle[j - 1], cycle[j]) for j in range(length)]
+        first += length
+    return ball(VertexGraph(2 * k + 1, frozenset(edges)), 1, 2)
+
+
+_CYCLE_LENGTHS_12 = [(12,), (9, 3), (8, 4), (7, 5), (6, 6), (6, 3, 3), (5, 4, 3), (4, 4, 4),
+                     (3, 3, 3, 3)]
+
+
+def test_canonical_rooted_separates_what_refinement_cannot():
+    rnd = random.Random(3)
+    keys = []
+    for lengths in _CYCLE_LENGTHS_12:
+        rg = _legs_over_cycles(lengths)
+        relabeled = {key_for(_relabeled(rg, rnd)) for _ in range(20)}
+        assert relabeled == {key_for(rg)}, lengths
+        keys.append(key_for(rg))
+    assert len(set(keys)) == len(_CYCLE_LENGTHS_12)
+
+
+# Two cubic graphs on six vertices: K_{3,3} and the triangular prism.
+_K33 = [(a, b) for a in range(3) for b in range(3, 6)]
+_PRISM = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+
+
+def _two_branches(first, second):
+    """Root 1 joined to x_1 = 2 and x_2 = 3; each x_i joined to all six
+    vertices of its own cubic graph.  After either x_i is individualized,
+    refinement gives the same cell sizes, so only the graphs themselves
+    tell whether the two branches are interchangeable."""
+    edges = [(1, 2), (1, 3)]
+    for x, cubic in ((2, first), (3, second)):
+        base = 4 + 6 * (x - 2)
+        edges += [(x, base + i) for i in range(6)] + [(base + a, base + b) for a, b in cubic]
+    return ball(VertexGraph(15, frozenset(edges)), 1, 2)
+
+
+def test_canonical_rooted_branches_with_equal_cells():
+    rnd = random.Random(5)
+    keys = {}
+    for name, pair in (("same", (_K33, _K33)), ("mixed", (_K33, _PRISM)),
+                       ("swapped", (_PRISM, _K33)), ("prisms", (_PRISM, _PRISM))):
+        rg = _two_branches(*pair)
+        assert {key_for(_relabeled(rg, rnd)) for _ in range(30)} == {key_for(rg)}, name
+        keys[name] = key_for(rg)
+    assert keys["mixed"] == keys["swapped"]
+    assert len(set(keys.values())) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_CYCLE_LENGTHS_12), st.sampled_from(_CYCLE_LENGTHS_12),
+       st.randoms(use_true_random=False))
+def test_canonical_rooted_equal_iff_cycle_lengths_agree(a, b, rnd):
+    """Shuffled cycle orders and random vertex names, against the known
+    isomorphism classes."""
+    rg_a = _relabeled(_legs_over_cycles(rnd.sample(a, len(a))), rnd)
+    rg_b = _relabeled(_legs_over_cycles(rnd.sample(b, len(b))), rnd)
+    assert (key_for(rg_a) == key_for(rg_b)) == (sorted(a) == sorted(b))
+
+
+def _spider(legs):
+    """Root 1 joined to a_i = 1 + i, each a_i to its own b_i = 1 + legs + i."""
+    return VertexGraph(2 * legs + 1, frozenset(
+        [(1, 1 + i) for i in range(1, legs + 1)]
+        + [(1 + i, 1 + legs + i) for i in range(1, legs + 1)]))
+
+
+def _windmill(blades):
+    """Root 1 joined to both ends of blades disjoint edges (2i, 2i + 1)."""
+    return VertexGraph(2 * blades + 1, frozenset(itertools.chain.from_iterable(
+        ((1, 2 * i), (1, 2 * i + 1), (2 * i, 2 * i + 1)) for i in range(1, blades + 1))))
+
+
+# A spider or windmill of L legs descends L levels to its first leaf; each
+# node above then refines one more child, which matches the first child's
+# cells by an automorphism.  Leaf automorphisms alone cost L(L+1)/2 calls.
+@pytest.mark.parametrize("rg, bound", [
+    (ball(star_vertex(2000), 1, 1), 3),        # 1999 twin leaves: no branching
+    (ball(_spider(10), 1, 2), 20),             # 10! leaves without pruning
+    (ball(_spider(200), 1, 2), 400),
+    (ball(_windmill(200), 1, 1), 402),
+])
+def test_canonical_rooted_search_stays_small(rg, bound, monkeypatch):
+    calls = []
+    refine = structures._refine
+
+    def counted(adj, colour):
+        calls.append(1)
+        assert len(calls) <= bound, "refinement calls exceed the bound"
+        return refine(adj, colour)
+
+    monkeypatch.setattr(structures, "_refine", counted)
+    size, edges = canonical_rooted(rg)
+    assert size == len(rg.vertices) and len(edges) == len(rg.edges)
+
+
+def test_canonical_rooted_search_depth_is_not_bounded_by_recursion():
+    """The first descent into a 40-leg spider individualizes one leg per
+    level, 39 levels deep; the search keeps its open nodes on a list, so a
+    recursion limit of 20 frames above the caller is no obstacle."""
+    rg = ball(_spider(40), 1, 2)
+    rnd = random.Random(11)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 20)
+    try:
+        form = canonical_rooted(rg)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert form == canonical_rooted(_relabeled(rg, rnd))
+    assert form[0] == 81 and len(form[1]) == 80
 
 
 # -- shortest paths --------------------------------------------------------------
@@ -435,3 +667,28 @@ def test_canonical_rooted_invariant_under_relabeling():
     b = ball(VertexGraph(5, frozenset({(3, 4), (4, 5)})), 4, 1)
     assert canonical_rooted(a) == canonical_rooted(b)
     assert key_for(a) == key_for(b)
+
+
+_INT32 = st.integers(-2 ** 31 + 1, 2 ** 31 - 1)
+_ANY_INT = st.one_of(_INT32, st.integers(-2 ** 70, 2 ** 70),
+                     st.sampled_from([-2 ** 31, -2 ** 31 - 1, 2 ** 31, 2 ** 63]))
+
+
+@given(st.lists(_INT32, max_size=8))
+def test_key_packing_keeps_32_bit_words(xs):
+    # every int with a 32-bit word of its own keeps the plain 32-bit packing
+    assert key_for(tuple(xs)).data == struct.pack(f">{len(xs) + 1}i", len(xs), *xs)
+
+
+def test_key_packing_escapes_ints_without_a_word():
+    # bytes 80 00 00 00 across a word boundary are no escape
+    assert key_for((128, 0)).data.hex() == "000000020000008000000000"
+    assert key_for((2 ** 31,)).data.hex() == "000000018000000000000005" "0080000000"
+    assert key_for((-2 ** 31,)).data.hex() == "000000018000000000000005" "ff80000000"
+    assert key_for((2 ** 63, 1)).data.hex() == (
+        "00000002" "80000000" "00000009" "008000000000000000" "00000001")
+
+
+@given(st.lists(_ANY_INT, max_size=6), st.lists(_ANY_INT, max_size=6))
+def test_key_injective_on_any_ints(xs, ys):
+    assert (key_for(tuple(xs)) == key_for(tuple(ys))) == (xs == ys)
