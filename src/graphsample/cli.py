@@ -31,10 +31,13 @@ from .invariance import (
 from .rng import RandomStream
 from .sampling import (
     ALGORITHMS,
+    BS_ROOT,
     EDGE,
+    EGO,
     P_SAMPLE,
     PARTITION,
     SEQUENCE,
+    SHORTEST_PATH,
     SamplerSpec,
     diagnose_limit,
     make_sampler,
@@ -189,7 +192,7 @@ def _cmd_generate(args) -> int:
         x = models.paintbox_draw(pb, _require(args.n, "--n"), rng).labels
     else:  # pragma: no cover - argparse restricts choices
         raise AssertionError(name)
-    text = "".join(l + "\n" for l in [f"# seed={args.seed}"]) + gio.render_structure(x)
+    text = f"# seed={args.seed}\n" + gio.render_structure(x)
     _emit(args, text)
     return 0
 
@@ -231,6 +234,10 @@ def _cmd_estimate(args) -> int:
     if args.what in ("vector", "density", "lln"):
         _require(args.algo, "--algo")
         _require(args.infile, "--in")
+        if args.what == "density" and args.algo in (SHORTEST_PATH, EGO, BS_ROOT):
+            raise UsageError("--what density reads its pattern as the sampler's "
+                             "output, and shortest_path, ego and bs_root outputs "
+                             "have no pattern file format; use --what vector")
         spec = _spec_from_args(args)
         y = _load(args.algo, args.infile)
         n = _require(args.n, "--n")

@@ -111,7 +111,7 @@ def parse_vertex_graph(text: str) -> VertexGraph:
     max_label = 0
     for line in lines:
         u, v = (int(x) for x in line.split())
-        edges.add((u, v) if u < v else (v, u))
+        edges.add((u, v))
         max_label = max(max_label, u, v)
     n = n_decl if n_decl is not None else max_label
     return VertexGraph(n, frozenset(edges))

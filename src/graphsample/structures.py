@@ -176,9 +176,13 @@ def ball(g: VertexGraph, center: int, r: int) -> "RootedGraph":
 
 
 def _induced_rooted(adj: dict, verts: frozenset, root: int) -> "RootedGraph":
-    """The rooted graph induced on verts, its edges read off adj."""
-    edges = frozenset((u, w) for u in verts for w in adj[u] if u < w and w in verts)
-    return RootedGraph(verts, edges, root)
+    """The rooted graph induced on verts, its edges read off adj as pairs
+    (u, w) with u < w.  They need no normalising: only the checks run."""
+    rg = object.__new__(RootedGraph)
+    rg.__dict__.update(vertices=verts, root=root, edges=frozenset(
+        (u, w) for u in verts for w in adj[u] if u < w and w in verts))
+    rg._index()
+    return rg
 
 
 def _bfs_distances(adj: dict, source: int, limit: float = UNREACHABLE) -> dict:
@@ -373,14 +377,19 @@ class RootedGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", frozenset(self.vertices))
-        norm = frozenset((u, v) if u < v else _check_edge(u, v) for u, v in self.edges)
-        object.__setattr__(self, "edges", norm)
+        object.__setattr__(self, "edges", frozenset(
+            (u, v) if u < v else _check_edge(u, v) for u, v in self.edges))
+        self._index()
+
+    def _index(self):
+        """Check the root, the edge endpoints and connectivity, in that
+        order, of normalised fields, and keep the adjacency and depth map."""
         if self.root not in self.vertices:
             raise ValueError("root must be a vertex")
         try:
-            adj = _adjacency(self.vertices, norm)
+            adj = _adjacency(self.vertices, self.edges)
         except KeyError:
-            u, v = next(e for e in norm if not self.vertices.issuperset(e))
+            u, v = next(e for e in self.edges if not self.vertices.issuperset(e))
             raise ValueError(f"edge ({u},{v}) has endpoint outside vertex set") from None
         depths = _bfs_distances(adj, self.root)
         if len(depths) != len(self.vertices):
@@ -419,16 +428,15 @@ def canonical_rooted(rg: RootedGraph) -> tuple:
     individualizes the vertices of the first smallest tied cell in turn; a
     tied cell of pairwise twins is split in one fixed order instead, since
     permuting twins is an automorphism that keeps the colouring.  The form
-    is the least _encode over the leaves.  Automorphisms prune: two leaves
-    with equal encodings reveal one, and so does a child whose cells the
-    first child's match vertex for vertex (_automorphism); the search skips
-    the subtrees they map onto ones already visited.
+    is the least _encode over the leaves; _search keeps no other leaf.
+    Automorphisms prune: a leaf that encodes as the least reveals one, and
+    so does a child whose cells the first child's match vertex for vertex
+    (_automorphism); the search skips the subtrees they map onto ones
+    already visited.
     """
     adj = rg.adjacency()
     colour = _refine(adj, _cells({v: (d, len(adj[v])) for v, d in rg.depths().items()}))
-    leaves = _Leaves(adj)
-    _search(adj, colour, leaves)
-    return (len(rg.vertices), leaves.best[0])
+    return (len(rg.vertices), _search(adj, colour))
 
 
 def _cells(keys: dict) -> dict:
@@ -502,55 +510,19 @@ def _recolour(colour: dict, cell: list, order) -> dict:
     return out
 
 
-class _Leaves:
-    """The leaves one search has met: the first and the least, each as
-    (encoding, labeling, branch path), and the automorphisms the search has
-    found, each as a dict of the vertices it moves."""
-
-    __slots__ = ("adj", "first", "best", "autos")
-
-    def __init__(self, adj):
-        self.adj = adj
-        self.first = self.best = None
-        self.autos = []
-
-    def visit(self, colour: dict, path: tuple):
-        """Record a leaf.  When it equals the first or the least leaf, the
-        automorphism between them maps that leaf's branch at their common
-        node onto this one; return the node's depth, else None."""
-        enc = _encode(self.adj, colour)
-        if self.first is None:
-            self.first = self.best = (enc, colour, path)
-            return None
-        for known, label, known_path in (self.first, self.best):
-            if enc == known:
-                vertex_at = {c: v for v, c in colour.items()}
-                self.autos.append({v: vertex_at[c] for v, c in label.items()
-                                   if vertex_at[c] != v})
-                depth = 0
-                for a, b in zip(path, known_path):
-                    if a != b:
-                        break
-                    depth += 1
-                return depth
-        if enc < self.best[0]:
-            self.best = (enc, colour, path)
-        return None
-
-
 class _Node:
-    """An open node of the search tree: its stable colouring, target cell
-    and branch path, the index in cell of the next child to try and the
-    first child's colouring.  Its orbits under the automorphisms found so
-    far that keep colour, the first `seen` of them merged, form a
-    union-find forest (parent) in which the explored children share the
-    tree of the key None: a child in that tree is covered, that is in the
-    orbit of an explored one."""
+    """An open node of the search tree: its stable colouring and target
+    cell, the index in cell of the next child to try (the last one tried,
+    cell[next - 1], is its step on the branch path) and the first child's
+    colouring.  Its orbits under the automorphisms found so far that keep
+    colour, the first `seen` of them merged, form a union-find forest
+    (parent) in which the explored children share the tree of the key
+    None: a child in that tree is covered, in the orbit of an explored one."""
 
-    __slots__ = ("colour", "cell", "path", "next", "first", "parent", "seen")
+    __slots__ = ("colour", "cell", "next", "first", "parent", "seen")
 
-    def __init__(self, colour: dict, cell: list, path: tuple):
-        self.colour, self.cell, self.path = colour, cell, path
+    def __init__(self, colour: dict, cell: list):
+        self.colour, self.cell = colour, cell
         self.next, self.first, self.parent, self.seen = 0, None, {}, 0
 
     def root(self, v):
@@ -597,38 +569,42 @@ def _automorphism(adj: dict, source: dict, target: dict):
     return g
 
 
-def _search(adj: dict, colour: dict, leaves: _Leaves) -> None:
-    """Visit the leaves of the search tree below the stable colouring
-    colour, depth first.  The open nodes sit on an explicit stack, so the
-    depth of the tree (one level per individualized vertex) is not bounded
-    by the interpreter's recursion limit.  Before a node descends into a
-    later child, _automorphism tries the map that matches the child's
-    cells with the first child's; when it is one, the child's subtree
-    repeats the first's and is skipped, and its orbit is merged."""
-    stack = []
-    path = ()
+def _search(adj: dict, colour: dict) -> tuple:
+    """The least _encode over the leaves of the search tree below the
+    stable colouring colour, visited depth first.  The open nodes sit on an
+    explicit stack, so the depth of the tree (one level per individualized
+    vertex) is not bounded by the interpreter's recursion limit; a leaf's
+    branch path is read off it.  The least leaf so far is kept as
+    (encoding, colouring, path).  A leaf of equal encoding adds the
+    automorphism from that leaf onto it, and the nodes below the one where
+    their paths part, which only repeat visited branches, are cut off.
+    Before a node descends into a later child, _automorphism tries the map
+    that matches the child's cells with the first child's; when it is one,
+    the child's subtree repeats the first's and is skipped."""
+    stack, autos, best = [], [], None
     while True:
         cell = _target_cell(colour)
         while cell is not None and _twins(adj, cell):
             colour = _refine(adj, _recolour(colour, cell, cell))
             cell = _target_cell(colour)
-        back = None
-        if cell is None:
-            # A leaf equal to an earlier one returns the depth of the node
-            # to go on from; the nodes below it only repeat visited branches.
-            back = leaves.visit(colour, path)
+        if cell is not None:
+            stack.append(_Node(colour, cell))
         else:
-            stack.append(_Node(colour, cell, path))
+            enc = _encode(adj, colour)
+            path = [node.cell[node.next - 1] for node in stack]
+            if best is None or enc < best[0]:
+                best = (enc, colour, path)
+            elif enc == best[0]:
+                autos.append(_automorphism(adj, best[1], colour))
+                depth = next(i for i, (a, b) in enumerate(zip(path, best[2])) if a != b)
+                del stack[depth + 1:]
         while stack:
             node = stack[-1]
-            if back is not None and len(node.path) > back:
-                stack.pop()
-                continue
-            back = child = None
+            child = None
             while child is None and node.next < len(node.cell):
                 v = node.cell[node.next]
                 node.next += 1
-                if node.first is not None and node.covered(v, leaves.autos):
+                if node.first is not None and node.covered(v, autos):
                     continue
                 child = _refine(adj, _recolour(node.colour, node.cell, (v,)))
                 if node.first is None:
@@ -636,16 +612,16 @@ def _search(adj: dict, colour: dict, leaves: _Leaves) -> None:
                 else:
                     g = _automorphism(adj, child, node.first)
                     if g is not None:
-                        leaves.autos.append(g)
+                        autos.append(g)
                         child = None
             if child is None:
                 stack.pop()
                 continue
             node.join(v, None)
-            colour, path = child, node.path + (v,)
+            colour = child
             break
         else:
-            return
+            return best[0]
 
 
 def _encode(adj: dict, label: dict) -> tuple:
@@ -866,7 +842,5 @@ def key_for(x) -> PatternKey:
         size, edges = canonical_rooted(x)
         return PatternKey("ball", _pack([size, *itertools.chain.from_iterable(edges)]))
     if isinstance(x, list):  # list of rooted balls (ego sampler output)
-        parts = [key_for(b) for b in x]
-        blob = struct.pack(">i", len(parts)) + b"".join(p.data for p in parts)
-        return PatternKey("balls", blob)
+        return PatternKey("balls", _WORD(len(x)) + b"".join(key_for(b).data for b in x))
     raise TypeError(f"no canonical key for {type(x).__name__}")

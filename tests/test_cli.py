@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from graphsample import estimate
 from graphsample import io as gio
 from graphsample.cli import main
@@ -172,6 +174,22 @@ def test_estimate_density_single_pattern(tmp_path, capsys):
     out = capsys.readouterr().out
     est = float(out.splitlines()[-1].split(",")[2])
     assert abs(est - 0.5) < 0.05  # P(edge) = 3/6 on y4 at k = 2
+
+
+@pytest.mark.parametrize("algo", ["shortest_path", "ego", "bs_root"])
+def test_estimate_density_without_pattern_format_usage_error(algo, tmp_path, capsys):
+    """The pattern file is a vertex graph, whose key never equals a marked
+    complete graph's or a ball's: a density of these outputs would read 0."""
+    c12 = tmp_path / "c12.txt"
+    main(["generate", "cycle", "--n", "12", "--out", str(c12)])
+    pat = tmp_path / "pat.txt"
+    pat.write_text("1 2\n2 3\n")
+    code = main(["estimate", "--what", "density", "--algo", algo, "--in", str(c12),
+                 "--pattern", str(pat), "--n", "12", "--k", "3", "--reps", "200"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "shortest_path, ego and bs_root outputs have no pattern file format" in captured.err
 
 
 def test_cmd_test_idempotence_exit_codes(tmp_path):

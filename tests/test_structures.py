@@ -568,14 +568,37 @@ def _windmill(blades):
         ((1, 2 * i), (1, 2 * i + 1), (2 * i, 2 * i + 1)) for i in range(1, blades + 1))))
 
 
+def _kneser(n, k):
+    """Kneser graph K(n, k): the k-subsets of {0..n-1}, in combinations
+    order, are vertices 1.., joined when disjoint."""
+    subsets = [set(s) for s in itertools.combinations(range(n), k)]
+    return VertexGraph(len(subsets), frozenset(
+        (a + 1, b + 1) for a, b in itertools.combinations(range(len(subsets)), 2)
+        if not subsets[a] & subsets[b]))
+
+
+def _hypercube(d):
+    """Hypercube Q_d: vertex i + 1 for i in 0..2**d - 1, joined when the
+    two differ in one bit."""
+    return VertexGraph(2 ** d, frozenset(
+        (i + 1, (i | 1 << b) + 1) for i in range(2 ** d) for b in range(d) if not i >> b & 1))
+
+
 # A spider or windmill of L legs descends L levels to its first leaf; each
 # node above then refines one more child, which matches the first child's
 # cells by an automorphism.  Leaf automorphisms alone cost L(L+1)/2 calls.
+# The Kneser and hypercube balls need both the leaf automorphisms and the
+# jump back to the node where two equal leaves part: without the jump they
+# take 49 and 33 calls, without the automorphisms 80 and 34, without
+# either 464 and 33.
 @pytest.mark.parametrize("rg, bound", [
     (ball(star_vertex(2000), 1, 1), 3),        # 1999 twin leaves: no branching
     (ball(_spider(10), 1, 2), 20),             # 10! leaves without pruning
     (ball(_spider(200), 1, 2), 400),
     (ball(_windmill(200), 1, 1), 402),
+    (ball(_kneser(8, 3), 1, 2), 27),
+    (ball(_hypercube(6), 1, 3), 20),
+    (ball(cycle_vertex(50), 1, 2), 3),         # a 5-vertex path
 ])
 def test_canonical_rooted_search_stays_small(rg, bound, monkeypatch):
     calls = []
