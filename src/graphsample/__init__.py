@@ -3,9 +3,8 @@ prefix-density estimation, group-averaged laws of large numbers, and
 statistical tests of the samplers' invariance properties."""
 
 from .estimate import (
-    DegreeProfile,
+    ItemProfile,
     LLNTrace,
-    MultiplicityProfile,
     PatternTally,
     degree_profile,
     empirical_average,

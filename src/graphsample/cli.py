@@ -2,8 +2,11 @@
 and profiles, run invariance tests, and diagnose input-size stabilization.
 
 Exit codes: 0 success / test pass, 1 test failure, 2 usage error or
-invalid input, 3 I/O error, 4 internal error.  Every output file starts
-with a ``# seed=<u64>`` comment so any run can be replayed exactly.
+invalid input, 3 I/O error, 4 internal error.  generate, sample, estimate
+(but for ``--what misspec``, one exact fraction) and diagnose start their
+output with a ``# seed=<u64>`` comment so any run can be replayed exactly;
+test writes its one-line summary first, and with ``--out`` the two tallies
+after it, each under its own ``# seed=`` comment.
 ``--threads`` is accepted by estimate, test and diagnose and has no
 effect: runs are single-threaded and results never depended on it.
 """
@@ -266,19 +269,12 @@ def _cmd_estimate(args) -> int:
         trace = lln_trace(spec, y, n, f, args.j, schedule, args.reps, rng)
         _emit(args, gio.render_lln_csv(trace, seed=args.seed))
         return 0
-    if args.what == "degrees":
-        g = gio.read_edge_seq(_require(args.infile, "--in"))
-        schedule = _parse_schedule(_require(args.schedule, "--schedule"))
-        prof = degree_profile(g, schedule)
-        _emit(args, gio.render_degree_profile_csv(prof, seed=args.seed))
-        return 0
-    if args.what == "multiplicity":
-        g = gio.read_edge_seq(_require(args.infile, "--in"))
-        schedule = _parse_schedule(_require(args.schedule, "--schedule"))
-        prof = multiplicity_profile(g, schedule)
-        _emit(args, gio.render_multiplicity_profile_csv(prof, seed=args.seed))
-        return 0
-    raise AssertionError(args.what)  # pragma: no cover
+    profile, header = {"degrees": (degree_profile, "n,vertex,dbar"),
+                       "multiplicity": (multiplicity_profile, "n,pair,mbar")}[args.what]
+    g = gio.read_edge_seq(_require(args.infile, "--in"))
+    schedule = _parse_schedule(_require(args.schedule, "--schedule"))
+    _emit(args, gio.render_profile_csv(profile(g, schedule), header, seed=args.seed))
+    return 0
 
 
 def _cmd_test(args) -> int:

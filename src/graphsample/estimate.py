@@ -161,11 +161,6 @@ class LLNTrace:
     estimates: tuple
 
     @property
-    def diffs(self) -> tuple:
-        return tuple(abs(self.estimates[i + 1] - self.estimates[i])
-                     for i in range(len(self.estimates) - 1))
-
-    @property
     def slope(self) -> float:
         """Crude convergence rate: change in estimate per unit k."""
         if len(self.ks) < 2:
@@ -263,70 +258,26 @@ def _item_profile(steps, schedule, cauchy_tol: float) -> ItemProfile:
     return ItemProfile(schedule, window, series, estimate, cauchy, mass, ranked)
 
 
-@dataclass
-class DegreeProfile:
-    """Relative degrees deg(i, y|n) / 2n along a schedule; pbar is the
-    estimated total mass of persistent vertices, deltas its sorted values."""
+def degree_profile(y: EdgeSeqGraph, schedule, cauchy_tol: float = 0.01) -> ItemProfile:
+    """Per-vertex relative degrees deg(i, y|n) / 2n of an edge sequence
+    along a schedule.
 
-    profile: ItemProfile
-
-    @property
-    def schedule(self):
-        return self.profile.schedule
-
-    def dbar(self, vertex: int) -> float:
-        return self.profile.estimate.get(vertex, 0.0)
-
-    def series(self, vertex: int) -> tuple:
-        return self.profile.series.get(vertex, ())
-
-    @property
-    def pbar(self) -> float:
-        return self.profile.mass
-
-    @property
-    def deltas(self) -> tuple:
-        return self.profile.ranked
-
-
-def degree_profile(y: EdgeSeqGraph, schedule, cauchy_tol: float = 0.01) -> DegreeProfile:
-    """Per-vertex relative degrees of an edge sequence along a schedule.
-
-    At each n the per-vertex values sum to exactly 1 (degrees total 2n);
-    pbar estimates the limiting mass by summing, at the last n, only over
-    vertices already seen by the first schedule point."""
-    return DegreeProfile(_item_profile((e for e in y.edges), schedule, cauchy_tol))
-
-
-@dataclass
-class MultiplicityProfile:
-    """Relative multiplicities count((i,j), y|n) / n along a schedule."""
-
-    profile: ItemProfile
-
-    @property
-    def schedule(self):
-        return self.profile.schedule
-
-    def mbar(self, pair) -> float:
-        return self.profile.estimate.get(tuple(pair), 0.0)
-
-    def series(self, pair) -> tuple:
-        return self.profile.series.get(tuple(pair), ())
-
-    @property
-    def mubar(self) -> float:
-        return self.profile.mass
-
-    @property
-    def nus(self) -> tuple:
-        return self.profile.ranked
+    In the paper's names, estimate[i] is dbar(i), mass is pbar (the
+    limiting mass of persistent vertices, summed at the last n only over
+    vertices already seen by the first schedule point) and ranked holds
+    the deltas.  At each n the per-vertex values sum to exactly 1 (degrees
+    total 2n)."""
+    return _item_profile((e for e in y.edges), schedule, cauchy_tol)
 
 
 def multiplicity_profile(y: EdgeSeqGraph, schedule,
-                         cauchy_tol: float = 0.01) -> MultiplicityProfile:
-    return MultiplicityProfile(_item_profile(((e,) for e in y.edges),
-                                             schedule, cauchy_tol))
+                         cauchy_tol: float = 0.01) -> ItemProfile:
+    """Relative multiplicities count((i, j), y|n) / n of an edge sequence
+    along a schedule.
+
+    In the paper's names, estimate[(i, j)] is mbar(i, j), mass is mubar and
+    ranked holds the nus."""
+    return _item_profile(((e,) for e in y.edges), schedule, cauchy_tol)
 
 
 def frequency_profile(y: tuple, schedule, cauchy_tol: float = 0.01) -> ItemProfile:

@@ -91,26 +91,40 @@ def render_structure(x) -> str:
 
 
 def _data_lines(text: str):
+    """The ``#n`` header's vertex count (None without one) and the data
+    lines, each as (1-based line number in text, stripped line)."""
     n_decl = None
     out = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             if line.startswith("#n "):
-                n_decl = int(line.split()[1])
+                (n_decl,) = _ints(number, line, line.split()[1:], 1)
             continue
-        out.append(line)
+        out.append((number, line))
     return n_decl, out
+
+
+def _ints(number: int, line: str, fields: list, count: int) -> list:
+    """fields as integers, or a ValueError naming the line and quoting it
+    when there are not exactly count of them or one is not an integer."""
+    if len(fields) != count:
+        raise ValueError(f"line {number}: expected {count} field(s), found "
+                         f"{len(fields)}: {line!r}")
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise ValueError(f"line {number}: not an integer: {line!r}") from None
 
 
 def parse_vertex_graph(text: str) -> VertexGraph:
     n_decl, lines = _data_lines(text)
     edges = set()
     max_label = 0
-    for line in lines:
-        u, v = (int(x) for x in line.split())
+    for number, line in lines:
+        u, v = _ints(number, line, line.split(), 2)
         edges.add((u, v))
         max_label = max(max_label, u, v)
     n = n_decl if n_decl is not None else max_label
@@ -119,20 +133,20 @@ def parse_vertex_graph(text: str) -> VertexGraph:
 
 def parse_edge_seq(text: str) -> EdgeSeqGraph:
     _, lines = _data_lines(text)
-    edges = []
-    for line in lines:
-        i, j = (int(x) for x in line.split())
-        edges.append((i, j))
-    return EdgeSeqGraph(tuple(edges))
+    return EdgeSeqGraph(tuple(tuple(_ints(number, line, line.split(), 2))
+                              for number, line in lines))
 
 
 def parse_label_seq(text: str) -> tuple:
     _, lines = _data_lines(text)
-    seq = tuple(int(line) for line in lines)
-    for v in seq:
+    seq = []
+    for number, line in lines:
+        (v,) = _ints(number, line, line.split(), 1)
         if v < 1:
-            raise ValueError(f"label {v} is not a positive integer")
-    return seq
+            raise ValueError(f"line {number}: label {v} is not a positive "
+                             f"integer: {line!r}")
+        seq.append(v)
+    return tuple(seq)
 
 
 def write_structure(path, x, seed=None):
@@ -170,7 +184,7 @@ def render_step_graphon(w: StepGraphon) -> str:
 
 
 def parse_step_graphon(text: str) -> StepGraphon:
-    _, lines = _data_lines(text)
+    lines = [line for _, line in _data_lines(text)[1]]
     if len(lines) < 2:
         raise ValueError("graphon file needs a block count and boundaries")
     B = int(lines[0])
@@ -204,23 +218,15 @@ def render_tally_csv(tally: PatternTally, seed=None, extra=None) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def render_degree_profile_csv(profile, seed=None) -> str:
-    prof = profile.profile if not isinstance(profile, ItemProfile) else profile
+def render_profile_csv(profile: ItemProfile, header: str, seed=None) -> str:
+    """One ``n,<item>,<value>`` row per item and schedule point, items in
+    sorted order; ``header`` names the columns and a pair item is written
+    ``i-j``."""
     lines = _meta_lines(seed)
-    lines.append("n,vertex,dbar")
-    for item in sorted(prof.series):
-        for n, val in zip(prof.schedule, prof.series[item]):
-            lines.append(f"{n},{item},{val:.10g}")
-    return "".join(line + "\n" for line in lines)
-
-
-def render_multiplicity_profile_csv(profile, seed=None) -> str:
-    prof = profile.profile
-    lines = _meta_lines(seed)
-    lines.append("n,pair,mbar")
-    for item in sorted(prof.series):
-        name = f"{item[0]}-{item[1]}"
-        for n, val in zip(prof.schedule, prof.series[item]):
+    lines.append(header)
+    for item in sorted(profile.series):
+        name = f"{item[0]}-{item[1]}" if isinstance(item, tuple) else item
+        for n, val in zip(profile.schedule, profile.series[item]):
             lines.append(f"{n},{name},{val:.10g}")
     return "".join(line + "\n" for line in lines)
 

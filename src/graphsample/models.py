@@ -8,6 +8,7 @@ and estimators are checked against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -106,13 +107,18 @@ def sparsified_graphon_draw(w: StepGraphon, rho, k: int, rng: RandomStream) -> V
     if k < 1:
         raise ValueError("k must be >= 1")
     r = _rho_at(rho, k)
-    marks = []
+    # r * w(U_i, U_j) by the blocks of U_i and U_j: the same product of the
+    # same value that w's own lookup gives, so draws are bit-identical
+    thresholds = [[r * x for x in row] for row in w.values]
+    blocks = []
     edges = set()
     for j in range(1, k + 1):
-        marks.append(rng.uniform())
-        for i in range(j - 1):
-            if rng.uniform() < r * w(marks[i], marks[j - 1]):
-                edges.add((i + 1, j))
+        bj = w.block_of(rng.uniform())
+        column = [row[bj] for row in thresholds]
+        for i, bi in enumerate(blocks, start=1):
+            if rng.uniform() < column[bi]:
+                edges.add((i, j))
+        blocks.append(bj)
     return VertexGraph(k, frozenset(edges))
 
 
@@ -130,27 +136,17 @@ def graphon_pattern_density(w: StepGraphon, pattern: VertexGraph) -> float:
         raise ValueError(f"pattern size {j} too large for exact summation "
                          f"(max {_PATTERN_DENSITY_MAX})")
     masses = w.block_masses()
-    B = w.num_blocks
+    pairs = [(a, b, pattern.has_edge(a + 1, b + 1))
+             for a in range(j) for b in range(a + 1, j)]
     total = 0.0
-    assign = [0] * j
-
-    def rec(pos: int, prob: float):
-        nonlocal total
-        if prob == 0.0:
-            return
-        if pos == j:
-            p = prob
-            for a in range(1, j + 1):
-                for b in range(a + 1, j + 1):
-                    val = w.values[assign[a - 1]][assign[b - 1]]
-                    p *= val if pattern.has_edge(a, b) else 1.0 - val
-            total += p
-            return
-        for blk in range(B):
-            assign[pos] = blk
-            rec(pos + 1, prob * masses[blk])
-
-    rec(0, 1.0)
+    for assign in itertools.product(range(w.num_blocks), repeat=j):
+        p = 1.0
+        for blk in assign:
+            p *= masses[blk]
+        for a, b, edge in pairs:
+            val = w.values[assign[a]][assign[b]]
+            p *= val if edge else 1.0 - val
+        total += p
     return total
 
 

@@ -364,10 +364,6 @@ class DiagnoseResult:
     tolerance: float
     verdict: str        # STABILIZING | NOT_STABILIZING
 
-    @property
-    def stabilizing(self) -> bool:
-        return self.verdict == "STABILIZING"
-
 
 def diagnose_limit(spec: SamplerSpec, y, k: int, schedule, reps: int,
                    rng: RandomStream, tolerance: float = 0.02) -> DiagnoseResult:

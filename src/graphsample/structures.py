@@ -172,16 +172,19 @@ def ball(g: VertexGraph, center: int, r: int) -> "RootedGraph":
     if r < 0:
         raise ValueError("radius must be >= 0")
     adj = g.adjacency()
-    return _induced_rooted(adj, frozenset(_bfs_distances(adj, center, limit=r)), center)
+    return _induced_rooted(adj, _bfs_distances(adj, center, limit=r), center)
 
 
-def _induced_rooted(adj: dict, verts: frozenset, root: int) -> "RootedGraph":
-    """The rooted graph induced on verts, its edges read off adj as pairs
-    (u, w) with u < w.  They need no normalising: only the checks run."""
+def _induced_rooted(adj: dict, depths: dict, root: int) -> "RootedGraph":
+    """The rooted graph induced on the vertices of depths, the exact hop
+    distances from root in adj of every vertex within some radius.  adj cut
+    to those vertices is its adjacency and depths its depth map; it is
+    connected and holds its root by construction, so no check runs."""
+    sub = {v: tuple(w for w in adj[v] if w in depths) for v in depths}
     rg = object.__new__(RootedGraph)
-    rg.__dict__.update(vertices=verts, root=root, edges=frozenset(
-        (u, w) for u in verts for w in adj[u] if u < w and w in verts))
-    rg._index()
+    rg.__dict__.update(vertices=frozenset(depths), root=root, edges=frozenset(
+        (u, w) for u, nbrs in sub.items() for w in nbrs if u < w),
+        _adjacency=sub, _depths=depths)
     return rg
 
 
@@ -379,11 +382,8 @@ class RootedGraph:
         object.__setattr__(self, "vertices", frozenset(self.vertices))
         object.__setattr__(self, "edges", frozenset(
             (u, v) if u < v else _check_edge(u, v) for u, v in self.edges))
-        self._index()
-
-    def _index(self):
-        """Check the root, the edge endpoints and connectivity, in that
-        order, of normalised fields, and keep the adjacency and depth map."""
+        # Check the root, the edge endpoints and connectivity, in that
+        # order, and keep the adjacency and depth map.
         if self.root not in self.vertices:
             raise ValueError("root must be a vertex")
         try:
@@ -398,11 +398,11 @@ class RootedGraph:
         object.__setattr__(self, "_depths", depths)
 
     def adjacency(self) -> dict:
-        """Vertex -> tuple of neighbours, kept by validation; do not mutate."""
+        """Vertex -> tuple of neighbours, kept at construction; do not mutate."""
         return self._adjacency
 
     def depths(self) -> dict:
-        """Vertex -> hop distance from the root, kept by validation."""
+        """Vertex -> hop distance from the root, kept at construction."""
         return self._depths
 
 
@@ -410,8 +410,8 @@ def restrict_rooted(rg: RootedGraph, r: int) -> RootedGraph:
     """Ball of radius r around the root, within rg."""
     if r < 0:
         raise ValueError("radius must be >= 0")
-    verts = frozenset(v for v, d in rg.depths().items() if d <= r)
-    return _induced_rooted(rg.adjacency(), verts, rg.root)
+    depths = {v: d for v, d in rg.depths().items() if d <= r}
+    return _induced_rooted(rg.adjacency(), depths, rg.root)
 
 
 def canonical_rooted(rg: RootedGraph) -> tuple:
@@ -703,7 +703,7 @@ def shortest_path_marks(g: VertexGraph, chosen) -> MarkedCompleteGraph:
 def size_of(x) -> int:
     """Size of a structure in its own restriction world: vertices of a
     vertex graph or marked complete graph, edges of an edge sequence,
-    entries of a partition or label sequence."""
+    entries of a partition or label sequence, balls of an ego list."""
     if isinstance(x, VertexGraph):
         return x.n
     if isinstance(x, EdgeSeqGraph):
@@ -712,7 +712,7 @@ def size_of(x) -> int:
         return len(x.labels)
     if isinstance(x, MarkedCompleteGraph):
         return x.k
-    if isinstance(x, tuple):
+    if isinstance(x, (tuple, list)):
         return len(x)
     raise TypeError(f"no size defined for {type(x).__name__}")
 
@@ -738,17 +738,24 @@ def restrict(x, d: int):
 
 def subsample_in_order(x, positions):
     """The structure carried by the given positions/vertices, relabeled in
-    that order: vertices for vertex graphs, positions for sequences,
-    positions followed by canonical relabeling for partitions and edge
-    sequences.  A permutation of all positions is the relabeling action."""
+    that order: vertices for vertex graphs and marked complete graphs,
+    positions for sequences and ego lists, positions followed by canonical
+    relabeling for partitions and edge sequences.  A permutation of all
+    positions is the relabeling action."""
     if isinstance(x, VertexGraph):
         return induced_ordered(x, positions)
     if isinstance(x, EdgeSeqGraph):
         return relabel_rprime(tuple(x.edges[p - 1] for p in positions))
     if isinstance(x, Partition):
         return Partition(relabel_r(tuple(x.labels[p - 1] for p in positions)))
-    if isinstance(x, tuple):
-        return tuple(x[p - 1] for p in positions)
+    if isinstance(x, MarkedCompleteGraph):
+        marks = dict(x.marks)
+        k = len(positions)
+        return MarkedCompleteGraph(k, tuple(
+            ((a + 1, b + 1), marks[tuple(sorted((positions[a], positions[b])))])
+            for a in range(k) for b in range(a + 1, k)))
+    if isinstance(x, (tuple, list)):
+        return type(x)(x[p - 1] for p in positions)
     raise TypeError(f"no relabeling action for {type(x).__name__}")
 
 

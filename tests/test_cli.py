@@ -216,6 +216,28 @@ def test_cmd_test_exchangeability_exit_zero(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("algo,seed", [("ego", 1), ("ego", 2),
+                                       ("shortest_path", 1), ("shortest_path", 2)])
+def test_cmd_test_exchangeability_of_rooted_outputs(algo, seed, tmp_path, capsys):
+    # roots and chosen vertices are distinct uniform draws, so an ego list
+    # and a marked complete graph are exchangeable; the star has few patterns
+    star = tmp_path / "star.txt"
+    main(["generate", "star", "--n", "6", "--out", str(star)])
+    code = main(["test", "--test", "exchangeability", "--algo", algo, "--in", str(star),
+                 "--n", "6", "--k", "3", "--reps", "4000", "--seed", str(seed)])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("exchangeability: PASS")
+
+
+def test_cmd_test_exchangeability_of_a_ball_usage_error(tmp_path, capsys):
+    star = tmp_path / "star.txt"
+    main(["generate", "star", "--n", "6", "--out", str(star)])
+    code = main(["test", "--test", "exchangeability", "--algo", "bs_root", "--in",
+                 str(star), "--n", "6", "--k", "2", "--reps", "10"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: no size defined for RootedGraph\n"
+
+
 def test_cmd_test_writes_summary_and_both_tallies(tmp_path):
     y4_file = tmp_path / "y4.txt"
     main(["generate", "y4", "--out", str(y4_file)])
@@ -314,6 +336,15 @@ def test_non_positive_label_usage_error(tmp_path, capsys):
                  "--n", "2", "--k", "1", "--reps", "10"])
     assert code == 2
     assert "label 0 is not a positive integer" in capsys.readouterr().err
+
+
+def test_malformed_edge_line_names_its_line(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("1 2\n3\n")
+    code = main(["estimate", "--what", "vector", "--algo", "uniform_vertex",
+                 "--in", str(graph), "--n", "2", "--k", "1", "--reps", "10"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 2: expected 2 field(s), found 1: '3'\n"
 
 
 def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):

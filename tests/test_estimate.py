@@ -205,55 +205,55 @@ def test_lln_trace_constant_function():
 def test_degree_profile_star():
     star = star_edgeseq(800)
     prof = degree_profile(star, (100, 200, 400, 800))
-    assert prof.dbar(1) == 0.5
-    assert prof.series(1) == (0.5, 0.5, 0.5, 0.5)
-    assert prof.dbar(2) == 1 / 1600
-    assert abs(prof.pbar - 0.5) < 0.07  # window leaves carry O(n1/n) dust
-    assert prof.deltas[0] == 0.5
+    assert prof.estimate[1] == 0.5
+    assert prof.series[1] == (0.5, 0.5, 0.5, 0.5)
+    assert prof.estimate[2] == 1 / 1600
+    assert abs(prof.mass - 0.5) < 0.07  # window leaves carry O(n1/n) dust
+    assert prof.ranked[0] == 0.5
 
 
 def test_degree_profile_matching():
     prof = degree_profile(matching_edgeseq(640), (80, 160, 320, 640))
-    assert prof.pbar < 0.15
+    assert prof.mass < 0.15
     assert all(v == 1 / 1280 for v in
-               [prof.dbar(i) for i in (1, 2)])
+               [prof.estimate[i] for i in (1, 2)])
 
 
 def test_degree_profile_repeated_edge():
     g = EdgeSeqGraph(((1, 2),) * 200)
     prof = degree_profile(g, (50, 100, 200))
-    assert prof.dbar(1) == 0.5 and prof.dbar(2) == 0.5
-    assert prof.pbar == pytest.approx(1.0)
+    assert prof.estimate[1] == 0.5 and prof.estimate[2] == 0.5
+    assert prof.mass == pytest.approx(1.0)
 
 
 def test_degree_conservation_per_n():
     g = half_multiplicity(64)
     prof = degree_profile(g, (16, 32, 64))
     for i, n in enumerate(prof.schedule):
-        total = sum(series[i] for series in prof.profile.series.values())
+        total = sum(series[i] for series in prof.series.values())
         assert total == pytest.approx(1.0)  # sum deg = 2n exactly
 
 
 def test_multiplicity_profile_half():
     g = half_multiplicity(1600)
     prof = multiplicity_profile(g, (200, 400, 800, 1600))
-    assert prof.mbar((1, 2)) == 0.5
-    assert abs(prof.mubar - 0.5) < 0.07
-    assert prof.nus[0] == 0.5
+    assert prof.estimate[(1, 2)] == 0.5
+    assert abs(prof.mass - 0.5) < 0.07
+    assert prof.ranked[0] == 0.5
 
 
 def test_multiplicity_profile_simple_graph_vanishes():
     prof = multiplicity_profile(matching_edgeseq(400), (50, 100, 200, 400))
-    assert prof.mubar < 0.15
-    assert prof.nus[0] == 1 / 400
+    assert prof.mass < 0.15
+    assert prof.ranked[0] == 1 / 400
 
 
 def test_multiplicity_profile_two_targets():
     spec = MultiplicitySpec((((1, 2), 0.5), ((3, 4), 0.5)))
     g = multigraph_from_multiplicities(spec, 1000)
     prof = multiplicity_profile(g, (100, 1000))
-    assert abs(prof.mubar - 1.0) <= 2 / 1000 + 1e-9
-    assert all(abs(v - 0.5) <= 1 / 1000 + 1e-9 for v in prof.nus)
+    assert abs(prof.mass - 1.0) <= 2 / 1000 + 1e-9
+    assert all(abs(v - 0.5) <= 1 / 1000 + 1e-9 for v in prof.ranked)
 
 
 def test_sampled_multiplicities_converge_when_mass_one():
@@ -262,8 +262,8 @@ def test_sampled_multiplicities_converge_when_mass_one():
     y = multigraph_from_multiplicities(spec, 20_000)
     out = sample_edges(y, 20_000, 10_000, RandomStream(77))
     prof = multiplicity_profile(out, (1_000, 10_000))
-    assert len(prof.nus) >= 2
-    for nu in prof.nus[:2]:
+    assert len(prof.ranked) >= 2
+    for nu in prof.ranked[:2]:
         assert abs(nu - 0.5) <= 0.02
 
 
@@ -271,7 +271,7 @@ def test_multiplicity_counts_sum_exactly_n():
     g = half_multiplicity(500 * 2)
     prof = multiplicity_profile(g, (250, 1000))
     for i, n in enumerate(prof.schedule):
-        assert sum(s[i] for s in prof.profile.series.values()) == pytest.approx(1.0)
+        assert sum(s[i] for s in prof.series.values()) == pytest.approx(1.0)
 
 
 def test_frequency_profile_singletons():
@@ -283,11 +283,11 @@ def test_frequency_profile_singletons():
 def test_profile_cauchy_flags():
     star = star_edgeseq(800)
     prof = degree_profile(star, (100, 200, 400, 800))
-    assert prof.profile.cauchy[1]  # hub series is constant at 0.5
-    assert prof.profile.converged
+    assert prof.cauchy[1]  # hub series is constant at 0.5
+    assert prof.converged
     bursty = EdgeSeqGraph(((1, 2),) * 10 + ((3, 4), (5, 6)) * 45)
     prof2 = multiplicity_profile(bursty, (10, 100))
-    assert not prof2.profile.cauchy[(1, 2)]  # share falls 1.0 -> 0.1
+    assert not prof2.cauchy[(1, 2)]  # share falls 1.0 -> 0.1
 
 
 def test_profile_schedule_validation():

@@ -65,6 +65,24 @@ def test_label_seq_rejects_non_positive_labels():
         gio.parse_label_seq("1\n-2\n")
 
 
+def test_malformed_line_is_named_by_number():
+    # blank and comment lines count towards the number
+    with pytest.raises(ValueError, match=r"^line 3: expected 2 field\(s\), found 1: '3'$"):
+        gio.parse_vertex_graph("# seed=1\n1 2\n3\n")
+    with pytest.raises(ValueError, match=r"^line 3: expected 2 field\(s\), found 3: '1 2 3'$"):
+        gio.parse_edge_seq("1 2\n\n1 2 3\n")
+    with pytest.raises(ValueError, match=r"^line 2: not an integer: 'x y'$"):
+        gio.parse_vertex_graph("1 2\nx y\n")
+    with pytest.raises(ValueError, match=r"^line 2: not an integer: '1.5'$"):
+        gio.parse_label_seq("1\n1.5\n")
+    with pytest.raises(ValueError, match=r"^line 1: expected 1 field\(s\), found 2: '2 3'$"):
+        gio.parse_label_seq("2 3\n")
+    with pytest.raises(ValueError, match=r"^line 2: not an integer: '#n five'$"):
+        gio.parse_vertex_graph("# seed=1\n#n five\n1 2\n")
+    with pytest.raises(ValueError, match=r"^line 2: label 0 is not a positive integer: '0'$"):
+        gio.parse_label_seq("1\n0\n")
+
+
 def test_marked_graph_rendering():
     m = sample_shortest_path(VertexGraph(4, frozenset({(1, 2), (3, 4)})),
                              4, 2, RandomStream(1))

@@ -14,13 +14,24 @@ change notes.
 """
 
 import hashlib
+import itertools
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from graphsample import io as gio
+from graphsample.cli import main
 from graphsample.estimate import empirical_average, prefix_density_vector
 from graphsample.invariance import test_exchangeability, test_involution_invariance
-from graphsample.models import alternating_seq, cycle_vertex, half_multiplicity, star_vertex
+from graphsample.models import (
+    StepGraphon,
+    alternating_seq,
+    cycle_vertex,
+    graphon_pattern_density,
+    half_multiplicity,
+    star_vertex,
+)
 from graphsample.rng import RandomStream
 from graphsample.sampling import SamplerSpec, diagnose_limit
 from graphsample.structures import Partition, VertexGraph
@@ -41,6 +52,11 @@ EDGELESS = VertexGraph(6)
 # Vertex 8 joins {1, 2, 3}, {4, 5} and {6, 7}; without it they are disconnected.
 BRIDGED = VertexGraph(8, frozenset({(1, 2), (2, 3), (4, 5), (6, 7), (3, 8), (5, 8),
                                     (7, 8)}))
+
+
+TWO_BLOCK_TEXT = "2\n0.0 0.4 1.0\n0.8 0.1\n0.1 0.6\n"
+TWO_BLOCK = StepGraphon((0.0, 0.4, 1.0), ((0.8, 0.1), (0.1, 0.6)))
+PAIRS_3 = ((1, 2), (1, 3), (2, 3))
 
 
 def _digest(text: str) -> str:
@@ -84,6 +100,40 @@ def _monte_carlo_average():
     return repr(value)
 
 
+def _cli_output(argv, inputs) -> str:
+    """Run ``main`` in a temporary directory: each input is written first,
+    ``{name}`` in argv becomes that file's path, and the text that
+    ``--out`` receives is returned."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: str(Path(tmp) / name) for name in inputs}
+        for name, text in inputs.items():
+            Path(paths[name]).write_text(text)
+        out = Path(tmp) / "out.txt"
+        argv = [a.format(**paths) for a in argv] + ["--out", str(out)]
+        assert main(argv) == 0
+        return out.read_text()
+
+
+def _profile_cli(what):
+    edges = _cli_output(["generate", "half_multiplicity", "--n", "400"], {})
+    return _cli_output(["estimate", "--what", what, "--in", "{edges}",
+                        "--schedule", "50,100,400", "--seed", str(SEED)],
+                       {"edges": edges})
+
+
+def _graphon_cli():
+    return _cli_output(["generate", "graphon", "--file", "{w}", "--k", "60",
+                        "--seed", str(SEED)], {"w": TWO_BLOCK_TEXT})
+
+
+def _pattern_densities():
+    lines = []
+    for present in itertools.product((False, True), repeat=len(PAIRS_3)):
+        edges = frozenset(p for p, on in zip(PAIRS_3, present) if on)
+        lines.append(repr(graphon_pattern_density(TWO_BLOCK, VertexGraph(3, edges))))
+    return "\n".join(lines)
+
+
 CASES = {
     "vector.uniform_vertex": lambda: _vector(SamplerSpec("uniform_vertex"), GRAPH, 7, 3),
     "vector.sparsified": lambda: _vector(SamplerSpec("sparsified", rho=0.5), GRAPH, 7, 3),
@@ -110,6 +160,10 @@ CASES = {
     # layers 1+9 at the hub and 1+1+8 at a leaf: twin cells, no branching
     "vector.bs_root.star": lambda: _vector(SamplerSpec("bs_root"), star_vertex(10), 10, 2),
     "involution.monte_carlo": _involution,
+    "cli.estimate.degrees": lambda: _profile_cli("degrees"),
+    "cli.estimate.multiplicity": lambda: _profile_cli("multiplicity"),
+    "cli.generate.graphon": _graphon_cli,
+    "graphon_pattern_density.two_block": _pattern_densities,
 }
 
 # captured before the structure-kind operations were merged
@@ -140,6 +194,12 @@ DIGESTS = {
     "involution.monte_carlo": "b9db763183acbb8cbc338bac2604efedbe53b7a252a0bb2102a786d0a5111aac",
     "vector.bs_root": "ff32e52c3eef4b8435f09b502d34d28d182357409ed2d1fe156aaee4927b934e",
     "vector.ego": "1b2d5fb22122173ca868a265f726a0bd1ceaa5cf7c75f43316d9e53f53c8bfe4",
+    # captured before the degree and multiplicity profiles shared one
+    # renderer and the graphon draw looked each block up once per vertex
+    "cli.estimate.degrees": "d45676be0fc67de5768d65ddbc3fa9d594535fea0ab81874154fcfcb84d62f3e",
+    "cli.estimate.multiplicity": "286274e5a165b86d76f5284f3547ee341d624711bf035ddd8f6039563a58276e",
+    "cli.generate.graphon": "f35a48a87c0dd8d100c9e78b7628a83fad41786bfb00b90ea147674193e06b75",
+    "graphon_pattern_density.two_block": "09a323104f01b20ac88fd94b431161ce1ec9ae01efb6eb80b9b88c56d8a45ba3",
 }
 
 

@@ -31,6 +31,8 @@ from graphsample.structures import (
     restrict_rooted,
     restrict_vertices,
     shortest_path_marks,
+    size_of,
+    subsample_in_order,
 )
 from graphsample.models import cycle_vertex, star_vertex, y4
 
@@ -354,6 +356,25 @@ def test_rooted_graph_index_is_outside_its_fields():
     assert depths == {1: 0, 2: 1, 7: 1, 3: 2, 6: 2}
 
 
+def test_ball_is_built_from_the_bfs_that_found_it(monkeypatch):
+    calls = []
+
+    def counted(adj, source, limit=UNREACHABLE):
+        calls.append(source)
+        return bfs(adj, source, limit)
+
+    bfs = structures._bfs_distances
+    monkeypatch.setattr(structures, "_bfs_distances", counted)
+    rg = ball(_CHORDED, 1, 2)
+    assert calls == [1]
+    small = restrict_rooted(rg, 1)
+    assert calls == [1]
+    assert small.depths() == {1: 0, 2: 1, 7: 1}
+    assert {v: sorted(nbrs) for v, nbrs in small.adjacency().items()} == {
+        1: [2, 7], 2: [1], 7: [1]}
+    assert small == RootedGraph(small.vertices, small.edges, small.root)
+
+
 @st.composite
 def rooted_balls(draw, n):
     """Balls at vertex 1 of a graph on n vertices, vertex 1 joined to a
@@ -643,6 +664,25 @@ def test_shortest_path_marks_examples():
     assert m3.mark(1, 2) == UNREACHABLE
     with pytest.raises(ValueError):
         shortest_path_marks(c10, (1, 1))
+
+
+@given(small_graphs(), st.data())
+def test_marked_relabeling_is_choosing_in_that_order(g, data):
+    chosen = data.draw(st.permutations(range(1, g.n + 1)))
+    chosen = chosen[:data.draw(st.integers(0, g.n))]
+    pos = data.draw(st.permutations(range(1, len(chosen) + 1)))
+    pos = pos[:data.draw(st.integers(0, len(chosen)))]
+    assert (subsample_in_order(shortest_path_marks(g, chosen), pos)
+            == shortest_path_marks(g, [chosen[p - 1] for p in pos]))
+
+
+@given(small_graphs(), st.data())
+def test_ego_list_relabeling_permutes_its_balls(g, data):
+    roots = data.draw(st.permutations(range(1, g.n + 1)))
+    balls = [ball(g, v, 1) for v in roots]
+    pos = data.draw(st.permutations(range(1, g.n + 1)))
+    assert size_of(balls) == g.n
+    assert subsample_in_order(balls, pos) == [ball(g, roots[p - 1], 1) for p in pos]
 
 
 def test_marked_complete_graph_requires_full_cover():
