@@ -91,9 +91,10 @@ def render_structure(x) -> str:
 
 
 def _data_lines(text: str):
-    """The ``#n`` header's vertex count (None without one) and the data
-    lines, each as (1-based line number in text, stripped line)."""
-    n_decl = None
+    """The ``#n`` header, as (1-based line number in text, vertex count) or
+    None without one, and the data lines, each as (line number, stripped
+    line)."""
+    header = None
     out = []
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -101,10 +102,13 @@ def _data_lines(text: str):
             continue
         if line.startswith("#"):
             if line.startswith("#n "):
-                (n_decl,) = _ints(number, line, line.split()[1:], 1)
+                (n,) = _ints(number, line, line.split()[1:], 1)
+                if n < 0:
+                    raise ValueError(f"line {number}: vertex count must be >= 0: {line!r}")
+                header = (number, n)
             continue
         out.append((number, line))
-    return n_decl, out
+    return header, out
 
 
 def _ints(number: int, line: str, fields: list, count: int) -> list:
@@ -120,14 +124,17 @@ def _ints(number: int, line: str, fields: list, count: int) -> list:
 
 
 def parse_vertex_graph(text: str) -> VertexGraph:
-    n_decl, lines = _data_lines(text)
+    header, lines = _data_lines(text)
     edges = set()
     max_label = 0
     for number, line in lines:
         u, v = _ints(number, line, line.split(), 2)
+        if header is not None and max(u, v) > header[1]:
+            raise ValueError(f"line {number}: edge ({u},{v}) outside 1..{header[1]} "
+                             f"declared on line {header[0]}: {line!r}")
         edges.add((u, v))
         max_label = max(max_label, u, v)
-    n = n_decl if n_decl is not None else max_label
+    n = header[1] if header is not None else max_label
     return VertexGraph(n, frozenset(edges))
 
 
@@ -183,13 +190,25 @@ def render_step_graphon(w: StepGraphon) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _floats(number: int, line: str) -> tuple:
+    """The fields of line as floats, or a ValueError naming the line and
+    quoting it when one is not a number."""
+    try:
+        return tuple(float(x) for x in line.split())
+    except ValueError:
+        raise ValueError(f"line {number}: not a number: {line!r}") from None
+
+
 def parse_step_graphon(text: str) -> StepGraphon:
-    lines = [line for _, line in _data_lines(text)[1]]
+    lines = _data_lines(text)[1]
     if len(lines) < 2:
         raise ValueError("graphon file needs a block count and boundaries")
-    B = int(lines[0])
-    boundaries = tuple(float(x) for x in lines[1].split())
-    rows = [tuple(float(x) for x in line.split()) for line in lines[2:2 + B]]
+    number, line = lines[0]
+    (B,) = _ints(number, line, line.split(), 1)
+    if B < 1:
+        raise ValueError(f"line {number}: block count must be >= 1: {line!r}")
+    boundaries = _floats(*lines[1])
+    rows = [_floats(number, line) for number, line in lines[2:2 + B]]
     if len(rows) != B:
         raise ValueError(f"expected {B} value rows, found {len(rows)}")
     return StepGraphon(boundaries, tuple(rows))  # symmetry checked on build

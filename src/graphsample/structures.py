@@ -424,7 +424,10 @@ def canonical_rooted(rg: RootedGraph) -> tuple:
     (BFS depth, degree), which puts the root alone in the first cell, and
     are refined until stable (_refine).  A colour is the position of its
     cell in the ordered partition, so a colouring with one vertex per cell
-    is a labeling 1..m: a leaf of the search.  Elsewhere _search
+    is a labeling 1..m: a leaf of the search.  Refinement is incremental:
+    a cell of a stable colouring can split only after a neighbour of one of
+    its vertices is recoloured, so a round re-sorts only the cells next to
+    the vertices the step before it recoloured.  Elsewhere _search
     individualizes the vertices of the first smallest tied cell in turn; a
     tied cell of pairwise twins is split in one fixed order instead, since
     permuting twins is an automorphism that keeps the colouring.  The form
@@ -435,49 +438,86 @@ def canonical_rooted(rg: RootedGraph) -> tuple:
     already visited.
     """
     adj = rg.adjacency()
-    colour = _refine(adj, _cells({v: (d, len(adj[v])) for v, d in rg.depths().items()}))
-    return (len(rg.vertices), _search(adj, colour))
+    colouring = _refine(adj, _cells({v: (d, len(adj[v])) for v, d in rg.depths().items()}))
+    return (len(rg.vertices), _search(adj, colouring))
 
 
-def _cells(keys: dict) -> dict:
+class _Colouring:
+    """An ordered partition of a ball's vertices.  colour maps each vertex
+    to the position of its cell, 1 + the number of vertices in the cells
+    before it; cells maps each position to the cell's vertices in BFS
+    order.  dirty lists the vertices recoloured since the colouring was
+    last stable, or is None before its first refinement."""
+
+    __slots__ = ("colour", "cells", "dirty")
+
+    def __init__(self, colour: dict, cells: dict, dirty):
+        self.colour, self.cells, self.dirty = colour, cells, dirty
+
+
+def _cells(keys: dict) -> _Colouring:
     """Ordered partition by key: vertex -> 1 + the number of vertices whose
     key is smaller, so vertices of equal key share a colour."""
-    order = sorted(keys, key=keys.__getitem__)
-    colour = {}
-    start = prev = None
-    for i, v in enumerate(order, 1):
+    colour, cells = {}, {}
+    prev = None
+    for i, v in enumerate(sorted(keys, key=keys.__getitem__), 1):
         if keys[v] != prev:
             start, prev = i, keys[v]
+            cells[start] = []
         colour[v] = start
-    return colour
+        cells[start].append(v)
+    return _Colouring(colour, cells, None)
 
 
-def _refine(adj: dict, colour: dict) -> dict:
-    """Colour refinement: split every cell by its vertices' sorted neighbour
-    colours until no cell splits.  A split keeps the cell's place, so the
-    result depends on the colouring and the graph, not on the labels."""
-    count = len(set(colour.values()))
-    while count < len(colour):
-        colour = _cells({v: (c, sorted(map(colour.__getitem__, adj[v])))
-                         for v, c in colour.items()})
-        split = len(set(colour.values()))
-        if split == count:
+def _refine(adj: dict, colouring: _Colouring) -> _Colouring:
+    """Colour refinement, in place: in synchronous rounds, split cells by
+    their vertices' sorted neighbour colours until no cell splits.  A split
+    keeps the cell's place, so the result depends on the colouring and the
+    graph, not on the labels.  The vertices of a cell had equal sorted
+    neighbour colours one round before, so the cell can split only if one
+    of them has a neighbour recoloured since.  A round therefore sorts only
+    the cells of more than one vertex next to a vertex recoloured by the
+    round before; the first round, those next to the dirty vertices, or all
+    of them when dirty is None."""
+    colour, cells = colouring.colour, colouring.cells
+    recoloured = colouring.dirty
+    while len(cells) < len(colour):
+        if recoloured is None:
+            starts = cells
+        else:
+            starts = set()
+            for v in recoloured:
+                starts.update(map(colour.__getitem__, adj[v]))
+        members = [v for start in starts if len(cells[start]) > 1 for v in cells[start]]
+        key = {v: (colour[v], sorted(map(colour.__getitem__, adj[v]))) for v in members}
+        members.sort(key=key.__getitem__)
+        # Each run of equal keys is a piece of the cell its old colour
+        # names, placed after the pieces before it; the first keeps the place.
+        recoloured, prev = [], (None,)
+        for v in members:
+            if key[v] != prev:
+                at = key[v][0] if key[v][0] != prev[0] else at + len(piece)
+                piece = cells[at] = []
+                prev = key[v]
+            if at != prev[0]:
+                colour[v] = at
+                recoloured.append(v)
+            piece.append(v)
+        if not recoloured:
             break
-        count = split
-    return colour
+    colouring.dirty = ()
+    return colouring
 
 
-def _target_cell(colour: dict):
+def _target_cell(colouring: _Colouring):
     """The first smallest cell of more than one vertex, or None when every
-    vertex has a colour of its own.  A cell's size is the gap from its
-    colour to the next one."""
-    starts = set(colour.values())
-    if len(starts) == len(colour):
+    vertex has a colour of its own."""
+    cells = colouring.cells
+    if len(cells) == len(colouring.colour):
         return None
-    starts = sorted(starts)
-    _, start = min((end - c, c) for c, end in zip(starts, starts[1:] + [len(colour) + 1])
-                   if end - c > 1)
-    return [v for v, c in colour.items() if c == start]
+    _, start = min((len(members), start) for start, members in cells.items()
+                   if len(members) > 1)
+    return cells[start]
 
 
 def _twins(adj: dict, cell: list) -> bool:
@@ -498,31 +538,37 @@ def _twins(adj: dict, cell: list) -> bool:
     return True
 
 
-def _recolour(colour: dict, cell: list, order) -> dict:
-    """colour with cell's place given to the vertices of order, one place
-    each in turn; cell vertices not in order share the next place."""
-    start = colour[cell[0]]
-    out = dict(colour)
-    for v in cell:
-        out[v] = start + len(order)
-    for i, v in enumerate(order):
-        out[v] = start + i
-    return out
+def _recolour(colouring: _Colouring, cell: list, order) -> _Colouring:
+    """colouring with cell's place given to the vertices of order, one place
+    each in turn; cell vertices not in order share the next place.  Only
+    cell's entries change, and every vertex of cell but order[0] is dirty."""
+    start = colouring.colour[cell[0]]
+    colour, cells = dict(colouring.colour), dict(colouring.cells)
+    for i, v in enumerate(order, start):
+        colour[v] = i
+        cells[i] = [v]
+    picked = set(order)
+    rest = [v for v in cell if v not in picked]
+    if rest:
+        cells[start + len(order)] = rest
+        for v in rest:
+            colour[v] = start + len(order)
+    return _Colouring(colour, cells, [*order[1:], *rest])
 
 
 class _Node:
     """An open node of the search tree: its stable colouring and target
     cell, the index in cell of the next child to try (the last one tried,
     cell[next - 1], is its step on the branch path) and the first child's
-    colouring.  Its orbits under the automorphisms found so far that keep
+    colour map.  Its orbits under the automorphisms found so far that keep
     colour, the first `seen` of them merged, form a union-find forest
     (parent) in which the explored children share the tree of the key
     None: a child in that tree is covered, in the orbit of an explored one."""
 
-    __slots__ = ("colour", "cell", "next", "first", "parent", "seen")
+    __slots__ = ("colouring", "cell", "next", "first", "parent", "seen")
 
-    def __init__(self, colour: dict, cell: list):
-        self.colour, self.cell = colour, cell
+    def __init__(self, colouring: _Colouring, cell: list):
+        self.colouring, self.cell = colouring, cell
         self.next, self.first, self.parent, self.seen = 0, None, {}, 0
 
     def root(self, v):
@@ -537,7 +583,7 @@ class _Node:
             self.parent[u] = v
 
     def covered(self, v, autos: list) -> bool:
-        colour = self.colour
+        colour = self.colouring.colour
         for g in autos[self.seen:]:
             if all(colour[x] == colour[y] for x, y in g.items()):
                 for x, y in g.items():
@@ -569,13 +615,13 @@ def _automorphism(adj: dict, source: dict, target: dict):
     return g
 
 
-def _search(adj: dict, colour: dict) -> tuple:
+def _search(adj: dict, colouring: _Colouring) -> tuple:
     """The least _encode over the leaves of the search tree below the
-    stable colouring colour, visited depth first.  The open nodes sit on an
+    stable colouring, visited depth first.  The open nodes sit on an
     explicit stack, so the depth of the tree (one level per individualized
     vertex) is not bounded by the interpreter's recursion limit; a leaf's
     branch path is read off it.  The least leaf so far is kept as
-    (encoding, colouring, path).  A leaf of equal encoding adds the
+    (encoding, colour map, path).  A leaf of equal encoding adds the
     automorphism from that leaf onto it, and the nodes below the one where
     their paths part, which only repeat visited branches, are cut off.
     Before a node descends into a later child, _automorphism tries the map
@@ -583,13 +629,14 @@ def _search(adj: dict, colour: dict) -> tuple:
     the child's subtree repeats the first's and is skipped."""
     stack, autos, best = [], [], None
     while True:
-        cell = _target_cell(colour)
+        cell = _target_cell(colouring)
         while cell is not None and _twins(adj, cell):
-            colour = _refine(adj, _recolour(colour, cell, cell))
-            cell = _target_cell(colour)
+            colouring = _refine(adj, _recolour(colouring, cell, cell))
+            cell = _target_cell(colouring)
         if cell is not None:
-            stack.append(_Node(colour, cell))
+            stack.append(_Node(colouring, cell))
         else:
+            colour = colouring.colour
             enc = _encode(adj, colour)
             path = [node.cell[node.next - 1] for node in stack]
             if best is None or enc < best[0]:
@@ -606,11 +653,11 @@ def _search(adj: dict, colour: dict) -> tuple:
                 node.next += 1
                 if node.first is not None and node.covered(v, autos):
                     continue
-                child = _refine(adj, _recolour(node.colour, node.cell, (v,)))
+                child = _refine(adj, _recolour(node.colouring, node.cell, (v,)))
                 if node.first is None:
-                    node.first = child
+                    node.first = child.colour
                 else:
-                    g = _automorphism(adj, child, node.first)
+                    g = _automorphism(adj, child.colour, node.first)
                     if g is not None:
                         autos.append(g)
                         child = None
@@ -618,7 +665,7 @@ def _search(adj: dict, colour: dict) -> tuple:
                 stack.pop()
                 continue
             node.join(v, None)
-            colour = child
+            colouring = child
             break
         else:
             return best[0]

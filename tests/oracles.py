@@ -132,6 +132,33 @@ def canonical_rooted_reference(rg):
     return (len(rg.vertices), best)
 
 
+def _ranks(keys):
+    """vertex -> 1 + the number of vertices whose key is smaller."""
+    order = sorted(keys, key=keys.__getitem__)
+    colour = {}
+    start = prev = None
+    for i, v in enumerate(order, 1):
+        if keys[v] != prev:
+            start, prev = i, keys[v]
+        colour[v] = start
+    return colour
+
+
+def refine_full(adj, colour):
+    """Reference colour refinement: every round re-sorts every vertex by
+    (colour, sorted neighbour colours) until the number of colours stops
+    growing.  Takes and returns a plain vertex -> colour map."""
+    count = len(set(colour.values()))
+    while count < len(colour):
+        colour = _ranks({v: (c, sorted(map(colour.__getitem__, adj[v])))
+                         for v, c in colour.items()})
+        split = len(set(colour.values()))
+        if split == count:
+            break
+        count = split
+    return colour
+
+
 def law_sequence(y, n, k):
     law = {}
     total = 0

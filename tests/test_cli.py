@@ -347,6 +347,30 @@ def test_malformed_edge_line_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2: expected 2 field(s), found 1: '3'\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("2\n0 0.5 1\n0.3 x\n0.1 0.2\n", "line 3: not a number: '0.3 x'"),
+    ("two\n0 0.5 1\n0.3 0.1\n0.1 0.2\n", "line 1: not an integer: 'two'"),
+])
+def test_malformed_graphon_names_its_line(tmp_path, capsys, text, message):
+    w = tmp_path / "w.txt"
+    w.write_text(text)
+    assert main(["generate", "graphon", "--file", str(w), "--k", "5"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("#n 3\n2 5\n", "line 2: edge (2,5) outside 1..3 declared on line 1: '2 5'"),
+    ("#n -2\n", "line 1: vertex count must be >= 0: '#n -2'"),
+])
+def test_vertex_count_header_errors_name_their_line(tmp_path, capsys, text, message):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    code = main(["estimate", "--what", "vector", "--algo", "uniform_vertex",
+                 "--in", str(graph), "--n", "2", "--k", "1", "--reps", "10"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     # a fault inside the package, injected where every tally keys its outputs
     def broken_key(x):

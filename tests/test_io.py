@@ -83,6 +83,25 @@ def test_malformed_line_is_named_by_number():
         gio.parse_label_seq("1\n0\n")
 
 
+def test_vertex_count_header_is_named_by_line():
+    with pytest.raises(ValueError, match=r"^line 3: edge \(2,5\) outside 1\.\.3 "
+                                         r"declared on line 1: '2 5'$"):
+        gio.parse_vertex_graph("#n 3\n1 2\n2 5\n")
+    with pytest.raises(ValueError, match=r"^line 2: vertex count must be >= 0: '#n -2'$"):
+        gio.parse_vertex_graph("# seed=1\n#n -2\n")
+
+
+def test_malformed_graphon_line_is_named_by_number():
+    with pytest.raises(ValueError, match=r"^line 1: not an integer: 'two'$"):
+        gio.parse_step_graphon("two\n0 0.5 1\n0.3 0.1\n0.1 0.2\n")
+    with pytest.raises(ValueError, match=r"^line 2: block count must be >= 1: '0'$"):
+        gio.parse_step_graphon("# seed=1\n0\n0 1\n")
+    with pytest.raises(ValueError, match=r"^line 2: not a number: '0 half 1'$"):
+        gio.parse_step_graphon("2\n0 half 1\n0.3 0.1\n0.1 0.2\n")
+    with pytest.raises(ValueError, match=r"^line 4: not a number: '0.3 x'$"):
+        gio.parse_step_graphon("2\n0 0.5 1\n\n0.3 x\n0.1 0.2\n")
+
+
 def test_marked_graph_rendering():
     m = sample_shortest_path(VertexGraph(4, frozenset({(1, 2), (3, 4)})),
                              4, 2, RandomStream(1))

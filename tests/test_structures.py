@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import random
@@ -36,7 +37,7 @@ from graphsample.structures import (
 )
 from graphsample.models import cycle_vertex, star_vertex, y4
 
-from oracles import canonical_rooted_reference
+from oracles import canonical_rooted_reference, refine_full
 
 
 # -- construction invariants -------------------------------------------------
@@ -443,6 +444,48 @@ def _nx_isomorphic(nx, a, b):
                             node_match=lambda x, y: x["root"] == y["root"])
 
 
+@st.composite
+def keyed_graphs(draw):
+    """A graph on up to 10 vertices, possibly disconnected, and a key of
+    0..2 for each vertex."""
+    n = draw(st.integers(1, 10))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    keys = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return VertexGraph(n, frozenset(edges)), dict(zip(range(1, n + 1), keys))
+
+
+def _assert_partition(colouring):
+    """Each cell lists exactly the vertices of its colour, in the order the
+    colour map lists them."""
+    listed = {}
+    for v, c in colouring.colour.items():
+        listed.setdefault(c, []).append(v)
+    assert colouring.cells == listed
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyed_graphs(), st.data())
+def test_refine_matches_full_refinement(graph_keys, data):
+    """The incremental refinement gives the colour map of the full rescan,
+    from a key colouring and after a vertex of the stable colouring it
+    reaches is individualized."""
+    g, keys = graph_keys
+    adj = g.adjacency()
+    start = structures._cells(keys)
+    want = refine_full(adj, dict(start.colour))
+    stable = structures._refine(adj, start)
+    assert stable.colour == want
+    _assert_partition(stable)
+    v = data.draw(st.integers(1, g.n))
+    child = structures._recolour(stable, stable.cells[stable.colour[v]], (v,))
+    assert stable.colour == want  # _recolour leaves its input as it was
+    want = refine_full(adj, dict(child.colour))
+    child = structures._refine(adj, child)
+    assert child.colour == want
+    _assert_partition(child)
+
+
 # Balls of up to 8 vertices have at most 7! layer permutations, few enough
 # for the brute-force reference form.
 @settings(max_examples=150, deadline=None)
@@ -633,6 +676,42 @@ def test_canonical_rooted_search_stays_small(rg, bound, monkeypatch):
     monkeypatch.setattr(structures, "_refine", counted)
     size, edges = canonical_rooted(rg)
     assert size == len(rg.vertices) and len(edges) == len(rg.edges)
+
+
+def _random_regular(n, d, seed):
+    """A d-regular simple graph on 1..n drawn with stdlib random: the
+    circulant joining i to i+1..i+d/2 (mod n), mixed by 10|E| double-edge
+    swaps that keep it simple."""
+    rnd = random.Random(seed)
+    edges = [(i, (i + s) % n) for i in range(n) for s in range(1, d // 2 + 1)]
+    present = {frozenset(e) for e in edges}
+    swaps = 0
+    while swaps < 10 * len(edges):
+        i, j = rnd.randrange(len(edges)), rnd.randrange(len(edges))
+        (a, b), (c, e) = edges[i], edges[j]
+        new1, new2 = frozenset((a, e)), frozenset((c, b))
+        if len({a, b, c, e}) < 4 or new1 in present or new2 in present:
+            continue
+        present -= {frozenset((a, b)), frozenset((c, e))}
+        present |= {new1, new2}
+        edges[i], edges[j] = (a, e), (c, b)
+        swaps += 1
+    return VertexGraph(n, frozenset((u + 1, v + 1) for u, v in edges))
+
+
+# SHA-256 over the keys of every radius-1 and radius-2 ball of a 6-regular
+# 400-vertex graph, then of the K(8,3) radius-2, Q6 radius-3 and 40-leg
+# spider balls, recorded before refinement re-sorted only the cells next to
+# a recoloured vertex.
+_LARGE_BALL_FORMS = "a3aa3366d9a19a407f4ec00b5fc63e7e0c178c60bf42306a1bd065bf135d9156"
+
+
+def test_canonical_forms_of_larger_balls_pinned():
+    g = _random_regular(400, 6, 2024)
+    balls = [ball(g, v, r) for r in (1, 2) for v in range(1, g.n + 1)]
+    balls += [ball(_kneser(8, 3), 1, 2), ball(_hypercube(6), 1, 3), ball(_spider(40), 1, 2)]
+    digest = hashlib.sha256(b"".join(key_for(b).data for b in balls)).hexdigest()
+    assert digest == _LARGE_BALL_FORMS
 
 
 def test_canonical_rooted_search_depth_is_not_bounded_by_recursion():
