@@ -47,9 +47,16 @@ from .sampling import (
 )
 from .structures import Partition, key_for
 
-GENERATORS = ("y4", "star", "star_edges", "matching", "half_multiplicity",
-              "alternating", "singletons", "cycle", "complete", "graphon",
-              "paintbox")
+# the generators that take --n, in the order --help lists them
+_SIZED_GENERATORS = {
+    "star": models.star_vertex, "star_edges": models.star_edgeseq,
+    "matching": models.matching_edgeseq,
+    "half_multiplicity": models.half_multiplicity,
+    "alternating": models.alternating_seq,
+    "singletons": models.all_singletons_seq, "cycle": models.cycle_vertex,
+    "complete": models.complete_vertex,
+}
+GENERATORS = ("y4", *_SIZED_GENERATORS, "graphon", "paintbox")
 
 _SEQUENCE_ALGOS = {SEQUENCE, PARTITION}
 _THREADS_HELP = "accepted, has no effect; results never depended on it"
@@ -64,12 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                   description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, k_flag=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--n", type=int, default=None)
-        if k_flag:
-            p.add_argument("--k", type=int, default=None)
+        p.add_argument("--k", type=int, default=None)
 
     gen = sub.add_parser("generate", help="write a synthetic input structure")
     gen.add_argument("name", choices=GENERATORS)
@@ -126,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dia = sub.add_parser("diagnose", help="limit-in-input-size stabilization trace")
     dia.add_argument("--algo", choices=ALGORITHMS, required=True)
     dia.add_argument("--in", dest="infile", required=True)
-    common(dia, k_flag=True)
+    common(dia)
     dia.add_argument("--schedule", required=True)
     dia.add_argument("--reps", type=int, default=10_000)
     dia.add_argument("--tol", type=float, default=0.02)
@@ -169,22 +175,6 @@ def _cmd_generate(args) -> int:
     name = args.name
     if name == "y4":
         x = models.y4()
-    elif name == "star":
-        x = models.star_vertex(_require(args.n, "--n"))
-    elif name == "star_edges":
-        x = models.star_edgeseq(_require(args.n, "--n"))
-    elif name == "matching":
-        x = models.matching_edgeseq(_require(args.n, "--n"))
-    elif name == "half_multiplicity":
-        x = models.half_multiplicity(_require(args.n, "--n"))
-    elif name == "alternating":
-        x = models.alternating_seq(_require(args.n, "--n"))
-    elif name == "singletons":
-        x = models.all_singletons_seq(_require(args.n, "--n"))
-    elif name == "cycle":
-        x = models.cycle_vertex(_require(args.n, "--n"))
-    elif name == "complete":
-        x = models.complete_vertex(_require(args.n, "--n"))
     elif name == "graphon":
         w = gio.read_step_graphon(_require(args.file, "--file"))
         x = models.graphon_draw(w, _require(args.k, "--k"), rng)
@@ -193,8 +183,8 @@ def _cmd_generate(args) -> int:
         pb = models.Paintbox(tuple((i + 1, m) for i, m in enumerate(masses)),
                              dust=args.dust)
         x = models.paintbox_draw(pb, _require(args.n, "--n"), rng).labels
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(name)
+    else:
+        x = _SIZED_GENERATORS[name](_require(args.n, "--n"))
     text = f"# seed={args.seed}\n" + gio.render_structure(x)
     _emit(args, text)
     return 0

@@ -1,10 +1,9 @@
 """Prefix-density estimation, symmetrized empirical averages, and limiting
 degree/multiplicity profiles.
 
-Monte Carlo estimators assign replicate r its own random stream derived from
-the master stream, rng.substream(r), so a tally is a pure function of the
-input, sizes and seed: any split of the replicate range into blocks, in any
-order, merges to the same counts.
+Monte Carlo estimators give replicate r its own random stream derived from
+the master stream, rng.substream(r), and replicate r reads nothing else, so
+a tally is a pure function of the input, sizes and seed.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from .sampling import _as_sampler, _draw_distinct
 from .structures import EdgeSeqGraph, key_for, restrict, size_of, subsample_in_order
 
 EXACT_SYMMETRIZATION_MAX = 7  # k! grows past 5040 permutations above this
+CAUCHY_TOL = 0.01  # profile items whose last two values differ by more are flagged
 
 
 class PatternTally:
@@ -31,11 +31,6 @@ class PatternTally:
     def add(self, key, times: int = 1):
         self.counts[key] = self.counts.get(key, 0) + times
         self.reps += times
-
-    def merge(self, other: "PatternTally"):
-        for key, c in other.counts.items():
-            self.counts[key] = self.counts.get(key, 0) + c
-        self.reps += other.reps
 
     def density(self, key) -> float:
         return self.counts.get(key, 0) / self.reps if self.reps else 0.0
@@ -94,12 +89,11 @@ def tally_outputs(sampler, y, n: int, k: int, reps: int, rng: RandomStream) -> P
 
 
 def estimate_prefix_density(spec_or_sampler, y, n: int, pattern, reps: int,
-                            rng: RandomStream, k: int | None = None) -> tuple:
-    """Monte Carlo estimate of the probability that a size-k sample equals
-    ``pattern``.  Returns (estimate, stderr)."""
+                            rng: RandomStream) -> tuple:
+    """Monte Carlo estimate of the probability that a sample of the size of
+    ``pattern`` equals it.  Returns (estimate, stderr)."""
     sampler = _as_sampler(spec_or_sampler)
-    if k is None:
-        k = size_of(pattern)
+    k = size_of(pattern)
     if k > n:
         raise ValueError(f"pattern size {k} exceeds n = {n}")
     tally = tally_outputs(sampler, y, n, k, reps, rng)
@@ -203,7 +197,7 @@ class ItemProfile:
     The candidate window is the set of items already present at the first
     schedule point; mass sums their last-n values (items outside the window
     are treated as dust whose individual share vanishes).  cauchy[item]
-    flags |last - previous| <= cauchy_tol."""
+    flags |last - previous| <= CAUCHY_TOL."""
 
     schedule: tuple
     window: tuple
@@ -218,7 +212,7 @@ class ItemProfile:
         return all(self.cauchy.values())
 
 
-def _item_profile(steps, schedule, cauchy_tol: float) -> ItemProfile:
+def _item_profile(steps, schedule) -> ItemProfile:
     """Shared profile machinery: ``steps`` yields, per structure step, the
     list of items that step contributes; the normalizer at size n is the
     total number of items contributed by the first n steps."""
@@ -251,14 +245,14 @@ def _item_profile(steps, schedule, cauchy_tol: float) -> ItemProfile:
               for it in all_items}
     estimate = {it: series[it][-1] for it in all_items}
     cauchy = {it: len(schedule) < 2
-              or abs(series[it][-1] - series[it][-2]) <= cauchy_tol
+              or abs(series[it][-1] - series[it][-2]) <= CAUCHY_TOL
               for it in all_items}
     mass = fsum(estimate[it] for it in window)
     ranked = tuple(sorted((estimate[it] for it in window), reverse=True))
     return ItemProfile(schedule, window, series, estimate, cauchy, mass, ranked)
 
 
-def degree_profile(y: EdgeSeqGraph, schedule, cauchy_tol: float = 0.01) -> ItemProfile:
+def degree_profile(y: EdgeSeqGraph, schedule) -> ItemProfile:
     """Per-vertex relative degrees deg(i, y|n) / 2n of an edge sequence
     along a schedule.
 
@@ -267,23 +261,22 @@ def degree_profile(y: EdgeSeqGraph, schedule, cauchy_tol: float = 0.01) -> ItemP
     vertices already seen by the first schedule point) and ranked holds
     the deltas.  At each n the per-vertex values sum to exactly 1 (degrees
     total 2n)."""
-    return _item_profile((e for e in y.edges), schedule, cauchy_tol)
+    return _item_profile((e for e in y.edges), schedule)
 
 
-def multiplicity_profile(y: EdgeSeqGraph, schedule,
-                         cauchy_tol: float = 0.01) -> ItemProfile:
+def multiplicity_profile(y: EdgeSeqGraph, schedule) -> ItemProfile:
     """Relative multiplicities count((i, j), y|n) / n of an edge sequence
     along a schedule.
 
     In the paper's names, estimate[(i, j)] is mbar(i, j), mass is mubar and
     ranked holds the nus."""
-    return _item_profile(((e,) for e in y.edges), schedule, cauchy_tol)
+    return _item_profile(((e,) for e in y.edges), schedule)
 
 
-def frequency_profile(y: tuple, schedule, cauchy_tol: float = 0.01) -> ItemProfile:
+def frequency_profile(y: tuple, schedule) -> ItemProfile:
     """Label frequencies count(m, y|n) / n of a sequence along a schedule
     (the degree-profile analogue for sequence inputs)."""
-    return _item_profile(((v,) for v in y), schedule, cauchy_tol)
+    return _item_profile(((v,) for v in y), schedule)
 
 
 def endpoint_slot_stats(g: EdgeSeqGraph) -> tuple:

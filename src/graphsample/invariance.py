@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .estimate import PatternTally, prefix_density_vector, tally_outputs
 from .rng import RandomStream
-from .sampling import _as_sampler
+from .sampling import P_SAMPLE, SamplerSpec, _as_sampler
 from .structures import (
     VertexGraph,
     _bfs_distances,
@@ -120,7 +120,13 @@ def test_exchangeability(spec_or_sampler, y, n: int, k: int, reps: int,
 def test_idempotence(spec_or_sampler, y, n: int, m: int, k: int, reps: int,
                      rng: RandomStream) -> TestReport:
     """Compare the direct sample S_{n->k}(y) against the two-stage
-    composition S_{m->k}(S_{n->m}(y)).  Idempotent samplers pass."""
+    composition S_{m->k}(S_{n->m}(y)).  Idempotent samplers pass.
+
+    p-sampling is rejected: its output size is random, so the second stage
+    at a fixed m is undefined."""
+    if isinstance(spec_or_sampler, SamplerSpec) and spec_or_sampler.algorithm == P_SAMPLE:
+        raise ValueError("p_sample has a random output size, so idempotence "
+                         "through a fixed middle size m is undefined")
     if not (1 <= k <= m <= n):
         raise ValueError("need k <= m <= n")
     sampler = _as_sampler(spec_or_sampler)

@@ -73,19 +73,8 @@ class StepGraphon:
 
 
 def _rho_at(rho, k: int) -> float:
-    """Evaluate a sparsification schedule at output size k.
-
-    Accepts a constant in [0,1], a sequence (value at k is entry k-1, last
-    entry repeated beyond the end), or a callable k -> [0,1].
-    """
-    if callable(rho):
-        val = float(rho(k))
-    elif isinstance(rho, (list, tuple)):
-        if not rho:
-            raise ValueError("empty rho schedule")
-        val = float(rho[min(k, len(rho)) - 1])
-    else:
-        val = float(rho)
+    """Evaluate rho, a constant or a callable k -> [0,1], at output size k."""
+    val = float(rho(k) if callable(rho) else rho)
     if not 0.0 <= val <= 1.0:
         raise ValueError(f"rho({k}) = {val} outside [0,1]")
     return val
@@ -103,7 +92,8 @@ def graphon_draw(w: StepGraphon, k: int, rng: RandomStream) -> VertexGraph:
 
 
 def sparsified_graphon_draw(w: StepGraphon, rho, k: int, rng: RandomStream) -> VertexGraph:
-    """Graphon draw with each edge threshold thinned to rho(k) * w."""
+    """Graphon draw with each edge threshold thinned to rho(k) * w, for rho
+    a constant or a callable k -> [0,1]."""
     if k < 1:
         raise ValueError("k must be >= 1")
     r = _rho_at(rho, k)
@@ -163,10 +153,7 @@ class Paintbox:
     dust: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.atoms, dict):
-            atoms = tuple(sorted(self.atoms.items()))
-        else:
-            atoms = tuple(sorted((int(m), float(p)) for m, p in self.atoms))
+        atoms = tuple(sorted((int(m), float(p)) for m, p in self.atoms))
         object.__setattr__(self, "atoms", atoms)
         if any(p < 0 for _, p in atoms) or self.dust < 0:
             raise ValueError("masses must be >= 0")
@@ -209,17 +196,14 @@ def paintbox_draw(pb: Paintbox, k: int, rng: RandomStream) -> Partition:
 class MultiplicitySpec:
     """Target limiting relative multiplicities for specific edges.
 
-    targets maps canonical pairs (i, j), i < j, to masses mbar > 0 with
-    sum <= 1; the residual mass 1 - sum is realized as never-repeating
+    targets holds ((i, j), mbar) items: canonical pairs i < j with masses
+    mbar > 0 of sum <= 1; the residual mass 1 - sum is realized as never-repeating
     fresh simple edges."""
 
     targets: tuple  # tuple of ((i, j), mbar)
 
     def __post_init__(self):
-        if isinstance(self.targets, dict):
-            t = tuple(sorted(self.targets.items()))
-        else:
-            t = tuple(sorted((tuple(p), float(m)) for p, m in self.targets))
+        t = tuple(sorted((tuple(p), float(m)) for p, m in self.targets))
         object.__setattr__(self, "targets", t)
         for (i, j), m in t:
             if not (1 <= i < j):

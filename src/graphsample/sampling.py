@@ -55,8 +55,8 @@ _THIN_TAG = "edge-thinning"
 class SamplerSpec:
     """Which algorithm to run, plus its parameters.
 
-    p is required for p_sample, rho (a constant, sequence, or callable
-    schedule) for sparsified; all other algorithms take no parameters.
+    p is required for p_sample, rho (a constant or a callable k -> [0,1])
+    for sparsified; all other algorithms take no parameters.
     """
 
     algorithm: str
@@ -73,14 +73,8 @@ class SamplerSpec:
             raise ValueError(f"{self.algorithm} takes no p parameter")
         if self.algorithm == SPARSIFIED:
             if self.rho is None:
-                raise ValueError("sparsified requires a rho schedule")
-            if isinstance(self.rho, (list, tuple)):
-                vals = [float(x) for x in self.rho]
-                if any(not 0.0 <= v <= 1.0 for v in vals):
-                    raise ValueError("rho values must lie in [0,1]")
-                if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-                    raise ValueError("rho schedule must be non-increasing")
-            elif not callable(self.rho):
+                raise ValueError("sparsified requires rho")
+            if not callable(self.rho):
                 v = float(self.rho)
                 if not 0.0 <= v <= 1.0:
                     raise ValueError("rho must lie in [0,1]")
@@ -186,7 +180,8 @@ def sample_uniform_vertex(y: VertexGraph, n: int, k: int, rng: RandomStream) -> 
 
 def sample_sparsified(y: VertexGraph, n: int, k: int, rho, rng: RandomStream) -> VertexGraph:
     """Uniform vertex sample followed by independent edge deletion: each
-    induced edge survives with probability rho(k).
+    induced edge survives with probability rho(k), for rho a constant or a
+    callable k -> [0,1].
 
     Thinning uniforms come from a substream keyed by the stream position at
     call time, one per present edge in colex order of the output labels:
@@ -340,14 +335,14 @@ class SampleRun:
     size_random: bool = False
 
 
-def run_nested(spec: SamplerSpec, y, n: int, ks, seed: int, stream_id: int = 0) -> SampleRun:
+def run_nested(spec: SamplerSpec, y, n: int, ks, seed: int) -> SampleRun:
     """Sample at each k in ks, replaying the same stream each time so the
     outputs form a nested prefix family."""
     sampler = make_sampler(spec)
     run = SampleRun(spec=spec, n=n, seed=seed,
                     size_random=spec.algorithm == P_SAMPLE)
     for k in sorted(set(ks)):
-        rng = RandomStream(seed, stream_id)
+        rng = RandomStream(seed)
         run.outputs[k] = sampler(y, n, k, rng)
     return run
 

@@ -255,9 +255,6 @@ class EdgeSeqGraph:
     def __len__(self):
         return len(self.edges)
 
-    def vertices(self) -> frozenset:
-        return frozenset(x for e in self.edges for x in e)
-
 
 def restrict_edges(g: EdgeSeqGraph, m: int) -> EdgeSeqGraph:
     """First m edges, in order."""

@@ -1,10 +1,10 @@
 """The benchmark's trace contract, checked against the package.
 
-``perfbench/trace_layers.py`` wraps package functions by name (``SPANS``)
-and the benchmark's set-up script loads each input through
-``io.read_<kind>`` (``workloads.LOADS``).  A rename that breaks either
-would otherwise show only in a benchmark run.  The benchmark modules are
-imported read-only.
+``perfbench/trace_layers.py`` wraps package functions by name (``SPANS``),
+the benchmark's set-up script loads each input through ``io.read_<kind>``
+(``workloads.LOADS``) and every workload command is a CLI command line.  A
+rename or a deleted flag that breaks any of them would otherwise show only
+in a benchmark run.  The benchmark modules are imported read-only.
 """
 
 import importlib
@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from graphsample import io as gio
+from graphsample.cli import _build_parser
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
@@ -48,3 +49,16 @@ def test_span_targets_are_package_callables(span):
 def test_loaded_kinds_have_readers(workload):
     for kind, _ in workloads.LOADS[workload]:
         assert callable(getattr(gio, f"read_{kind}", None)), f"io.read_{kind}"
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_workload_commands_parse(workload):
+    parser = _build_parser()
+    for cmd in workloads.WORKLOADS[workload]:
+        names = {tok[1:-1] for tok in cmd.argv if tok.startswith("{")}
+        argv = workloads.argv_for(cmd, {name: f"{name}.txt" for name in names},
+                                  seed=1, threads=2, out="x")
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{cmd.name}: {' '.join(argv)} does not parse")

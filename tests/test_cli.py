@@ -207,6 +207,34 @@ def test_cmd_test_idempotence_exit_codes(tmp_path):
     assert code == 1  # double thinning: composition detectably differs
 
 
+def test_cmd_test_idempotence_of_p_sample_usage_error(tmp_path, capsys):
+    c12 = tmp_path / "c12.txt"
+    main(["generate", "cycle", "--n", "12", "--out", str(c12)])
+    code = main(["test", "--test", "idempotence", "--algo", "p_sample", "--p", "0.5",
+                 "--in", str(c12), "--n", "12", "--m", "6", "--k", "3",
+                 "--reps", "10"])
+    assert code == 2
+    assert "p_sample has a random output size" in capsys.readouterr().err
+
+
+def test_cmd_test_equivalence_exit_codes(tmp_path, capsys):
+    y4_file, copy, k4 = tmp_path / "y4.txt", tmp_path / "copy.txt", tmp_path / "k4.txt"
+    main(["generate", "y4", "--out", str(y4_file)])
+    copy.write_bytes(y4_file.read_bytes())
+    main(["generate", "complete", "--n", "4", "--out", str(k4)])
+    argv = ["test", "--test", "equivalence", "--algo", "uniform_vertex",
+            "--in", str(y4_file), "--n", "4", "--k-max", "2", "--reps", "2000",
+            "--seed", "1", "--in2"]
+    assert main(argv + [str(copy)]) == 0
+    assert capsys.readouterr().out.startswith("equivalence(k<=[2]): PASS")
+    # every pair of K4 is an edge, half of y4's are: TV 1/2 at k = 2
+    assert main(argv + [str(k4)]) == 1
+    summary = capsys.readouterr().out
+    assert summary.startswith("equivalence(k<=[2]): FAIL")
+    tv = float(summary.split("TV = ")[1].split()[0])
+    assert abs(tv - 0.5) < 0.05
+
+
 def test_cmd_test_exchangeability_exit_zero(tmp_path, capsys):
     seq = tmp_path / "seq.txt"
     main(["generate", "singletons", "--n", "30", "--out", str(seq)])

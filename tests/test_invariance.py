@@ -152,6 +152,13 @@ def test_idempotence_rejects_bad_sizes():
                          RandomStream(0))
 
 
+def test_idempotence_rejects_p_sample():
+    # a p-sample has a random size, so the second stage at m is undefined
+    with pytest.raises(ValueError, match="random output size"):
+        test_idempotence(SamplerSpec("p_sample", p=0.5), cycle_vertex(12), 12, 6,
+                         3, 10, RandomStream(0))
+
+
 # -- equivalence --------------------------------------------------------------------
 
 def test_equivalence_star_vs_relabeled_star():

@@ -112,6 +112,17 @@ def test_sparsified_rho_one_matches_graphon_draw():
         assert a == b
 
 
+@pytest.mark.parametrize("build", [
+    lambda: sparsified_graphon_draw(TWO_BLOCK, [1.0, 0.5], 3, RandomStream(0)),
+    lambda: Paintbox({1: 0.5, 2: 0.5}),
+    lambda: MultiplicitySpec({(1, 2): 0.5}),
+], ids=["rho_sequence", "paintbox_dict", "multiplicity_dict"])
+def test_removed_input_forms_are_rejected(build):
+    # rho is a constant or a callable; atoms and targets are pair tuples
+    with pytest.raises(TypeError):
+        build()
+
+
 # -- paintboxes ------------------------------------------------------------------
 
 def test_paintbox_validation():

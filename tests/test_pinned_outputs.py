@@ -126,6 +126,24 @@ def _graphon_cli():
                         "--seed", str(SEED)], {"w": TWO_BLOCK_TEXT})
 
 
+def _sample_cli(algo, k):
+    return _cli_output(["sample", "--algo", algo, "--in", "{g}", "--n", "7",
+                        "--k", str(k), "--seed", str(SEED)],
+                       {"g": gio.render_structure(GRAPH)})
+
+
+def _edge_vector_cli():
+    edges = _cli_output(["generate", "half_multiplicity", "--n", "40"], {})
+    return _cli_output(["estimate", "--what", "vector", "--algo", "edge",
+                        "--in", "{edges}", "--n", "40", "--k", "3",
+                        "--reps", str(REPS), "--seed", str(SEED)],
+                       {"edges": edges})
+
+
+SIZED_GENERATORS = ("star", "star_edges", "matching", "half_multiplicity",
+                    "alternating", "singletons", "cycle", "complete")
+
+
 def _pattern_densities():
     lines = []
     for present in itertools.product((False, True), repeat=len(PAIRS_3)):
@@ -164,6 +182,13 @@ CASES = {
     "cli.estimate.multiplicity": lambda: _profile_cli("multiplicity"),
     "cli.generate.graphon": _graphon_cli,
     "graphon_pattern_density.two_block": _pattern_densities,
+    # io.render_structure's marked, rooted and ego-list branches
+    "cli.sample.shortest_path": lambda: _sample_cli("shortest_path", 4),
+    "cli.sample.ego": lambda: _sample_cli("ego", 3),
+    "cli.sample.bs_root": lambda: _sample_cli("bs_root", 2),
+    "cli.estimate.vector.edge": _edge_vector_cli,
+    **{f"cli.generate.{name}": (lambda name=name: _cli_output(
+        ["generate", name, "--n", "6"], {})) for name in SIZED_GENERATORS},
 }
 
 # captured before the structure-kind operations were merged
@@ -200,6 +225,20 @@ DIGESTS = {
     "cli.estimate.multiplicity": "286274e5a165b86d76f5284f3547ee341d624711bf035ddd8f6039563a58276e",
     "cli.generate.graphon": "f35a48a87c0dd8d100c9e78b7628a83fad41786bfb00b90ea147674193e06b75",
     "graphon_pattern_density.two_block": "09a323104f01b20ac88fd94b431161ce1ec9ae01efb6eb80b9b88c56d8a45ba3",
+    # captured before the unused input forms and parameters were deleted
+    # and generate's elif chain became a table
+    "cli.estimate.vector.edge": "8bac9ce40e24e624f1c8fbbebcd7750bc91b145760ec0f24a1d0212be838f85d",
+    "cli.generate.alternating": "896a23fe4e18dff98125c2bc4a0fe182b64b9dae6a5123ffea8b20ef3978fc90",
+    "cli.generate.complete": "0d7520198b1c888449e82342b1a031d4d8927f9bf3f6fd06cb765c1c65470559",
+    "cli.generate.cycle": "0660a257c4c5ec4c22e8bac14ce36e88daa9825529acc20b7b57964b19921f6f",
+    "cli.generate.half_multiplicity": "63802c5ae794efab88a76261463e381d0ed8e53fdbd793879f45ff058059eb93",
+    "cli.generate.matching": "a954969f34e1479c11b1d92a3ed34673e34ed80e6dc49329d9c12b2a6fb03cc7",
+    "cli.generate.singletons": "31156a95eca0533ac0f1cad543c46f57fc57b6943eee840a1ee84363938abe98",
+    "cli.generate.star": "68e251dc1c77bcbc104767e4d31a3ff44a15fd2ada2b0bab1867428808cd9b6c",
+    "cli.generate.star_edges": "c064cdaabfaadc579f082416b4b7ef6da5b5712fe493e9e3ceda0254605fd2b1",
+    "cli.sample.bs_root": "84ca5cf018930cd7e8c3472c3a82d31891b191ce2284dea2d005a2da7a5bf5bf",
+    "cli.sample.ego": "8007dd03be3c0cb9308c361d2ae8ea666aa5ae8cbb15e6856d0d239577a9bfa2",
+    "cli.sample.shortest_path": "8aae71bbaff09581525858ca0049f5f1de4e9a2e850caaf40c38795ed60ccba0",
 }
 
 

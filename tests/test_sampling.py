@@ -111,6 +111,14 @@ def test_sparsified_rho_zero_empty():
     assert out == VertexGraph(3)
 
 
+def test_sparsified_rho_sequence_is_rejected():
+    # rho is a constant or a callable k -> [0,1]; a per-k sequence is not a form
+    with pytest.raises(TypeError):
+        SamplerSpec("sparsified", rho=[1.0, 0.5, 0.25])
+    with pytest.raises(TypeError):
+        sample_sparsified(y4(), 4, 3, [1.0, 0.5, 0.25], RandomStream(0))
+
+
 def test_sparsified_k5_half():
     reps = 30_000
     tally = _mc_law(lambda y, n, k, r: sample_sparsified(y, n, k, 0.5, r),
