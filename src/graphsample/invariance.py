@@ -148,6 +148,8 @@ def test_equivalence(spec_or_sampler, y, y2, n: int, k_max: int, reps: int,
 
     Exact equivalence needs all k, so a pass certifies only 'equivalent up
     to depth k_max'."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     sampler = _as_sampler(spec_or_sampler)
     worst = None
     for k in range(1, k_max + 1):

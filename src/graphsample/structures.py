@@ -15,11 +15,15 @@ Ground types for everything else in the package:
 Label sequences are plain tuples of positive ints.  All values here are
 immutable after construction and safe to share across threads.  That holds
 also for derived data kept outside the dataclass fields (equality, hashing
-and repr ignore it; it is never mutated once built).  A vertex graph
-memoises its adjacency, degrees and Fenwick tree on first use, so samplers
-build them once per input, not per replicate.  A rooted graph keeps the
-adjacency and depth map its validation builds; restriction and canonical
-form read them.
+and repr ignore it; it is never mutated once built, but for the ball-key
+memo below, which only gains entries that are pure functions of their
+place).  A vertex graph memoises its adjacency, degrees and Fenwick tree on
+first use, so samplers build them once per input, not per replicate.  It
+also memoises the pattern keys of its balls by (center, radius), so a ball
+that many replicates draw is canonicalised once per graph; the memo holds
+PatternKeys (8 bytes an edge), never balls or forms, and dies with the
+graph.  A rooted graph keeps the adjacency and depth map its validation
+builds; restriction and canonical form read them.
 
 Each operation that depends on the kind has one home here: size_of,
 restrict, subsample_in_order (the relabeling action) and key_for.  Keys
@@ -166,13 +170,16 @@ def induced_ordered(g: VertexGraph, order) -> VertexGraph:
 def ball(g: VertexGraph, center: int, r: int) -> "RootedGraph":
     """Induced subgraph on vertices within hop-distance r of center,
     rooted at center.  Vertices keep their labels from g; the edges are read
-    off the adjacency of the ball's vertices."""
+    off the adjacency of the ball's vertices.  The ball is tagged with its
+    place (center, r) in g's ball-key memo, where key_for keeps its key."""
     if not 1 <= center <= g.n:
         raise ValueError(f"center {center} outside 1..{g.n}")
     if r < 0:
         raise ValueError("radius must be >= 0")
     adj = g.adjacency()
-    return _induced_rooted(adj, _bfs_distances(adj, center, limit=r), center)
+    rg = _induced_rooted(adj, _bfs_distances(adj, center, limit=r), center)
+    rg.__dict__["_key_slot"] = (_memo(g, "_ball_keys", dict), (center, r))
+    return rg
 
 
 def _induced_rooted(adj: dict, depths: dict, root: int) -> "RootedGraph":
@@ -868,6 +875,11 @@ def _pack(ints) -> bytes:
     return b"".join(words)
 
 
+def _rooted_key(rg: RootedGraph) -> PatternKey:
+    size, edges = canonical_rooted(rg)
+    return PatternKey("ball", _pack([size, *itertools.chain.from_iterable(edges)]))
+
+
 def key_for(x) -> PatternKey:
     """Canonical PatternKey for any structure kind in this module."""
     if isinstance(x, VertexGraph):
@@ -890,8 +902,14 @@ def key_for(x) -> PatternKey:
             flat.extend((i, j, 0 if m == UNREACHABLE else int(m)))
         return PatternKey("mc", _pack(flat))
     if isinstance(x, RootedGraph):
-        size, edges = canonical_rooted(x)
-        return PatternKey("ball", _pack([size, *itertools.chain.from_iterable(edges)]))
+        slot = x.__dict__.get("_key_slot")
+        if slot is None:
+            return _rooted_key(x)
+        keys, at = slot
+        key = keys.get(at)
+        if key is None:
+            key = keys[at] = _rooted_key(x)
+        return key
     if isinstance(x, list):  # list of rooted balls (ego sampler output)
         return PatternKey("balls", _WORD(len(x)) + b"".join(key_for(b).data for b in x))
     raise TypeError(f"no canonical key for {type(x).__name__}")

@@ -235,6 +235,17 @@ def test_cmd_test_equivalence_exit_codes(tmp_path, capsys):
     assert abs(tv - 0.5) < 0.05
 
 
+@pytest.mark.parametrize("k_max", ["0", "-1"])
+def test_cmd_test_equivalence_k_max_below_one_usage_error(k_max, tmp_path, capsys):
+    y4_file = tmp_path / "y4.txt"
+    main(["generate", "y4", "--out", str(y4_file)])
+    code = main(["test", "--test", "equivalence", "--algo", "uniform_vertex",
+                 "--in", str(y4_file), "--in2", str(y4_file), "--n", "4",
+                 "--k-max", k_max, "--reps", "10"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: k_max must be >= 1\n"
+
+
 def test_cmd_test_exchangeability_exit_zero(tmp_path, capsys):
     seq = tmp_path / "seq.txt"
     main(["generate", "singletons", "--n", "30", "--out", str(seq)])

@@ -313,3 +313,14 @@ def test_tv_threshold_scales_with_reps():
     a2.add(key_for((1,)), times=10_000)
     b2.add(key_for((1,)), times=10_000)
     assert tv_threshold(a2, b2) < t_small
+
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_equivalence_rejects_k_max_below_one(k_max, monkeypatch):
+    def no_tally(*args):
+        raise AssertionError("a tally was built")
+
+    monkeypatch.setattr(invariance, "prefix_density_vector", no_tally)
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        test_equivalence(SamplerSpec("uniform_vertex"), y4(), y4(), 4, k_max, 100,
+                         RandomStream(0))

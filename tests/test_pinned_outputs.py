@@ -10,11 +10,15 @@ Rooted outputs are pinned too: ``ego`` and ``bs_root`` tallies and the
 Monte Carlo involution-invariance report.  Their keys are the bytes of
 ``canonical_rooted``'s form, so a change of canonical form that keeps
 every isomorphism class re-records these digests and says so in its
-change notes.
+change notes.  Some rooted cases run ten or more replicates per vertex
+(the C50 involution test runs 500), so most of their balls are keyed
+from the graph's ball-key memo; the exact involution cases pin both
+enumerated tallies, which key each neighbour's ball once per edge.
 """
 
 import hashlib
 import itertools
+import random
 import tempfile
 from pathlib import Path
 
@@ -54,6 +58,14 @@ BRIDGED = VertexGraph(8, frozenset({(1, 2), (2, 3), (4, 5), (6, 7), (3, 8), (5, 
                                     (7, 8)}))
 
 
+# G(12, 0.3) drawn with random.Random(3).  At 200 replicates (more than ten
+# per vertex) most balls repeat, so these pins cover ball keys read back from
+# the graph's memo as well as ones computed afresh.
+_rand = random.Random(3)
+RANDOM12 = VertexGraph(12, frozenset(
+    (u, v) for u in range(1, 13) for v in range(u + 1, 13) if _rand.random() < 0.3))
+HIGH_HIT_REPS = 500  # cycle_vertex(50): ten replicates per vertex
+
 TWO_BLOCK_TEXT = "2\n0.0 0.4 1.0\n0.8 0.1\n0.1 0.6\n"
 TWO_BLOCK = StepGraphon((0.0, 0.4, 1.0), ((0.8, 0.1), (0.1, 0.6)))
 PAIRS_3 = ((1, 2), (1, 3), (2, 3))
@@ -81,6 +93,13 @@ def _report(report):
 def _involution():
     return _report(test_involution_invariance("uniform", GRAPH, 7, 1, REPS,
                                               RandomStream(SEED)))
+
+
+def _exact_involution(y, n, radius):
+    report = test_involution_invariance("uniform", y, n, radius, REPS, RandomStream(SEED),
+                                        exact=True)
+    return "\n".join(f"{key.hex()},{count}" for tally in (report.tally_a, report.tally_b)
+                     for key, count in tally.sorted_items())
 
 
 def _diagnose_star():
@@ -130,6 +149,18 @@ def _sample_cli(algo, k):
     return _cli_output(["sample", "--algo", algo, "--in", "{g}", "--n", "7",
                         "--k", str(k), "--seed", str(SEED)],
                        {"g": gio.render_structure(GRAPH)})
+
+
+def _rooted_vector_cli(algo, k):
+    return _cli_output(["estimate", "--what", "vector", "--algo", algo, "--in", "{g}",
+                        "--n", "12", "--k", str(k), "--reps", str(REPS),
+                        "--seed", str(SEED)], {"g": gio.render_structure(RANDOM12)})
+
+
+def _cycle_involution_cli():
+    return _cli_output(["test", "--test", "involution", "--in", "{g}", "--n", "50",
+                        "--radius", "2", "--reps", str(HIGH_HIT_REPS),
+                        "--seed", str(SEED)], {"g": gio.render_structure(cycle_vertex(50))})
 
 
 def _edge_vector_cli():
@@ -187,6 +218,11 @@ CASES = {
     "cli.sample.ego": lambda: _sample_cli("ego", 3),
     "cli.sample.bs_root": lambda: _sample_cli("bs_root", 2),
     "cli.estimate.vector.edge": _edge_vector_cli,
+    "cli.estimate.vector.bs_root.repeated": lambda: _rooted_vector_cli("bs_root", 2),
+    "cli.estimate.vector.ego.repeated": lambda: _rooted_vector_cli("ego", 3),
+    "cli.test.involution.cycle50": _cycle_involution_cli,
+    "involution.exact.random12": lambda: _exact_involution(RANDOM12, 12, 2),
+    "involution.exact.graph": lambda: _exact_involution(GRAPH, 7, 1),
     **{f"cli.generate.{name}": (lambda name=name: _cli_output(
         ["generate", name, "--n", "6"], {})) for name in SIZED_GENERATORS},
 }
@@ -239,6 +275,12 @@ DIGESTS = {
     "cli.sample.bs_root": "84ca5cf018930cd7e8c3472c3a82d31891b191ce2284dea2d005a2da7a5bf5bf",
     "cli.sample.ego": "8007dd03be3c0cb9308c361d2ae8ea666aa5ae8cbb15e6856d0d239577a9bfa2",
     "cli.sample.shortest_path": "8aae71bbaff09581525858ca0049f5f1de4e9a2e850caaf40c38795ed60ccba0",
+    # captured before ball keys were memoised on the graph they came from
+    "cli.estimate.vector.bs_root.repeated": "1917d054a5d17dec10ee2965eecb9a64bb6fd969c44efc80a1bbb12aef641817",
+    "cli.estimate.vector.ego.repeated": "4f08bb762daef77111f861970b396d43c7c26db4e0f986636e553ce20ac58da4",
+    "cli.test.involution.cycle50": "bdc6761146006f8793705f5d201c36afb92d71801f0fb7a7be5d83e1f09604b1",
+    "involution.exact.graph": "7a75617c04d614fb212316ad38679b2d245bc94940d93dc19b1cadc462260c55",
+    "involution.exact.random12": "6b060a29cc0c5406b3173cd282fd40530c96c7b44eef4099f133bf4e53e5a4cc",
 }
 
 

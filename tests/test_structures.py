@@ -15,6 +15,7 @@ from graphsample.structures import (
     EdgeSeqGraph,
     MarkedCompleteGraph,
     Partition,
+    PatternKey,
     RootedGraph,
     VertexGraph,
     ball,
@@ -35,7 +36,11 @@ from graphsample.structures import (
     size_of,
     subsample_in_order,
 )
+from graphsample.estimate import prefix_density_vector
+from graphsample.invariance import test_involution_invariance
 from graphsample.models import cycle_vertex, star_vertex, y4
+from graphsample.rng import RandomStream
+from graphsample.sampling import SamplerSpec
 
 from oracles import canonical_rooted_reference, refine_full
 
@@ -834,3 +839,86 @@ def test_key_packing_escapes_ints_without_a_word():
 @given(st.lists(_ANY_INT, max_size=6), st.lists(_ANY_INT, max_size=6))
 def test_key_injective_on_any_ints(xs, ys):
     assert (key_for(tuple(xs)) == key_for(tuple(ys))) == (xs == ys)
+
+
+# -- ball keys are memoised on the graph the ball came from ---------------------
+
+def _counted_searches(monkeypatch):
+    """The root of every ball canonical_rooted searches from now on."""
+    roots = []
+    search = structures.canonical_rooted
+
+    def counted(rg):
+        roots.append(rg.root)
+        return search(rg)
+
+    monkeypatch.setattr(structures, "canonical_rooted", counted)
+    return roots
+
+
+def _assert_one_search_per_ball(roots, n):
+    # every ball of one tally has the same radius, so a repeated root is a
+    # repeated (centre, radius)
+    assert len(roots) == len(set(roots)) <= n
+
+
+@pytest.mark.parametrize("algo, k", [("bs_root", 2), ("ego", 3)])
+def test_rooted_tally_searches_each_ball_once(algo, k, monkeypatch):
+    g = _random_regular(30, 4, 7)
+    roots = _counted_searches(monkeypatch)
+    tally = prefix_density_vector(SamplerSpec(algo), g, 30, k, 10 * 30, RandomStream(5))
+    assert tally.reps == 300
+    _assert_one_search_per_ball(roots, 30)
+
+
+def test_sampled_involution_searches_each_ball_once(monkeypatch):
+    roots = _counted_searches(monkeypatch)
+    rep = test_involution_invariance("uniform", cycle_vertex(50), 50, 2, 1000,
+                                     RandomStream(3))
+    assert rep.tally_a.reps == rep.tally_b.reps == 1000
+    # both tallies share y|n, so together they search at most n balls
+    _assert_one_search_per_ball(roots, 50)
+
+
+def test_exact_involution_searches_each_ball_once(monkeypatch):
+    g = _random_regular(30, 4, 7)
+    roots = _counted_searches(monkeypatch)
+    test_involution_invariance("uniform", g, 30, 2, 1, RandomStream(0), exact=True)
+    # each neighbour's ball is read once per incident edge, searched once
+    _assert_one_search_per_ball(roots, 30)
+
+
+@given(small_graphs(), st.data())
+def test_ball_key_memo_never_changes_a_key(g, data):
+    # several balls per graph, so later ones are keyed next to memo entries
+    # of other centres and radii
+    for _ in range(3):
+        center = data.draw(st.integers(1, g.n))
+        r = data.draw(st.integers(0, 3))
+        first = key_for(ball(g, center, r))
+        second = key_for(ball(g, center, r))
+        b = ball(g, center, r)
+        assert first == second == key_for(RootedGraph(b.vertices, b.edges, b.root))
+        assert g.__dict__["_ball_keys"][(center, r)] is first
+
+
+def test_restriction_keeps_its_own_ball_key_memo():
+    g = VertexGraph(_CHORDED.n, _CHORDED.edges)
+    sub = restrict_vertices(g, 5)
+    # vertex 2's radius-1 ball is a claw in g (neighbours 1, 3, 6) and a
+    # path in g|5, where vertex 6 is gone
+    in_g, in_sub = key_for(ball(g, 2, 1)), key_for(ball(sub, 2, 1))
+    assert in_g != in_sub
+    assert key_for(ball(g, 2, 1)) == in_g and key_for(ball(sub, 2, 1)) == in_sub
+    assert g.__dict__["_ball_keys"] is not sub.__dict__["_ball_keys"]
+    b = ball(sub, 2, 1)
+    assert in_sub == key_for(RootedGraph(b.vertices, b.edges, b.root))
+
+
+def test_ball_key_memo_holds_keys_only():
+    g = _random_regular(30, 4, 7)
+    prefix_density_vector(SamplerSpec("ego"), g, 30, 3, 100, RandomStream(2))
+    test_involution_invariance("uniform", g, 30, 2, 100, RandomStream(2))
+    memo = g.__dict__["_ball_keys"]
+    assert {r for _, r in memo} == {1, 2}
+    assert all(type(key) is PatternKey and key.kind == "ball" for key in memo.values())
