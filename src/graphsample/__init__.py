@@ -30,7 +30,6 @@ from .models import (
     alternating_seq,
     complete_vertex,
     cycle_vertex,
-    fit_block_graphon,
     graphon_draw,
     graphon_pattern_density,
     half_multiplicity,
@@ -47,10 +46,8 @@ from .rng import RandomStream
 from .sampling import (
     ALGORITHMS,
     SamplerSpec,
-    SampleRun,
     diagnose_limit,
     make_sampler,
-    run_nested,
     sample_bs,
     sample_degree_biased,
     sample_edges,
@@ -72,12 +69,10 @@ from .structures import (
     VertexGraph,
     ball,
     canonical_rooted,
-    count_edge_patterns,
     degrees,
     is_ordered,
     key_for,
     multiplicity_counts,
-    prefix_distance,
     relabel_r,
     relabel_rprime,
     restrict_edges,

@@ -154,12 +154,6 @@ class LLNTrace:
     ks: tuple
     estimates: tuple
 
-    @property
-    def slope(self) -> float:
-        """Crude convergence rate: change in estimate per unit k."""
-        if len(self.ks) < 2:
-            return 0.0
-        return (self.estimates[-1] - self.estimates[0]) / (self.ks[-1] - self.ks[0])
 
 
 def lln_trace(spec_or_sampler, y, n: int, f, j: int, k_schedule, reps: int,
@@ -207,9 +201,6 @@ class ItemProfile:
     mass: float
     ranked: tuple
 
-    @property
-    def converged(self) -> bool:
-        return all(self.cauchy.values())
 
 
 def _item_profile(steps, schedule) -> ItemProfile:

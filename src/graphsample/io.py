@@ -4,7 +4,9 @@ Edge-list format (bit-exact): one edge per line, two 1-based decimal
 integers separated by a single space, LF line endings.  Line order is
 significant for edge sequences.  An optional first line ``#n <N>`` fixes
 the vertex count of a VertexGraph (otherwise n = max label); it is written
-only when needed, i.e. when the graph has trailing isolated vertices.
+only when needed, i.e. when the graph has trailing isolated vertices.  A
+file holds at most one ``#n`` line, and a vertex graph's declared or implied
+vertex count may not exceed MAX_VERTICES.
 Lines starting with ``# `` are metadata comments (e.g. ``# seed=...``)
 and are skipped on load.
 
@@ -26,6 +28,11 @@ from .structures import (
     UNREACHABLE,
     VertexGraph,
 )
+
+#: Most vertices a vertex-graph file may declare (``#n``) or imply (its
+#: largest label).  Memory grows with the vertex count, about 220 bytes a
+#: vertex once adjacency and degrees are built, so this is about 2 GB.
+MAX_VERTICES = 10**7
 
 
 def _meta_lines(seed=None, extra=None) -> list:
@@ -93,7 +100,7 @@ def render_structure(x) -> str:
 def _data_lines(text: str):
     """The ``#n`` header, as (1-based line number in text, vertex count) or
     None without one, and the data lines, each as (line number, stripped
-    line)."""
+    line).  A file holds at most one header."""
     header = None
     out = []
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -102,13 +109,25 @@ def _data_lines(text: str):
             continue
         if line.startswith("#"):
             if line.startswith("#n "):
+                if header is not None:
+                    raise ValueError(f"line {number}: second #n header (first on "
+                                     f"line {header[0]}): {line!r}")
                 (n,) = _ints(number, line, line.split()[1:], 1)
                 if n < 0:
                     raise ValueError(f"line {number}: vertex count must be >= 0: {line!r}")
+                _check_cap(number, line, n)
                 header = (number, n)
             continue
         out.append((number, line))
     return header, out
+
+
+def _check_cap(number: int, line: str, n: int):
+    """Refuse a vertex count above MAX_VERTICES: a vertex graph's adjacency
+    and degree vector take memory for every vertex, isolated or not."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"line {number}: vertex count {n} exceeds the limit "
+                         f"{MAX_VERTICES}: {line!r}")
 
 
 def _ints(number: int, line: str, fields: list, count: int) -> list:
@@ -129,7 +148,9 @@ def parse_vertex_graph(text: str) -> VertexGraph:
     max_label = 0
     for number, line in lines:
         u, v = _ints(number, line, line.split(), 2)
-        if header is not None and max(u, v) > header[1]:
+        if header is None:
+            _check_cap(number, line, max(u, v))
+        elif max(u, v) > header[1]:
             raise ValueError(f"line {number}: edge ({u},{v}) outside 1..{header[1]} "
                              f"declared on line {header[0]}: {line!r}")
         edges.add((u, v))
@@ -156,13 +177,6 @@ def parse_label_seq(text: str) -> tuple:
     return tuple(seq)
 
 
-def write_structure(path, x, seed=None):
-    body = render_structure(x)
-    head = "".join(line + "\n" for line in _meta_lines(seed))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(head + body)
-
-
 def read_vertex_graph(path) -> VertexGraph:
     with open(path) as fh:
         return parse_vertex_graph(fh.read())
@@ -180,14 +194,6 @@ def read_label_seq(path) -> tuple:
 
 # ---------------------------------------------------------------------------
 # step graphons
-
-
-def render_step_graphon(w: StepGraphon) -> str:
-    lines = [str(w.num_blocks),
-             " ".join(repr(b) for b in w.boundaries)]
-    for row in w.values:
-        lines.append(" ".join(repr(x) for x in row))
-    return "".join(line + "\n" for line in lines)
 
 
 def _floats(number: int, line: str) -> tuple:
@@ -212,11 +218,6 @@ def parse_step_graphon(text: str) -> StepGraphon:
     if len(rows) != B:
         raise ValueError(f"expected {B} value rows, found {len(rows)}")
     return StepGraphon(boundaries, tuple(rows))  # symmetry checked on build
-
-
-def write_step_graphon(path, w: StepGraphon):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(render_step_graphon(w))
 
 
 def read_step_graphon(path) -> StepGraphon:

@@ -64,9 +64,6 @@ class StepGraphon:
         b = self.boundaries
         return tuple(b[i + 1] - b[i] for i in range(self.num_blocks))
 
-    def __call__(self, u: float, v: float) -> float:
-        return self.values[self.block_of(u)][self.block_of(v)]
-
     @classmethod
     def constant(cls, p: float) -> "StepGraphon":
         return cls((0.0, 1.0), ((p,),))
@@ -328,44 +325,6 @@ def complete_vertex(n: int) -> VertexGraph:
 
 # ---------------------------------------------------------------------------
 # graphon fitting and the misspecification table
-
-
-def fit_block_graphon(g: VertexGraph, B: int) -> StepGraphon:
-    """Fit a B-block step graphon to a graph by degree sorting.
-
-    Vertices are sorted by decreasing degree (ties by label) and split into
-    B near-equal groups; each block value is the observed edge density
-    between the two groups.  Boundaries are equal-width."""
-    if B < 1:
-        raise ValueError("need B >= 1")
-    if B > g.n:
-        raise ValueError("cannot fit more blocks than vertices")
-    from .structures import degrees
-
-    deg = degrees(g)
-    order = sorted(range(1, g.n + 1), key=lambda v: (-deg[v - 1], v))
-    group_of = {}
-    bounds = [round(a * g.n / B) for a in range(B + 1)]
-    for a in range(B):
-        for v in order[bounds[a]:bounds[a + 1]]:
-            group_of[v] = a
-    sizes = [bounds[a + 1] - bounds[a] for a in range(B)]
-    counts = [[0] * B for _ in range(B)]
-    for u, v in g.edges:
-        a, b = group_of[u], group_of[v]
-        counts[a][b] += 1
-        if a != b:
-            counts[b][a] += 1
-    values = [[0.0] * B for _ in range(B)]
-    for a in range(B):
-        for b in range(B):
-            if a == b:
-                possible = sizes[a] * (sizes[a] - 1) // 2
-            else:
-                possible = sizes[a] * sizes[b]
-            values[a][b] = counts[a][b] / possible if possible else 0.0
-    boundaries = tuple(a / B for a in range(B + 1))
-    return StepGraphon(boundaries, tuple(tuple(row) for row in values))
 
 
 def misspec_table(k: int, j: int) -> Fraction:

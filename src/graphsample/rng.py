@@ -79,10 +79,6 @@ class RandomStream:
             sid = _mix64((sid ^ _mix64(_key_to_int(key))) + _GAMMA)
         return RandomStream(self.master_seed, sid)
 
-    def fork(self) -> "RandomStream":
-        """Fresh copy starting from counter 0 (same draw sequence)."""
-        return RandomStream(self.master_seed, self.stream_id)
-
     def __repr__(self):
         return (f"RandomStream(master_seed={self.master_seed}, "
                 f"stream_id={self.stream_id}, counter={self.counter})")

@@ -12,7 +12,7 @@ p-sampling, whose output size is random by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .models import _rho_at
 from .rng import RandomStream
@@ -318,33 +318,6 @@ def make_sampler(spec: SamplerSpec):
 def _as_sampler(spec_or_sampler):
     """A sampler callable as is, or make_sampler of a SamplerSpec."""
     return spec_or_sampler if callable(spec_or_sampler) else make_sampler(spec_or_sampler)
-
-
-@dataclass
-class SampleRun:
-    """A nested family of outputs from one seed: outputs[k] for each k asked.
-
-    For fixed-output-size algorithms, outputs[k] is the restriction of
-    outputs[k'] whenever k <= k'.  p_sample has random output size and is
-    marked size_random; the nesting invariant does not apply to it."""
-
-    spec: SamplerSpec
-    n: int
-    seed: int
-    outputs: dict = field(default_factory=dict)
-    size_random: bool = False
-
-
-def run_nested(spec: SamplerSpec, y, n: int, ks, seed: int) -> SampleRun:
-    """Sample at each k in ks, replaying the same stream each time so the
-    outputs form a nested prefix family."""
-    sampler = make_sampler(spec)
-    run = SampleRun(spec=spec, n=n, seed=seed,
-                    size_random=spec.algorithm == P_SAMPLE)
-    for k in sorted(set(ks)):
-        rng = RandomStream(seed)
-        run.outputs[k] = sampler(y, n, k, rng)
-    return run
 
 
 # ---------------------------------------------------------------------------

@@ -277,28 +277,6 @@ def multiplicity_counts(g: EdgeSeqGraph) -> dict:
     return dict(Counter(g.edges))
 
 
-def count_edge_patterns(g: EdgeSeqGraph, pattern: EdgeSeqGraph) -> int:
-    """Number of ordered k-edge subsequences of g whose relabeling equals
-    ``pattern``.
-
-    Dividing by |g|(|g|-1)...(|g|-k+1) gives the exact probability that the
-    uniform edge sampler produces ``pattern``; this is the enumeration oracle
-    for edge-sampling prefix densities.  Cost grows like |g|^k.
-    """
-    if not pattern.canonical:
-        raise ValueError("pattern must be canonical")
-    k = len(pattern)
-    if k > len(g):
-        raise ValueError(f"pattern size {k} exceeds |g| = {len(g)}")
-    target = pattern.edges
-    count = 0
-    for positions in itertools.permutations(range(len(g)), k):
-        sub = tuple(g.edges[p] for p in positions)
-        if relabel_rprime(sub).edges == target:
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # label sequences, partitions, relabeling maps
 
@@ -713,10 +691,6 @@ class MarkedCompleteGraph:
                 raise ValueError(f"mark for {pair} must be an int >= 1 or UNREACHABLE")
         object.__setattr__(self, "marks", tuple(sorted(d.items())))
 
-    def mark(self, i: int, j: int):
-        key = (i, j) if i < j else (j, i)
-        return dict(self.marks)[key]
-
 
 def restrict_marked(m: MarkedCompleteGraph, j: int) -> MarkedCompleteGraph:
     if not 0 <= j <= m.k:
@@ -808,30 +782,6 @@ def subsample_in_order(x, positions):
     if isinstance(x, (tuple, list)):
         return type(x)(x[p - 1] for p in positions)
     raise TypeError(f"no relabeling action for {type(x).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# prefix metric
-
-
-def prefix_distance(x, x2, max_depth: int) -> float:
-    """Prefix ultrametric: 2**-d for the deepest d <= max_depth at which the
-    restrictions of x and x2 agree (2**-max_depth if they agree throughout).
-
-    Rooted graphs restrict by ball radius, all other kinds by their size-d
-    initial substructure.
-    """
-    if type(x) is not type(x2):
-        raise TypeError(f"cannot compare {type(x).__name__} with {type(x2).__name__}")
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    if not isinstance(x, RootedGraph):
-        if size_of(x) < max_depth or size_of(x2) < max_depth:
-            raise ValueError("restriction not defined to max_depth")
-    for d in range(1, max_depth + 1):
-        if restrict(x, d) != restrict(x2, d):
-            return 2.0 ** -(d - 1)
-    return 2.0 ** -max_depth
 
 
 # ---------------------------------------------------------------------------

@@ -51,11 +51,8 @@ def test_generate_deterministic_bytes(tmp_path):
 
 
 def _graphon_file(tmp_path):
-    from graphsample.models import StepGraphon
-
     path = tmp_path / "w.txt"
-    gio.write_step_graphon(path, StepGraphon((0.0, 0.5, 1.0),
-                                             ((0.8, 0.1), (0.1, 0.6))))
+    gio.write_text(path, "2\n0.0 0.5 1.0\n0.8 0.1\n0.1 0.6\n")
     return path
 
 
@@ -400,6 +397,11 @@ def test_malformed_graphon_names_its_line(tmp_path, capsys, text, message):
 @pytest.mark.parametrize("text, message", [
     ("#n 3\n2 5\n", "line 2: edge (2,5) outside 1..3 declared on line 1: '2 5'"),
     ("#n -2\n", "line 1: vertex count must be >= 0: '#n -2'"),
+    ("#n 4\n#n 9\n1 2\n", "line 2: second #n header (first on line 1): '#n 9'"),
+    ("#n 10000001\n1 2\n",
+     "line 1: vertex count 10000001 exceeds the limit 10000000: '#n 10000001'"),
+    ("1 10000001\n",
+     "line 1: vertex count 10000001 exceeds the limit 10000000: '1 10000001'"),
 ])
 def test_vertex_count_header_errors_name_their_line(tmp_path, capsys, text, message):
     graph = tmp_path / "g.txt"

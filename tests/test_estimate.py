@@ -197,7 +197,6 @@ def test_lln_trace_constant_function():
     trace = lln_trace(SamplerSpec("sequence"), (1, 2) * 20, 40,
                       lambda s: 1.0, 1, (2, 4), 5, RandomStream(0))
     assert trace.estimates == (1.0, 1.0)
-    assert trace.slope == 0.0
 
 
 # -- profiles ----------------------------------------------------------------------------
@@ -284,7 +283,6 @@ def test_profile_cauchy_flags():
     star = star_edgeseq(800)
     prof = degree_profile(star, (100, 200, 400, 800))
     assert prof.cauchy[1]  # hub series is constant at 0.5
-    assert prof.converged
     bursty = EdgeSeqGraph(((1, 2),) * 10 + ((3, 4), (5, 6)) * 45)
     prof2 = multiplicity_profile(bursty, (10, 100))
     assert not prof2.cauchy[(1, 2)]  # share falls 1.0 -> 0.1

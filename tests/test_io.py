@@ -45,16 +45,16 @@ def test_edge_seq_order_significant():
 
 def test_seed_comment_skipped_on_load(tmp_path):
     path = tmp_path / "g.txt"
-    gio.write_structure(path, half_multiplicity(6), seed=42)
+    gio.write_text(path, "# seed=42\n" + gio.render_structure(half_multiplicity(6)))
     assert path.read_text().splitlines()[0] == "# seed=42"
     assert gio.read_edge_seq(path) == half_multiplicity(6)
 
 
 def test_label_seq_roundtrip(tmp_path):
     path = tmp_path / "seq.txt"
-    gio.write_structure(path, (1, 2, 1, 3), seed=0)
+    gio.write_text(path, "# seed=0\n" + gio.render_structure((1, 2, 1, 3)))
     assert gio.read_label_seq(path) == (1, 2, 1, 3)
-    gio.write_structure(path, Partition((1, 2, 1)), seed=0)
+    gio.write_text(path, "# seed=0\n" + gio.render_structure(Partition((1, 2, 1))))
     assert gio.read_label_seq(path) == (1, 2, 1)
 
 
@@ -89,6 +89,24 @@ def test_vertex_count_header_is_named_by_line():
         gio.parse_vertex_graph("#n 3\n1 2\n2 5\n")
     with pytest.raises(ValueError, match=r"^line 2: vertex count must be >= 0: '#n -2'$"):
         gio.parse_vertex_graph("# seed=1\n#n -2\n")
+    with pytest.raises(ValueError, match=r"^line 2: second #n header \(first on line 1\): "
+                                         r"'#n 9'$"):
+        gio.parse_vertex_graph("#n 4\n#n 9\n1 2\n")
+    with pytest.raises(ValueError, match=r"^line 3: second #n header \(first on line 1\): "
+                                         r"'#n 3'$"):
+        gio.parse_vertex_graph("#n 5\n1 2\n#n 3\n")
+
+
+def test_vertex_count_above_the_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(gio, "MAX_VERTICES", 5)
+    assert gio.parse_vertex_graph("#n 5\n1 2\n").n == 5
+    assert gio.parse_vertex_graph("1 5\n").n == 5
+    with pytest.raises(ValueError, match=r"^line 1: vertex count 6 exceeds the limit 5: "
+                                         r"'#n 6'$"):
+        gio.parse_vertex_graph("#n 6\n1 2\n")
+    with pytest.raises(ValueError, match=r"^line 2: vertex count 6 exceeds the limit 5: "
+                                         r"'1 6'$"):
+        gio.parse_vertex_graph("1 2\n1 6\n")
 
 
 def test_malformed_graphon_line_is_named_by_number():
@@ -117,11 +135,10 @@ def test_rooted_rendering_contains_root():
 
 
 def test_step_graphon_roundtrip(tmp_path):
-    w = StepGraphon((0.0, 0.25, 1.0), ((0.9, 0.2), (0.2, 0.4)))
     path = tmp_path / "w.txt"
-    gio.write_step_graphon(path, w)
-    w2 = gio.read_step_graphon(path)
-    assert w2 == w
+    gio.write_text(path, "2\n0.0 0.25 1.0\n0.9 0.2\n0.2 0.4\n")
+    w = gio.read_step_graphon(path)
+    assert w == StepGraphon((0.0, 0.25, 1.0), ((0.9, 0.2), (0.2, 0.4)))
 
 
 def test_step_graphon_asymmetric_rejected():

@@ -12,7 +12,6 @@ from graphsample.models import (
     alternating_seq,
     complete_vertex,
     cycle_vertex,
-    fit_block_graphon,
     graphon_draw,
     graphon_pattern_density,
     half_multiplicity,
@@ -55,8 +54,9 @@ def test_step_graphon_validation():
 
 
 def test_graphon_block_lookup():
-    assert TWO_BLOCK(0.2, 0.7) == 0.1
-    assert TWO_BLOCK(0.9, 0.9) == 0.6
+    w, block = TWO_BLOCK.values, TWO_BLOCK.block_of
+    assert w[block(0.2)][block(0.7)] == 0.1
+    assert w[block(0.9)][block(0.9)] == 0.6
 
 
 def test_graphon_draw_complete_when_w_one():
@@ -239,27 +239,7 @@ def test_half_multiplicity_structure():
         half_multiplicity(7)
 
 
-# -- fitting and the misspecification table ------------------------------------------
-
-def test_fit_block_graphon_edge_cases():
-    assert fit_block_graphon(complete_vertex(6), 2).values == ((1.0, 1.0), (1.0, 1.0))
-    assert fit_block_graphon(VertexGraph(6), 3).values == \
-        ((0.0,) * 3,) * 3
-
-
-def test_fit_block_graphon_recovers_constant():
-    g = graphon_draw(StepGraphon.constant(0.3), 200, RandomStream(17))
-    w = fit_block_graphon(g, 1)
-    assert abs(w.values[0][0] - 0.3) < 0.05
-
-
-def test_fit_block_graphon_symmetric():
-    g = graphon_draw(TWO_BLOCK, 60, RandomStream(4))
-    w = fit_block_graphon(g, 3)
-    for a in range(3):
-        for b in range(3):
-            assert w.values[a][b] == w.values[b][a]
-
+# -- the misspecification table ------------------------------------------
 
 def test_misspec_table_exact():
     assert misspec_table(20, 3) == misspec_table(20, 3).__class__(1, 1140)

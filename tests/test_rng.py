@@ -65,9 +65,3 @@ def test_counter_tracks_draws():
     rng.randbelow(10)
     assert rng.counter == 2
 
-
-def test_fork_restarts_sequence():
-    rng = RandomStream(11, 4)
-    first = [rng.next_u64() for _ in range(5)]
-    again = rng.fork()
-    assert [again.next_u64() for _ in range(5)] == first

@@ -19,7 +19,6 @@ from graphsample.sampling import (
     _draw_weighted_distinct,
     diagnose_limit,
     make_sampler,
-    run_nested,
     sample_bs,
     sample_degree_biased,
     sample_edges,
@@ -398,7 +397,7 @@ def test_bs_radius_covers_component():
     assert len(out.vertices) in (2, 3)  # whole component of the chosen root
 
 
-# -- nestedness, determinism, SampleRun -----------------------------------------------------
+# -- nestedness, determinism -----------------------------------------------------
 
 NESTED_CASES = [
     (SamplerSpec("uniform_vertex"), y4(), 4),
@@ -417,19 +416,21 @@ NESTED_CASES = [
 @pytest.mark.parametrize("spec,y,n", NESTED_CASES,
                          ids=[c[0].algorithm + str(i) for i, c in enumerate(NESTED_CASES)])
 def test_nestedness_output_k_is_restriction(spec, y, n):
+    sampler = make_sampler(spec)
     for seed in range(25):
-        run = run_nested(spec, y, n, range(1, n + 1), seed)
+        outputs = {k: sampler(y, n, k, RandomStream(seed)) for k in range(1, n + 1)}
         for k in range(1, n):
-            assert restrict_output(run.outputs[k + 1], k) == run.outputs[k], \
+            assert restrict_output(outputs[k + 1], k) == outputs[k], \
                 f"seed {seed}, k {k}"
 
 
 def test_nestedness_bs_by_radius():
     c = cycle_vertex(9)
+    sampler = make_sampler(SamplerSpec("bs_root"))
     for seed in range(20):
-        run = run_nested(SamplerSpec("bs_root"), c, 9, range(1, 4), seed)
+        outputs = {k: sampler(c, 9, k, RandomStream(seed)) for k in range(1, 4)}
         for k in (1, 2):
-            assert restrict_output(run.outputs[k + 1], k) == run.outputs[k]
+            assert restrict_output(outputs[k + 1], k) == outputs[k]
 
 
 def test_mismatched_input_kind_is_type_error():
@@ -441,11 +442,6 @@ def test_mismatched_input_kind_is_type_error():
     marked = sample_shortest_path(cycle_vertex(6), 6, 3, rng)
     with pytest.raises(TypeError, match="unsupported input type MarkedCompleteGraph"):
         sample_shortest_path(marked, 3, 2, rng)
-
-
-def test_p_sample_marked_size_random():
-    run = run_nested(SamplerSpec("p_sample", p=0.5), complete_vertex(6), 6, [1], 3)
-    assert run.size_random
 
 
 def test_determinism_identical_bytes():
