@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import fsum
 
 from .rng import RandomStream
-from .sampling import _as_sampler, _draw_distinct
+from .sampling import _as_sampler, _check_schedule, _draw_distinct
 from .structures import EdgeSeqGraph, key_for, restrict, size_of, subsample_in_order
 
 EXACT_SYMMETRIZATION_MAX = 7  # k! grows past 5040 permutations above this
@@ -207,11 +207,7 @@ def _item_profile(steps, schedule) -> ItemProfile:
     """Shared profile machinery: ``steps`` yields, per structure step, the
     list of items that step contributes; the normalizer at size n is the
     total number of items contributed by the first n steps."""
-    schedule = tuple(int(n) for n in schedule)
-    if not schedule:
-        raise ValueError("empty schedule")
-    if any(schedule[i] >= schedule[i + 1] for i in range(len(schedule) - 1)):
-        raise ValueError("schedule must be strictly increasing")
+    schedule = _check_schedule(schedule)
     counts = {}
     snapshots = []
     window = None

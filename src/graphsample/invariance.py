@@ -48,23 +48,15 @@ class TestReport:
         return "\n".join(lines)
 
 
-def tv_threshold(tally_a: PatternTally, tally_b: PatternTally | None) -> float:
+def tv_threshold(tally_a: PatternTally, tally_b: PatternTally) -> float:
     """4-sigma normal-approximation bound on the TV noise between two
-    empirical tallies (tally_b = None means an exact law: no noise there)."""
-    ra = tally_a.reps
-    rb = tally_b.reps if tally_b is not None else None
+    empirical tallies."""
     pooled = {}
-    for key, c in tally_a.counts.items():
-        pooled[key] = pooled.get(key, 0.0) + c / ra
-    if tally_b is not None:
-        for key, c in tally_b.counts.items():
-            pooled[key] = pooled.get(key, 0.0) + c / rb
-        scale = 1.0 / ra + 1.0 / rb
-        mass = sum(p / 2.0 for p in pooled.values())
-    else:
-        scale = 1.0 / ra
-        mass = sum(pooled.values())
-    return 4.0 * math.sqrt(mass * scale)
+    for tally in (tally_a, tally_b):
+        for key, c in tally.counts.items():
+            pooled[key] = pooled.get(key, 0.0) + c / tally.reps
+    mass = sum(p / 2.0 for p in pooled.values())
+    return 4.0 * math.sqrt(mass * (1.0 / tally_a.reps + 1.0 / tally_b.reps))
 
 
 def _report(name, tally_a, tally_b, notes=None, threshold=None) -> TestReport:

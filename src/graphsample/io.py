@@ -5,8 +5,8 @@ integers separated by a single space, LF line endings.  Line order is
 significant for edge sequences.  An optional first line ``#n <N>`` fixes
 the vertex count of a VertexGraph (otherwise n = max label); it is written
 only when needed, i.e. when the graph has trailing isolated vertices.  A
-file holds at most one ``#n`` line, and a vertex graph's declared or implied
-vertex count may not exceed MAX_VERTICES.
+vertex-graph file holds at most one ``#n`` line; other formats refuse it.  A
+vertex graph's declared or implied vertex count may not exceed MAX_VERTICES.
 Lines starting with ``# `` are metadata comments (e.g. ``# seed=...``)
 and are skipped on load.
 
@@ -97,10 +97,10 @@ def render_structure(x) -> str:
     raise TypeError(f"cannot render {type(x).__name__}")
 
 
-def _data_lines(text: str):
+def _data_lines(text: str, vertex_count: bool = False):
     """The ``#n`` header, as (1-based line number in text, vertex count) or
     None without one, and the data lines, each as (line number, stripped
-    line).  A file holds at most one header."""
+    line).  Only a vertex_count format holds a header, at most one."""
     header = None
     out = []
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -109,6 +109,9 @@ def _data_lines(text: str):
             continue
         if line.startswith("#"):
             if line.startswith("#n "):
+                if not vertex_count:
+                    raise ValueError(f"line {number}: #n header outside a vertex-graph "
+                                     f"file: {line!r}")
                 if header is not None:
                     raise ValueError(f"line {number}: second #n header (first on "
                                      f"line {header[0]}): {line!r}")
@@ -143,7 +146,7 @@ def _ints(number: int, line: str, fields: list, count: int) -> list:
 
 
 def parse_vertex_graph(text: str) -> VertexGraph:
-    header, lines = _data_lines(text)
+    header, lines = _data_lines(text, vertex_count=True)
     edges = set()
     max_label = 0
     for number, line in lines:

@@ -8,9 +8,9 @@ a splitmix64-style generator whose output sequence is a pure function of
 
 where ``base`` and ``tweak`` are both derived from (master_seed, stream_id)
 through the mix64 finalizer.  Because the state is just a counter, streams
-can be recreated at will, replicate r of a Monte Carlo loop can be handed
-its own independent stream (``substream(r)``), and results are identical
-no matter how replicates are scheduled across threads.
+can be recreated at will and replicate r of a Monte Carlo loop can be
+handed its own independent stream (``substream(r)``), so every output is
+a pure function of (input, n, k, seed), whatever order replicates run in.
 """
 
 from __future__ import annotations

@@ -1,13 +1,19 @@
 """The ten subsampling algorithms.
 
-Each sampler is a deterministic function of (input, n, k, RandomStream):
-it restricts the input to size n, consumes uniforms off the stream, and
-reports a size-k output structure.  Selection of elements without
-replacement draws one accepted uniform per element (rejecting repeats),
-so for a fixed stream the selection order at size k is a prefix of the
-selection order at size k' > k, and the outputs nest pathwise:
-output(k) equals the restriction of output(k').  The single exception is
-p-sampling, whose output size is random by construction.
+Each sampler is a deterministic function of (input, n, k, RandomStream)
+that sees the input y only through its size-n restriction y|n.  It is a
+selection law followed by its kind's existing action.  The selection
+draws vertices or positions of [n] off the stream: uniformly without
+replacement, in proportion to degree, or by one p-coin each.  The action
+reports what the selection carries in y|n, relabeled in selection order:
+structures.subsample_in_order, or induced_ordered, its vertex-graph case.
+The shortest-path, ego and ball samplers report the marks or balls around
+the selection instead.  Selection without replacement draws one accepted
+uniform per element (rejecting repeats), so for a fixed stream the
+selection order at size k is a prefix of the selection order at size
+k' > k, and the outputs nest pathwise: output(k) equals the restriction
+of output(k').  The single exception is p-sampling, whose output size is
+random by construction.
 """
 
 from __future__ import annotations
@@ -27,11 +33,10 @@ from .structures import (
     degrees,
     induced_ordered,
     relabel_r,
-    relabel_rprime,
-    restrict_edges,
     restrict_vertices,
     shortest_path_marks,
     size_of,
+    subsample_in_order,
 )
 
 UNIFORM_VERTEX = "uniform_vertex"
@@ -188,12 +193,9 @@ def sample_sparsified(y: VertexGraph, n: int, k: int, rho, rng: RandomStream) ->
     repeated calls on one stream thin independently, while for a constant
     rho the outputs of fresh same-seed calls nest pathwise just like the
     plain vertex sampler."""
-    _check_nk(y, n, k)
-    r = _rho_at(rho, k)
-    y_n = restrict_vertices(y, n)
     start = rng.counter
-    order = _draw_distinct(n, k, rng)
-    induced = induced_ordered(y_n, order)
+    induced = sample_uniform_vertex(y, n, k, rng)
+    r = _rho_at(rho, k)
     thin = rng.substream(_THIN_TAG, start)
     kept = set()
     for a, b in sorted(induced.edges, key=lambda e: (e[1], e[0])):
@@ -210,14 +212,8 @@ def sample_p(y: VertexGraph, n: int, p: float, rng: RandomStream) -> VertexGraph
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0,1]")
     y_n = restrict_vertices(y, n)
-    kept = [v for v in range(1, n + 1) if rng.uniform() < p]
-    kept_set = set(kept)
-    edges = [(u, v) for u, v in y_n.edges if u in kept_set and v in kept_set]
-    not_isolated = {x for e in edges for x in e}
-    survivors = [v for v in kept if v in not_isolated]
-    pos = {v: i + 1 for i, v in enumerate(survivors)}
-    out_edges = frozenset((min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in edges)
-    return VertexGraph(len(survivors), out_edges)
+    kept = induced_ordered(y_n, [v for v in range(1, n + 1) if rng.uniform() < p])
+    return induced_ordered(kept, sorted({v for e in kept.edges for v in e}))
 
 
 def sample_degree_biased(y: VertexGraph, n: int, k: int, rng: RandomStream) -> VertexGraph:
@@ -246,8 +242,7 @@ def sample_sequence(y: tuple, n: int, k: int, rng: RandomStream) -> tuple:
     """k uniform without-replacement positions J_1..J_k of [n]; report the
     subsequence (y_J1, ..., y_Jk)."""
     _check_nk(y, n, k, tuple)
-    positions = _draw_distinct(n, k, rng)
-    return tuple(y[j - 1] for j in positions)
+    return subsample_in_order(y, _draw_distinct(n, k, rng))
 
 
 def sample_partition(pi: Partition, n: int, k: int, rng: RandomStream) -> Partition:
@@ -262,10 +257,7 @@ def sample_edges(y: EdgeSeqGraph, n: int, k: int, rng: RandomStream) -> EdgeSeqG
     """k uniform without-replacement edge positions of y|n; report the
     selected subsequence relabeled canonically.  Output is always canonical."""
     _check_nk(y, n, k, EdgeSeqGraph)
-    y_n = restrict_edges(y, n)
-    positions = _draw_distinct(n, k, rng)
-    sub = tuple(y_n.edges[j - 1] for j in positions)
-    return relabel_rprime(sub)
+    return subsample_in_order(y, _draw_distinct(n, k, rng))
 
 
 def sample_ego(y: VertexGraph, n: int, k: int, rng: RandomStream) -> list:
@@ -280,8 +272,6 @@ def sample_ego(y: VertexGraph, n: int, k: int, rng: RandomStream) -> list:
 def sample_bs(y: VertexGraph, n: int, k: int, rng: RandomStream) -> RootedGraph:
     """Uniform root V in y|n; report the ball of radius k centered at V."""
     _check_n(y, n)
-    if k < 0:
-        raise ValueError("radius must be >= 0")
     y_n = restrict_vertices(y, n)
     root = rng.randbelow(n) + 1
     return ball(y_n, root, k)
@@ -315,6 +305,17 @@ def make_sampler(spec: SamplerSpec):
     raise ValueError(f"unknown algorithm {alg!r}")
 
 
+def _check_schedule(schedule) -> tuple:
+    """schedule as a tuple of ints; empty or not strictly increasing is a
+    ValueError."""
+    schedule = tuple(int(n) for n in schedule)
+    if not schedule:
+        raise ValueError("empty schedule")
+    if any(schedule[i] >= schedule[i + 1] for i in range(len(schedule) - 1)):
+        raise ValueError("schedule must be strictly increasing")
+    return schedule
+
+
 def _as_sampler(spec_or_sampler):
     """A sampler callable as is, or make_sampler of a SamplerSpec."""
     return spec_or_sampler if callable(spec_or_sampler) else make_sampler(spec_or_sampler)
@@ -346,11 +347,7 @@ def diagnose_limit(spec: SamplerSpec, y, k: int, schedule, reps: int,
     """
     from .estimate import tally_outputs
 
-    schedule = tuple(int(n) for n in schedule)
-    if any(schedule[i] >= schedule[i + 1] for i in range(len(schedule) - 1)):
-        raise ValueError("schedule must be strictly increasing")
-    if not schedule:
-        raise ValueError("empty schedule")
+    schedule = _check_schedule(schedule)
     if schedule[-1] > size_of(y):
         raise ValueError(f"schedule maximum {schedule[-1]} exceeds input size "
                          f"{size_of(y)}")

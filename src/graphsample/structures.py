@@ -13,7 +13,8 @@ Ground types for everything else in the package:
 * MarkedCompleteGraph-- complete graph whose edges carry hop-distance marks.
 
 Label sequences are plain tuples of positive ints.  All values here are
-immutable after construction and safe to share across threads.  That holds
+immutable after construction, so a sampler's output is a pure function of
+(input, n, k, seed) however often the input is reused.  That holds
 also for derived data kept outside the dataclass fields (equality, hashing
 and repr ignore it; it is never mutated once built, but for the ball-key
 memo below, which only gains entries that are pure functions of their
@@ -429,7 +430,7 @@ class _Colouring:
     to the position of its cell, 1 + the number of vertices in the cells
     before it; cells maps each position to the cell's vertices in BFS
     order.  dirty lists the vertices recoloured since the colouring was
-    last stable, or is None before its first refinement."""
+    last stable, every vertex before its first refinement."""
 
     __slots__ = ("colour", "cells", "dirty")
 
@@ -448,7 +449,7 @@ def _cells(keys: dict) -> _Colouring:
             cells[start] = []
         colour[v] = start
         cells[start].append(v)
-    return _Colouring(colour, cells, None)
+    return _Colouring(colour, cells, list(colour))
 
 
 def _refine(adj: dict, colouring: _Colouring) -> _Colouring:
@@ -459,17 +460,13 @@ def _refine(adj: dict, colouring: _Colouring) -> _Colouring:
     neighbour colours one round before, so the cell can split only if one
     of them has a neighbour recoloured since.  A round therefore sorts only
     the cells of more than one vertex next to a vertex recoloured by the
-    round before; the first round, those next to the dirty vertices, or all
-    of them when dirty is None."""
+    round before; the first round, those next to the dirty vertices."""
     colour, cells = colouring.colour, colouring.cells
     recoloured = colouring.dirty
     while len(cells) < len(colour):
-        if recoloured is None:
-            starts = cells
-        else:
-            starts = set()
-            for v in recoloured:
-                starts.update(map(colour.__getitem__, adj[v]))
+        starts = set()
+        for v in recoloured:
+            starts.update(map(colour.__getitem__, adj[v]))
         members = [v for start in starts if len(cells[start]) > 1 for v in cells[start]]
         key = {v: (colour[v], sorted(map(colour.__getitem__, adj[v]))) for v in members}
         members.sort(key=key.__getitem__)

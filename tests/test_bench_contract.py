@@ -3,8 +3,10 @@
 ``perfbench/trace_layers.py`` wraps package functions by name (``SPANS``),
 the benchmark's set-up script loads each input through ``io.read_<kind>``
 (``workloads.LOADS``) and every workload command is a CLI command line.  A
-rename or a deleted flag that breaks any of them would otherwise show only
-in a benchmark run.  The benchmark modules are imported read-only.
+rename or a deleted flag that breaks any of them, or a refactor that routes
+around a wrapped function (the tracer's coverage guard, ``REQUIRED``), would
+otherwise show only in a benchmark run.  The benchmark modules are imported
+read-only.
 """
 
 import importlib
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from graphsample import cli
 from graphsample import io as gio
 from graphsample.cli import _build_parser
 
@@ -27,6 +30,7 @@ def _bench_module(name):
         sys.path.remove(PERFBENCH)
 
 
+inputs = _bench_module("inputs")
 trace_layers = _bench_module("trace_layers")
 workloads = _bench_module("workloads")
 
@@ -62,3 +66,27 @@ def test_workload_commands_parse(workload):
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"{cmd.name}: {' '.join(argv)} does not parse")
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_workload_calls_every_required_span(workload, tmp_path):
+    """The coverage guard of a traced benchmark run, at 3 replicates per
+    command: every span REQUIRED for the workload records a call."""
+    paths = inputs.write_inputs(str(tmp_path), 1)
+    tracer = trace_layers.Tracer()
+    tracer.install()
+    try:
+        for cmd in workloads.WORKLOADS[workload]:
+            argv = workloads.argv_for(cmd, paths, seed=1, threads=1,
+                                      out=str(tmp_path / f"{cmd.name}.out"))
+            if "--reps" in argv:
+                argv[argv.index("--reps") + 1] = "3"
+            # cli.main is looked up at call time, so the call enters its
+            # wrapper; a test verdict of FAIL (exit 1) at 3 replicates still
+            # ran every layer
+            assert cli.main(argv) in (0, 1), cmd.name
+    finally:
+        tracer.uninstall()
+    missing = [span for span in trace_layers.REQUIRED[workload]
+               if tracer.stats[span][0] == 0]
+    assert not missing, f"{workload}: no calls recorded for {', '.join(missing)}"

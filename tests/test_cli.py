@@ -412,6 +412,19 @@ def test_vertex_count_header_errors_name_their_line(tmp_path, capsys, text, mess
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("algo, text", [("edge", "#n 2\n1 5\n"),
+                                        ("sequence", "#n 2\n1\n2\n")])
+def test_vertex_count_header_outside_vertex_graph_usage_error(algo, text, tmp_path,
+                                                              capsys):
+    path = tmp_path / "y.txt"
+    path.write_text(text)
+    code = main(["estimate", "--what", "vector", "--algo", algo, "--in", str(path),
+                 "--n", "1", "--k", "1", "--reps", "10"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: line 1: #n header outside a vertex-graph file: '#n 2'\n")
+
+
 def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     # a fault inside the package, injected where every tally keys its outputs
     def broken_key(x):

@@ -97,6 +97,22 @@ def test_vertex_count_header_is_named_by_line():
         gio.parse_vertex_graph("#n 5\n1 2\n#n 3\n")
 
 
+def test_vertex_count_header_outside_vertex_graph_files_is_refused():
+    # A vertex count means nothing to an edge sequence, a label sequence or
+    # a step graphon; the header is refused, not silently skipped.
+    with pytest.raises(ValueError, match=r"^line 1: #n header outside a vertex-graph "
+                                         r"file: '#n 2'$"):
+        gio.parse_edge_seq("#n 2\n1 5\n")
+    with pytest.raises(ValueError, match=r"^line 2: #n header outside a vertex-graph "
+                                         r"file: '#n 3'$"):
+        gio.parse_label_seq("1\n#n 3\n2\n")
+    with pytest.raises(ValueError, match=r"^line 2: #n header outside a vertex-graph "
+                                         r"file: '#n 2'$"):
+        gio.parse_step_graphon("# seed=1\n#n 2\n2\n0 0.5 1\n0.3 0.1\n0.1 0.2\n")
+    # comments that only start with "#n" are still comments
+    assert gio.parse_edge_seq("#note\n1 5\n").edges == ((1, 5),)
+
+
 def test_vertex_count_above_the_limit_is_refused(monkeypatch):
     monkeypatch.setattr(gio, "MAX_VERTICES", 5)
     assert gio.parse_vertex_graph("#n 5\n1 2\n").n == 5

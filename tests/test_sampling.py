@@ -15,6 +15,7 @@ from graphsample.models import (
 )
 from graphsample.rng import RandomStream
 from graphsample.sampling import (
+    ALGORITHMS,
     SamplerSpec,
     _draw_weighted_distinct,
     diagnose_limit,
@@ -422,6 +423,36 @@ def test_nestedness_output_k_is_restriction(spec, y, n):
         for k in range(1, n):
             assert restrict_output(outputs[k + 1], k) == outputs[k], \
                 f"seed {seed}, k {k}"
+
+
+# A path 1..8 with a hub 9 joined to every vertex: restricting to y|n for
+# n <= 8 drops the hub, which changes degrees, balls and hop distances.
+_HUB_PATH = VertexGraph(9, frozenset({(i, i + 1) for i in range(1, 8)}
+                                     | {(i, 9) for i in range(1, 9)}))
+_RESTRICTION_INPUTS = {
+    "sequence": (1, 2, 1, 3, 2, 2, 4, 1, 5),
+    "partition": Partition((1, 2, 1, 3, 2, 1, 4, 2, 5)),
+    "edge": EdgeSeqGraph(((1, 2), (2, 3), (1, 2), (3, 4), (1, 4), (2, 5), (5, 6),
+                          (1, 3), (6, 7))),
+}
+_RESTRICTION_SPECS = {"p_sample": {"p": 0.5}, "sparsified": {"rho": 0.7}}
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_sampler_sees_input_only_through_its_restriction(algorithm):
+    """f(y, n, k, stream) == f(y|n, n, k, stream) for every n below the
+    input size 9: tally_outputs restricts once and relies on it, and the
+    sequence and edge samplers read y itself."""
+    sampler = make_sampler(SamplerSpec(algorithm, **_RESTRICTION_SPECS.get(algorithm, {})))
+    y = _RESTRICTION_INPUTS.get(algorithm, _HUB_PATH)
+    for n in range(3, 9):
+        y_n = restrict_output(y, n)
+        for k in (1, 2, 3):
+            for seed in range(10):
+                full = sampler(y, n, k, RandomStream(seed))
+                cut = sampler(y_n, n, k, RandomStream(seed))
+                assert full == cut, f"n {n}, k {k}, seed {seed}"
+                assert key_for(full) == key_for(cut)
 
 
 def test_nestedness_bs_by_radius():
