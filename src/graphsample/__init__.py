@@ -75,7 +75,7 @@ from .structures import (
     multiplicity_counts,
     relabel_r,
     relabel_rprime,
-    restrict_edges,
+    restrict,
     restrict_vertices,
     shortest_path_marks,
 )

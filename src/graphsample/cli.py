@@ -77,6 +77,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--k", type=int, default=None)
 
+    def sampled(p, algo_required, in_required, reps=True):
+        """The common flags plus a sampler's: --algo, --in, --p and --rho,
+        and with reps, the Monte Carlo flags --reps and --threads."""
+        p.add_argument("--algo", choices=ALGORITHMS, required=algo_required)
+        p.add_argument("--in", dest="infile", required=in_required)
+        common(p)
+        p.add_argument("--p", type=float, default=None)
+        p.add_argument("--rho", type=float, default=None)
+        if reps:
+            p.add_argument("--reps", type=int, default=10_000)
+            p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
+
     gen = sub.add_parser("generate", help="write a synthetic input structure")
     gen.add_argument("name", choices=GENERATORS)
     common(gen)
@@ -86,22 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dust", type=float, default=0.0)
 
     smp = sub.add_parser("sample", help="run one sampler, write the output")
-    smp.add_argument("--algo", choices=ALGORITHMS, required=True)
-    smp.add_argument("--in", dest="infile", required=True)
-    common(smp)
-    smp.add_argument("--p", type=float, default=None)
-    smp.add_argument("--rho", type=float, default=None)
+    sampled(smp, algo_required=True, in_required=True, reps=False)
 
     est = sub.add_parser("estimate", help="prefix densities, profiles, LLN traces")
     est.add_argument("--what", choices=("vector", "density", "degrees",
                                         "multiplicity", "lln", "misspec"),
                      required=True)
-    est.add_argument("--algo", choices=ALGORITHMS, default=None)
-    est.add_argument("--in", dest="infile", default=None)
-    common(est)
-    est.add_argument("--reps", type=int, default=10_000)
-    est.add_argument("--p", type=float, default=None)
-    est.add_argument("--rho", type=float, default=None)
+    sampled(est, algo_required=False, in_required=False)
     est.add_argument("--pattern", default=None, help="pattern file (density)")
     est.add_argument("--schedule", default=None, help="comma-separated sizes")
     est.add_argument("--j", type=int, default=1, help="restriction size for lln")
@@ -109,36 +112,23 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="label whose first-entry indicator lln traces")
     est.add_argument("--misspec-k", type=int, default=None)
     est.add_argument("--misspec-j", type=int, default=None)
-    est.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     tst = sub.add_parser("test", help="invariance / idempotence / equivalence tests")
     tst.add_argument("--test", choices=("exchangeability", "idempotence",
                                         "equivalence", "involution"),
                      required=True)
-    tst.add_argument("--algo", choices=ALGORITHMS, default=None)
-    tst.add_argument("--in", dest="infile", required=True)
-    common(tst)
+    sampled(tst, algo_required=False, in_required=True)
     tst.add_argument("--in2", default=None, help="second input (equivalence)")
     tst.add_argument("--m", type=int, default=None, help="middle size (idempotence)")
     tst.add_argument("--k-max", type=int, default=3)
     tst.add_argument("--radius", type=int, default=1)
     tst.add_argument("--root", default="uniform",
                      help='"uniform" or a fixed root vertex (involution)')
-    tst.add_argument("--reps", type=int, default=10_000)
-    tst.add_argument("--p", type=float, default=None)
-    tst.add_argument("--rho", type=float, default=None)
-    tst.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     dia = sub.add_parser("diagnose", help="limit-in-input-size stabilization trace")
-    dia.add_argument("--algo", choices=ALGORITHMS, required=True)
-    dia.add_argument("--in", dest="infile", required=True)
-    common(dia)
+    sampled(dia, algo_required=True, in_required=True)
     dia.add_argument("--schedule", required=True)
-    dia.add_argument("--reps", type=int, default=10_000)
     dia.add_argument("--tol", type=float, default=0.02)
-    dia.add_argument("--p", type=float, default=None)
-    dia.add_argument("--rho", type=float, default=None)
-    dia.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     return top
 

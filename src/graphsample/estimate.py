@@ -162,6 +162,8 @@ def lln_trace(spec_or_sampler, y, n: int, f, j: int, k_schedule, reps: int,
     the mean over replicates of the symmetrized empirical average of f
     applied to a fresh size-k sample.  Exact symmetrization is used for
     k <= 7, Monte Carlo permutations above."""
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     sampler = _as_sampler(spec_or_sampler)
     estimates = []
     ks = tuple(int(k) for k in k_schedule)

@@ -11,7 +11,9 @@ report carries its threshold so the decision is auditable.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .estimate import PatternTally, prefix_density_vector, tally_outputs
 from .rng import RandomStream
@@ -172,14 +174,14 @@ def _normalize_root_law(root_law, y_n: VertexGraph) -> list:
     return [(v, w / total) for v, w in items if w > 0]
 
 
-def _draw_from_law(law: list, rng: RandomStream) -> int:
-    u = rng.uniform()
-    acc = 0.0
-    for v, w in law:
-        acc += w
-        if u < acc:
-            return v
-    return law[-1][0]
+def _root_drawer(law: list):
+    """Draw a root from a law: the first vertex whose running total, summed
+    in law order, exceeds a uniform draw, or the last vertex if rounding
+    leaves every total below it.  The totals are summed once per law, and
+    each draw bisects them."""
+    roots = [v for v, _ in law]
+    totals = list(accumulate(w for _, w in law))
+    return lambda rng: roots[min(bisect_right(totals, rng.uniform()), len(roots) - 1)]
 
 
 def test_involution_invariance(root_law, y: VertexGraph, n: int, radius: int,
@@ -232,11 +234,13 @@ def test_involution_invariance(root_law, y: VertexGraph, n: int, radius: int,
         rep.notes.append("exact enumeration over the root law (no Monte Carlo)")
         return rep
 
+    draw_root = _root_drawer(law)
+
     def at_root(g, nn, r, stream):
-        return ball(g, _draw_from_law(law, stream), r)
+        return ball(g, draw_root(stream), r)
 
     def one_step(g, nn, r, stream):
-        nbrs = adj[_draw_from_law(law, stream)]
+        nbrs = adj[draw_root(stream)]
         return ball(g, nbrs[stream.randbelow(len(nbrs))], r)
 
     ta = tally_outputs(at_root, y_n, n, radius, reps, rng.substream("inv", 0))

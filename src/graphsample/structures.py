@@ -264,15 +264,6 @@ class EdgeSeqGraph:
         return len(self.edges)
 
 
-def restrict_edges(g: EdgeSeqGraph, m: int) -> EdgeSeqGraph:
-    """First m edges, in order."""
-    if not 0 <= m <= len(g.edges):
-        raise ValueError(f"restriction depth {m} outside 0..{len(g.edges)}")
-    if m == len(g.edges):
-        return g
-    return EdgeSeqGraph(g.edges[:m])
-
-
 def multiplicity_counts(g: EdgeSeqGraph) -> dict:
     """Exact multiedge counts, pair -> number of occurrences."""
     return dict(Counter(g.edges))
@@ -343,12 +334,6 @@ class Partition:
         return len(self.labels)
 
 
-def restrict_partition(p: Partition, m: int) -> Partition:
-    if not 0 <= m <= len(p.labels):
-        raise ValueError(f"restriction depth {m} outside 0..{len(p.labels)}")
-    return Partition(p.labels[:m])
-
-
 # ---------------------------------------------------------------------------
 # rooted graphs and balls
 
@@ -387,14 +372,6 @@ class RootedGraph:
     def depths(self) -> dict:
         """Vertex -> hop distance from the root, kept at construction."""
         return self._depths
-
-
-def restrict_rooted(rg: RootedGraph, r: int) -> RootedGraph:
-    """Ball of radius r around the root, within rg."""
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    depths = {v: d for v, d in rg.depths().items() if d <= r}
-    return _induced_rooted(rg.adjacency(), depths, rg.root)
 
 
 def canonical_rooted(rg: RootedGraph) -> tuple:
@@ -689,13 +666,6 @@ class MarkedCompleteGraph:
         object.__setattr__(self, "marks", tuple(sorted(d.items())))
 
 
-def restrict_marked(m: MarkedCompleteGraph, j: int) -> MarkedCompleteGraph:
-    if not 0 <= j <= m.k:
-        raise ValueError(f"restriction depth {j} outside 0..{m.k}")
-    kept = {p: v for p, v in m.marks if p[1] <= j}
-    return MarkedCompleteGraph(j, tuple(sorted(kept.items())))
-
-
 def shortest_path_marks(g: VertexGraph, chosen) -> MarkedCompleteGraph:
     """Pairwise shortest-path lengths in g between the chosen vertices.
 
@@ -742,20 +712,29 @@ def size_of(x) -> int:
 def restrict(x, d: int):
     """Restriction map of each kind: the size-d initial substructure, the
     radius-d ball for rooted graphs, the first d balls of an ego output
-    list.  Sampler outputs nest under it: output(k)|_j == output(j)."""
+    list.  Sampler outputs nest under it: output(k)|_j == output(j).  Depth
+    bounds: 1..n for a vertex graph, d >= 0 for a rooted graph, and
+    0..size_of(x) for every other kind."""
     if isinstance(x, VertexGraph):
         return restrict_vertices(x, d)
-    if isinstance(x, EdgeSeqGraph):
-        return restrict_edges(x, d)
-    if isinstance(x, Partition):
-        return restrict_partition(x, d)
-    if isinstance(x, MarkedCompleteGraph):
-        return restrict_marked(x, d)
     if isinstance(x, RootedGraph):
-        return restrict_rooted(x, d)
-    if isinstance(x, (tuple, list)):
-        return x[:d]
-    raise TypeError(f"no restriction defined for {type(x).__name__}")
+        if d < 0:
+            raise ValueError("radius must be >= 0")
+        depths = {v: r for v, r in x.depths().items() if r <= d}
+        return _induced_rooted(x.adjacency(), depths, x.root)
+    try:
+        size = size_of(x)
+    except TypeError:
+        raise TypeError(f"no restriction defined for {type(x).__name__}") from None
+    if not 0 <= d <= size:
+        raise ValueError(f"restriction depth {d} outside 0..{size}")
+    if isinstance(x, EdgeSeqGraph):
+        return x if d == size else EdgeSeqGraph(x.edges[:d])
+    if isinstance(x, Partition):
+        return Partition(x.labels[:d])
+    if isinstance(x, MarkedCompleteGraph):
+        return MarkedCompleteGraph(d, tuple((p, v) for p, v in x.marks if p[1] <= d))
+    return x[:d]
 
 
 def subsample_in_order(x, positions):

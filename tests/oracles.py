@@ -17,7 +17,7 @@ from graphsample.structures import (
     key_for,
     relabel_r,
     relabel_rprime,
-    restrict_edges,
+    restrict,
     restrict_vertices,
     shortest_path_marks,
 )
@@ -179,7 +179,7 @@ def law_partition(pi, n, k):
 
 
 def law_edges(y, n, k):
-    g = restrict_edges(y, n)
+    g = restrict(y, n)
     law = {}
     total = 0
     for sel in permutations(range(n), k):

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -7,8 +8,9 @@ import pytest
 
 from graphsample import estimate
 from graphsample import io as gio
-from graphsample.cli import main
+from graphsample.cli import GENERATORS, _build_parser, main
 from graphsample.models import y4
+from graphsample.sampling import ALGORITHMS
 from graphsample.structures import Partition
 
 
@@ -338,6 +340,65 @@ def test_diagnose_schedule_too_large_usage_error(tmp_path):
     code = main(["diagnose", "--algo", "uniform_vertex", "--in", str(y4_file),
                  "--n", "4", "--k", "2", "--schedule", "2,8", "--reps", "10"])
     assert code == 2
+
+
+# Every subcommand's options: dest -> (option strings, default, required,
+# choices, type).  The parser declares shared options once; this table pins
+# each subcommand's flags, so that sharing cannot change any of them.
+_TASKS = ("vector", "density", "degrees", "multiplicity", "lln", "misspec")
+_TESTS = ("exchangeability", "idempotence", "equivalence", "involution")
+_COMMON = {"seed": (("--seed",), 0, False, None, int),
+           "out": (("--out",), None, False, None, None),
+           "n": (("--n",), None, False, None, int),
+           "k": (("--k",), None, False, None, int)}
+_SAMPLER = {"p": (("--p",), None, False, None, float),
+            "rho": (("--rho",), None, False, None, float)}
+_REPS = {"reps": (("--reps",), 10_000, False, None, int),
+         "threads": (("--threads",), None, False, None, int)}
+
+
+def _options(algo_required, in_required):
+    return {"algo": (("--algo",), None, algo_required, tuple(ALGORITHMS), None),
+            "infile": (("--in",), None, in_required, None, None),
+            **_COMMON, **_SAMPLER}
+
+
+CLI_OPTIONS = {
+    "generate": {"name": ((), None, True, tuple(GENERATORS), None), **_COMMON,
+                 "file": (("--file",), None, False, None, None),
+                 "atoms": (("--atoms",), None, False, None, None),
+                 "dust": (("--dust",), 0.0, False, None, float)},
+    "sample": _options(True, True),
+    "estimate": {**_options(False, False), **_REPS,
+                 "what": (("--what",), None, True, _TASKS, None),
+                 "pattern": (("--pattern",), None, False, None, None),
+                 "schedule": (("--schedule",), None, False, None, None),
+                 "j": (("--j",), 1, False, None, int),
+                 "label": (("--label",), 1, False, None, int),
+                 "misspec_k": (("--misspec-k",), None, False, None, int),
+                 "misspec_j": (("--misspec-j",), None, False, None, int)},
+    "test": {**_options(False, True), **_REPS,
+             "test": (("--test",), None, True, _TESTS, None),
+             "in2": (("--in2",), None, False, None, None),
+             "m": (("--m",), None, False, None, int),
+             "k_max": (("--k-max",), 3, False, None, int),
+             "radius": (("--radius",), 1, False, None, int),
+             "root": (("--root",), "uniform", False, None, None)},
+    "diagnose": {**_options(True, True), **_REPS,
+                 "schedule": (("--schedule",), None, True, None, None),
+                 "tol": (("--tol",), 0.02, False, None, float)},
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    top = _build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(CLI_OPTIONS)
+    for name, parser in sub.choices.items():
+        got = {a.dest: (tuple(a.option_strings), a.default, a.required,
+                        tuple(a.choices) if a.choices is not None else None, a.type)
+               for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        assert got == CLI_OPTIONS[name], name
 
 
 def test_unknown_flag_exits_2():

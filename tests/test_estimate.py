@@ -199,6 +199,20 @@ def test_lln_trace_constant_function():
     assert trace.estimates == (1.0, 1.0)
 
 
+@pytest.mark.parametrize("reps", [0, -1])
+def test_lln_trace_refuses_reps_below_one_before_sampling(reps):
+    calls = []
+
+    def sampler(y, n, k, stream):
+        calls.append(k)
+        return y[:k]
+
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        lln_trace(sampler, (1, 2) * 20, 40, lambda s: 1.0, 1, (2, 4), reps,
+                  RandomStream(0))
+    assert calls == []
+
+
 # -- profiles ----------------------------------------------------------------------------
 
 def test_degree_profile_star():

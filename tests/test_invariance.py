@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphsample import invariance
 from graphsample.invariance import (
@@ -289,6 +291,30 @@ def test_truncation_check_stops_at_the_first_deep_vertex(monkeypatch):
 def test_involution_monte_carlo_needs_a_replicate():
     with pytest.raises(ValueError, match="reps must be >= 1"):
         test_involution_invariance("uniform", cycle_vertex(10), 10, 1, 0, RandomStream(0))
+
+
+def _draw_by_linear_scan(law, rng):
+    """Reference root draw: walk the law, summing weights in order."""
+    u = rng.uniform()
+    acc = 0.0
+    for v, w in law:
+        acc += w
+        if u < acc:
+            return v
+    return law[-1][0]
+
+
+@given(st.lists(st.floats(min_value=1e-300, max_value=0.5), min_size=1, max_size=12),
+       st.booleans(), st.integers(0, 2**32))
+def test_root_draw_picks_as_the_linear_scan(weights, normalize, seed):
+    """Same picks as the scan, for laws summing to about 1 and for raw weights
+    whose total may fall short of a draw (the last-vertex fallback)."""
+    law = [(v + 1, w) for v, w in enumerate(weights)]
+    if normalize:
+        law = invariance._normalize_root_law(dict(law), VertexGraph(len(law), frozenset()))
+    draw = invariance._root_drawer(law)
+    a, b = RandomStream(seed), RandomStream(seed)
+    assert [draw(a) for _ in range(50)] == [_draw_by_linear_scan(law, b) for _ in range(50)]
 
 
 # -- report plumbing ---------------------------------------------------------------------

@@ -27,8 +27,7 @@ from graphsample.structures import (
     multiplicity_counts,
     relabel_r,
     relabel_rprime,
-    restrict_edges,
-    restrict_rooted,
+    restrict,
     restrict_vertices,
     shortest_path_marks,
     size_of,
@@ -91,12 +90,37 @@ def test_restrict_vertices_y4_examples():
 
 def test_restrict_edges_examples():
     g = EdgeSeqGraph(((1, 2), (1, 3), (4, 5)))
-    assert restrict_edges(g, 2).edges == ((1, 2), (1, 3))
-    assert restrict_edges(g, 0).edges == ()
+    assert restrict(g, 2).edges == ((1, 2), (1, 3))
+    assert restrict(g, 0).edges == ()
     h = EdgeSeqGraph(((1, 2), (3, 4), (1, 5), (6, 7)))
-    assert restrict_edges(restrict_edges(h, 3), 1) == restrict_edges(h, 1)
+    assert restrict(restrict(h, 3), 1) == restrict(h, 1)
     with pytest.raises(ValueError):
-        restrict_edges(g, 4)
+        restrict(g, 4)
+
+
+_SIZED = {
+    "vertex graph": (y4(), 1, 4),
+    "edge sequence": (EdgeSeqGraph(((1, 2), (1, 3))), 0, 2),
+    "partition": (Partition((1, 2, 1)), 0, 3),
+    "marked complete graph": (MarkedCompleteGraph(2, (((1, 2), 1),)), 0, 2),
+    "label tuple": ((1, 2, 3), 0, 3),
+    "ego list": ([ball(cycle_vertex(6), 1, 1), ball(cycle_vertex(6), 4, 1)], 0, 2),
+}
+
+
+@pytest.mark.parametrize("kind", list(_SIZED))
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_restrict_refuses_depth_outside_its_kind_range(kind, side):
+    x, low, size = _SIZED[kind]
+    assert size_of(restrict(x, low)) == low and restrict(x, size) == x
+    depth = low - 1 if side == "below" else size + 1
+    with pytest.raises(ValueError, match=f"restriction depth {depth} outside {low}..{size}"):
+        restrict(x, depth)
+
+
+def test_restrict_refuses_negative_radius():
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        restrict(ball(cycle_vertex(8), 1, 2), -1)
 
 
 @st.composite
@@ -174,7 +198,7 @@ def test_ball_matches_edge_scan_reference(g, data):
 
 def test_restrict_rooted_shrinks_radius():
     rg = ball(cycle_vertex(8), 1, 2)
-    inner = restrict_rooted(rg, 1)
+    inner = restrict(rg, 1)
     assert inner == ball(cycle_vertex(8), 1, 1)
 
 
@@ -282,7 +306,7 @@ def test_restricted_ball_is_the_smaller_ball(g, data):
     center = data.draw(st.integers(1, g.n))
     big = data.draw(st.integers(0, 3))
     r = data.draw(st.integers(0, big))
-    assert restrict_rooted(ball(g, center, big), r) == ball(g, center, r)
+    assert restrict(ball(g, center, big), r) == ball(g, center, r)
 
 
 @given(small_graphs(), st.data())
@@ -315,7 +339,7 @@ def test_ball_is_built_from_the_bfs_that_found_it(monkeypatch):
     monkeypatch.setattr(structures, "_bfs_distances", counted)
     rg = ball(_CHORDED, 1, 2)
     assert calls == [1]
-    small = restrict_rooted(rg, 1)
+    small = restrict(rg, 1)
     assert calls == [1]
     assert small.depths() == {1: 0, 2: 1, 7: 1}
     assert {v: sorted(nbrs) for v, nbrs in small.adjacency().items()} == {
