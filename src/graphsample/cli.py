@@ -153,7 +153,9 @@ def _load(algo: str, path):
     return gio.read_vertex_graph(path)
 
 
-def _emit(args, text: str):
+def _emit(args, text: str, seeded: bool = False):
+    if seeded:  # under the metadata lines every CSV renderer writes
+        text = "".join(line + "\n" for line in gio._meta_lines(args.seed)) + text
     if args.out:
         gio.write_text(args.out, text)
     else:
@@ -175,8 +177,7 @@ def _cmd_generate(args) -> int:
         x = models.paintbox_draw(pb, _require(args.n, "--n"), rng).labels
     else:
         x = _SIZED_GENERATORS[name](_require(args.n, "--n"))
-    text = f"# seed={args.seed}\n" + gio.render_structure(x)
-    _emit(args, text)
+    _emit(args, gio.render_structure(x), seeded=True)
     return 0
 
 
@@ -200,8 +201,7 @@ def _cmd_sample(args) -> int:
         raise UsageError("missing required flag --k")
     rng = RandomStream(args.seed)
     out = sampler(y, n, k, rng)
-    text = f"# seed={args.seed}\n" + gio.render_structure(out)
-    _emit(args, text)
+    _emit(args, gio.render_structure(out), seeded=True)
     return 0
 
 
@@ -232,9 +232,9 @@ def _cmd_estimate(args) -> int:
         if args.what == "density":
             pattern = _load(args.algo, _require(args.pattern, "--pattern"))
             est, err = estimate_prefix_density(spec, y, n, pattern, args.reps, rng)
-            _emit(args, f"# seed={args.seed}\npattern_key,count,density,stderr\n"
+            _emit(args, "pattern_key,count,density,stderr\n"
                         f"{key_for(pattern).hex()},"
-                        f"{round(est * args.reps)},{est:.10g},{err:.10g}\n")
+                        f"{round(est * args.reps)},{est:.10g},{err:.10g}\n", seeded=True)
             return 0
         if args.algo not in _SEQUENCE_ALGOS:
             raise UsageError("--what lln supports sequence/partition inputs; "

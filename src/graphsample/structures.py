@@ -23,8 +23,11 @@ first use, so samplers build them once per input, not per replicate.  It
 also memoises the pattern keys of its balls by (center, radius), so a ball
 that many replicates draw is canonicalised once per graph; the memo holds
 PatternKeys (8 bytes an edge), never balls or forms, and dies with the
-graph.  A rooted graph keeps the adjacency and depth map its validation
-builds; restriction and canonical form read them.
+graph.  A rooted graph is the breadth-first search that found it (root,
+host adjacency, depth map and, for a ball, its place in that memo); its
+adjacency, vertices and edges are derived on first read, so a ball whose
+key the memo holds costs only its search.  Outside input enters through
+RootedGraph.from_edges, which checks it.
 
 Each operation that depends on the kind has one home here: size_of,
 restrict, subsample_in_order (the relabeling action) and key_for.  Keys
@@ -170,30 +173,16 @@ def induced_ordered(g: VertexGraph, order) -> VertexGraph:
 
 def ball(g: VertexGraph, center: int, r: int) -> "RootedGraph":
     """Induced subgraph on vertices within hop-distance r of center,
-    rooted at center.  Vertices keep their labels from g; the edges are read
-    off the adjacency of the ball's vertices.  The ball is tagged with its
-    place (center, r) in g's ball-key memo, where key_for keeps its key."""
+    rooted at center.  Vertices keep their labels from g.  The ball is the
+    search over g's adjacency that found its vertices, placed at
+    (center, r) in g's ball-key memo, where key_for keeps its key."""
     if not 1 <= center <= g.n:
         raise ValueError(f"center {center} outside 1..{g.n}")
     if r < 0:
         raise ValueError("radius must be >= 0")
     adj = g.adjacency()
-    rg = _induced_rooted(adj, _bfs_distances(adj, center, limit=r), center)
-    rg.__dict__["_key_slot"] = (_memo(g, "_ball_keys", dict), (center, r))
-    return rg
-
-
-def _induced_rooted(adj: dict, depths: dict, root: int) -> "RootedGraph":
-    """The rooted graph induced on the vertices of depths, the exact hop
-    distances from root in adj of every vertex within some radius.  adj cut
-    to those vertices is its adjacency and depths its depth map; it is
-    connected and holds its root by construction, so no check runs."""
-    sub = {v: tuple(w for w in adj[v] if w in depths) for v in depths}
-    rg = object.__new__(RootedGraph)
-    rg.__dict__.update(vertices=frozenset(depths), root=root, edges=frozenset(
-        (u, w) for u, nbrs in sub.items() for w in nbrs if u < w),
-        _adjacency=sub, _depths=depths)
-    return rg
+    return RootedGraph(center, adj, _bfs_distances(adj, center, limit=r),
+                       (_memo(g, "_ball_keys", dict), (center, r)))
 
 
 def _bfs_distances(adj: dict, source: int, limit: float = UNREACHABLE) -> dict:
@@ -338,40 +327,67 @@ class Partition:
 # rooted graphs and balls
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RootedGraph:
-    """Finite connected graph with a distinguished root vertex."""
+    """Finite connected graph with a distinguished root vertex: the subgraph
+    of the adjacency host induced on dist, the hop distances from root in
+    host of its vertices.  place is (memo, at) for a ball, the dict that
+    keeps its pattern key and the key's slot in it, else None."""
 
-    vertices: frozenset
-    edges: frozenset
     root: int
+    host: dict
+    dist: dict
+    place: tuple | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "edges", frozenset(
-            (u, v) if u < v else _check_edge(u, v) for u, v in self.edges))
-        # Check the root, the edge endpoints and connectivity, in that
-        # order, and keep the adjacency and depth map.
-        if self.root not in self.vertices:
+    @classmethod
+    def from_edges(cls, vertices, edges, root: int) -> "RootedGraph":
+        """The rooted graph on vertices and edges (pairs in either order),
+        checked for self-loops, root, edge endpoints and connectivity."""
+        vertices = frozenset(vertices)
+        edges = frozenset((u, v) if u < v else _check_edge(u, v) for u, v in edges)
+        if root not in vertices:
             raise ValueError("root must be a vertex")
         try:
-            adj = _adjacency(self.vertices, self.edges)
+            adj = _adjacency(vertices, edges)
         except KeyError:
-            u, v = next(e for e in self.edges if not self.vertices.issuperset(e))
+            u, v = next(e for e in edges if not vertices.issuperset(e))
             raise ValueError(f"edge ({u},{v}) has endpoint outside vertex set") from None
-        depths = _bfs_distances(adj, self.root)
-        if len(depths) != len(self.vertices):
+        dist = _bfs_distances(adj, root)
+        if len(dist) != len(vertices):
             raise ValueError("rooted graph must be connected")
-        object.__setattr__(self, "_adjacency", adj)
-        object.__setattr__(self, "_depths", depths)
+        return cls(root, adj, dist)
 
     def adjacency(self) -> dict:
-        """Vertex -> tuple of neighbours, kept at construction; do not mutate."""
-        return self._adjacency
+        """Vertex -> tuple of neighbours, host's rows cut to the graph's
+        vertices, built once; do not mutate."""
+        dist = self.dist
+        return _memo(self, "_adjacency", lambda: {
+            v: tuple(w for w in self.host[v] if w in dist) for v in dist})
 
     def depths(self) -> dict:
-        """Vertex -> hop distance from the root, kept at construction."""
-        return self._depths
+        """Vertex -> hop distance from the root."""
+        return self.dist
+
+    @property
+    def vertices(self) -> frozenset:
+        return _memo(self, "_vertices", lambda: frozenset(self.dist))
+
+    @property
+    def edges(self) -> frozenset:
+        return _memo(self, "_edges", lambda: frozenset(
+            (u, w) for u, nbrs in self.adjacency().items() for w in nbrs if u < w))
+
+    def __eq__(self, other):
+        if not isinstance(other, RootedGraph):
+            return NotImplemented
+        return (self.vertices, self.edges, self.root) == (other.vertices, other.edges, other.root)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges, self.root))
+
+    def __repr__(self):
+        return (f"RootedGraph(vertices={sorted(self.vertices)}, "
+                f"edges={sorted(self.edges)}, root={self.root})")
 
 
 def canonical_rooted(rg: RootedGraph) -> tuple:
@@ -399,7 +415,7 @@ def canonical_rooted(rg: RootedGraph) -> tuple:
     """
     adj = rg.adjacency()
     colouring = _refine(adj, _cells({v: (d, len(adj[v])) for v, d in rg.depths().items()}))
-    return (len(rg.vertices), _search(adj, colouring))
+    return (len(adj), _search(adj, colouring))
 
 
 class _Colouring:
@@ -720,8 +736,7 @@ def restrict(x, d: int):
     if isinstance(x, RootedGraph):
         if d < 0:
             raise ValueError("radius must be >= 0")
-        depths = {v: r for v, r in x.depths().items() if r <= d}
-        return _induced_rooted(x.adjacency(), depths, x.root)
+        return RootedGraph(x.root, x.host, {v: r for v, r in x.dist.items() if r <= d})
     try:
         size = size_of(x)
     except TypeError:
@@ -828,10 +843,9 @@ def key_for(x) -> PatternKey:
             flat.extend((i, j, 0 if m == UNREACHABLE else int(m)))
         return PatternKey("mc", _pack(flat))
     if isinstance(x, RootedGraph):
-        slot = x.__dict__.get("_key_slot")
-        if slot is None:
+        if x.place is None:
             return _rooted_key(x)
-        keys, at = slot
+        keys, at = x.place
         key = keys.get(at)
         if key is None:
             key = keys[at] = _rooted_key(x)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -35,6 +36,7 @@ from graphsample.structures import (
 )
 from graphsample.estimate import prefix_density_vector
 from graphsample.invariance import test_involution_invariance
+from graphsample.io import render_rooted
 from graphsample.models import cycle_vertex, star_vertex, y4
 from graphsample.rng import RandomStream
 from graphsample.sampling import SamplerSpec
@@ -176,7 +178,7 @@ def _hops_by_edge_scan(g, center, r):
 def _ball_by_edge_scan(g, center, r):
     """Reference ball on the vertices _hops_by_edge_scan reaches."""
     verts = frozenset(_hops_by_edge_scan(g, center, r))
-    return RootedGraph(verts, frozenset(e for e in g.edges if set(e) <= verts), center)
+    return RootedGraph.from_edges(verts, frozenset(e for e in g.edges if set(e) <= verts), center)
 
 
 @pytest.mark.parametrize("g, center, r", [
@@ -193,7 +195,19 @@ def test_ball_same_through_adjacency_and_edge_scan(g, center, r):
 def test_ball_matches_edge_scan_reference(g, data):
     center = data.draw(st.integers(1, g.n))
     r = data.draw(st.integers(0, 3))
-    assert ball(g, center, r) == _ball_by_edge_scan(g, center, r)
+    b = ball(g, center, r)
+    assert b == _ball_by_edge_scan(g, center, r)
+    # a ball and the same graph built from its edges agree on every reading
+    f = RootedGraph.from_edges(b.vertices, b.edges, b.root)
+    assert hash(b) == hash(f) and repr(b) == repr(f) and b.depths() == f.depths()
+    assert key_for(b) == key_for(f)
+    assert render_rooted(b) == render_rooted(f)
+    for d in range(r + 1):
+        assert restrict(b, d) == restrict(f, d)
+    for rg in (b, f):
+        for name in ("root", "place"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rg, name, None)
 
 
 def test_restrict_rooted_shrinks_radius():
@@ -204,21 +218,21 @@ def test_restrict_rooted_shrinks_radius():
 
 def test_rooted_graph_invariants():
     with pytest.raises(ValueError):  # root outside vertex set
-        RootedGraph(frozenset({1, 2}), frozenset({(1, 2)}), 3)
+        RootedGraph.from_edges(frozenset({1, 2}), frozenset({(1, 2)}), 3)
     with pytest.raises(ValueError):  # disconnected
-        RootedGraph(frozenset({1, 2, 3}), frozenset({(1, 2)}), 1)
+        RootedGraph.from_edges(frozenset({1, 2, 3}), frozenset({(1, 2)}), 1)
 
 
 def test_rooted_graph_checks_in_order():
-    assert RootedGraph({1, 2, 3}, {(2, 1), (3, 2)}, 2).edges == frozenset({(1, 2), (2, 3)})
+    assert RootedGraph.from_edges({1, 2, 3}, {(2, 1), (3, 2)}, 2).edges == frozenset({(1, 2), (2, 3)})
     with pytest.raises(ValueError, match="^self-loop at vertex 2$"):  # before the root
-        RootedGraph({1, 2}, {(1, 2), (2, 2)}, 3)
+        RootedGraph.from_edges({1, 2}, {(1, 2), (2, 2)}, 3)
     with pytest.raises(ValueError, match="^root must be a vertex$"):  # before endpoints
-        RootedGraph({1, 2}, {(5, 1)}, 3)
+        RootedGraph.from_edges({1, 2}, {(5, 1)}, 3)
     with pytest.raises(ValueError, match=r"^edge \(1,5\) has endpoint outside vertex set$"):
-        RootedGraph({1, 2}, {(2, 1), (5, 1)}, 1)
+        RootedGraph.from_edges({1, 2}, {(2, 1), (5, 1)}, 1)
     with pytest.raises(ValueError, match="^rooted graph must be connected$"):
-        RootedGraph({1, 2, 3, 4}, {(1, 2), (4, 3)}, 1)
+        RootedGraph.from_edges({1, 2, 3, 4}, {(1, 2), (4, 3)}, 1)
 
 
 # -- relabeling maps -----------------------------------------------------------
@@ -319,7 +333,7 @@ def test_depths_are_hop_distances(g, data):
 def test_rooted_graph_index_is_outside_its_fields():
     rg = ball(_CHORDED, 1, 2)
     adj, depths = rg.adjacency(), rg.depths()
-    fresh = RootedGraph(rg.vertices, rg.edges, rg.root)
+    fresh = RootedGraph.from_edges(rg.vertices, rg.edges, rg.root)
     assert rg.adjacency() is adj and rg.depths() is depths
     assert rg == fresh and hash(rg) == hash(fresh) and repr(rg) == repr(fresh)
     assert all(isinstance(nbrs, tuple) for nbrs in adj.values())
@@ -344,7 +358,24 @@ def test_ball_is_built_from_the_bfs_that_found_it(monkeypatch):
     assert small.depths() == {1: 0, 2: 1, 7: 1}
     assert {v: sorted(nbrs) for v, nbrs in small.adjacency().items()} == {
         1: [2, 7], 2: [1], 7: [1]}
-    assert small == RootedGraph(small.vertices, small.edges, small.root)
+    assert small == RootedGraph.from_edges(small.vertices, small.edges, small.root)
+
+
+def test_ball_key_memo_hit_builds_only_the_bfs(monkeypatch):
+    g = VertexGraph(_CHORDED.n, _CHORDED.edges)
+    key_for(ball(g, 2, 2))
+    calls = []
+
+    def counted(adj, source, limit=UNREACHABLE):
+        calls.append(source)
+        return bfs(adj, source, limit)
+
+    bfs = structures._bfs_distances
+    monkeypatch.setattr(structures, "_bfs_distances", counted)
+    b = ball(g, 2, 2)
+    assert key_for(b) is g.__dict__["_ball_keys"][(2, 2)]
+    assert "_adjacency" not in b.__dict__
+    assert calls == [2]
 
 
 @st.composite
@@ -386,7 +417,7 @@ def sparse_balls(draw):
 def _relabeled(rg, rnd):
     """rg with its vertices renamed by a random injection into 1..2**40."""
     name = dict(zip(rg.vertices, rnd.sample(range(1, 2 ** 40), len(rg.vertices))))
-    return RootedGraph(frozenset(name.values()),
+    return RootedGraph.from_edges(frozenset(name.values()),
                        frozenset((name[u], name[v]) for u, v in rg.edges), name[rg.root])
 
 
@@ -399,7 +430,7 @@ def _moved_edge(rg, rnd):
         return rg
     edges = (rg.edges - {rnd.choice(sorted(rg.edges))}) | {rnd.choice(absent)}
     try:
-        return RootedGraph(rg.vertices, edges, rg.root)
+        return RootedGraph.from_edges(rg.vertices, edges, rg.root)
     except ValueError:  # the move disconnected it
         return rg
 
@@ -864,7 +895,7 @@ def test_ball_key_memo_never_changes_a_key(g, data):
         first = key_for(ball(g, center, r))
         second = key_for(ball(g, center, r))
         b = ball(g, center, r)
-        assert first == second == key_for(RootedGraph(b.vertices, b.edges, b.root))
+        assert first == second == key_for(RootedGraph.from_edges(b.vertices, b.edges, b.root))
         assert g.__dict__["_ball_keys"][(center, r)] is first
 
 
@@ -878,7 +909,7 @@ def test_restriction_keeps_its_own_ball_key_memo():
     assert key_for(ball(g, 2, 1)) == in_g and key_for(ball(sub, 2, 1)) == in_sub
     assert g.__dict__["_ball_keys"] is not sub.__dict__["_ball_keys"]
     b = ball(sub, 2, 1)
-    assert in_sub == key_for(RootedGraph(b.vertices, b.edges, b.root))
+    assert in_sub == key_for(RootedGraph.from_edges(b.vertices, b.edges, b.root))
 
 
 def test_ball_key_memo_holds_keys_only():
