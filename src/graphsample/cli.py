@@ -8,7 +8,8 @@ output with a ``# seed=<u64>`` comment so any run can be replayed exactly;
 test writes its one-line summary first, and with ``--out`` the two tallies
 after it, each under its own ``# seed=`` comment.
 ``--threads`` is accepted by estimate, test and diagnose and has no
-effect: runs are single-threaded and results never depended on it.
+effect: long tallies split across the CPUs the process may run on, and
+results are bit-identical to one process.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ _SIZED_GENERATORS = {
 GENERATORS = ("y4", *_SIZED_GENERATORS, "graphon", "paintbox")
 
 _SEQUENCE_ALGOS = {SEQUENCE, PARTITION}
-_THREADS_HELP = "accepted, has no effect; results never depended on it"
+_THREADS_HELP = ("accepted, has no effect; long tallies split across the CPUs the "
+                 "process may run on, bit-identical to one process")
 
 
 def _parse_schedule(text: str):

@@ -3,13 +3,19 @@ degree/multiplicity profiles.
 
 Monte Carlo estimators give replicate r its own random stream derived from
 the master stream, rng.substream(r), and replicate r reads nothing else, so
-a tally is a pure function of the input, sizes and seed.
+a tally is a pure function of the input, sizes and seed.  That lets a long
+replicate loop run its contiguous ranges in forked processes, one per CPU
+the process may run on (_over_ranges); the ranges' parts merge in range
+order, so a tally is bit-identical, dict order included, to one process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
+import time
 from dataclasses import dataclass
 from math import fsum
 
@@ -19,6 +25,8 @@ from .structures import EdgeSeqGraph, key_for, restrict, size_of, subsample_in_o
 
 EXACT_SYMMETRIZATION_MAX = 7  # k! grows past 5040 permutations above this
 CAUCHY_TOL = 0.01  # profile items whose last two values differ by more are flagged
+_SPLIT_S = 0.05  # seconds of replicates left that pay for one more process
+_in_child = False  # set in a forked child, which never forks again
 
 
 class PatternTally:
@@ -82,10 +90,127 @@ def tally_outputs(sampler, y, n: int, k: int, reps: int, rng: RandomStream) -> P
         size = 0
     if 1 <= n < size:
         y = restrict(y, n)
+
+    def run(lo, hi):  # {key: count} of replicates lo..hi-1, first occurrence first
+        counts = {}
+        for r in range(lo, hi):
+            key = key_for(sampler(y, n, k, rng.substream(r)))
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    def merge(a, b):
+        for key, c in b.items():
+            a[key] = a.get(key, 0) + c
+        return a
+
     tally = PatternTally()
-    for r in range(reps):
-        tally.add(key_for(sampler(y, n, k, rng.substream(r))))
+    tally.counts = _over_ranges(reps, run, merge)
+    tally.reps = reps
     return tally
+
+
+def _over_ranges(reps: int, run, merge):
+    """``run(0, reps)``, computed as contiguous ranges whose parts ``merge``
+    joins in range order.
+
+    ``run(lo, hi)`` computes replicates lo..hi-1 in order and returns their
+    part; ``merge(a, b)`` appends part b after part a.  This process runs
+    chunks of 1, 2, 4, ... replicates and times each.  Once the replicates
+    left, at the last chunk's seconds per replicate, hold ``_SPLIT_S`` of
+    work for each of two or more of the CPUs this process may run on, the
+    rest is split among that many processes (_split).  The last chunk's
+    rate, not the mean since the start, since the first replicates run slow
+    while memos fill.  Only a process with one thread forks, and a forked
+    child never forks again.
+    """
+    part, lo, size = None, 0, 1
+    while lo < reps:
+        hi = min(reps, lo + size)
+        start = time.perf_counter()
+        chunk = run(lo, hi)
+        rate = (time.perf_counter() - start) / (hi - lo)
+        part = chunk if part is None else merge(part, chunk)
+        lo, size = hi, 2 * size
+        if (_in_child or not hasattr(os, "sched_getaffinity")
+                or not hasattr(os, "fork") or threading.active_count() != 1):
+            continue
+        # min(CPUs, replicates left, floor(work left / _SPLIT_S)), written
+        # to divide by _SPLIT_S only when that bound is the smallest
+        work, procs = rate * (reps - lo), min(len(os.sched_getaffinity(0)), reps - lo)
+        if work < procs * _SPLIT_S:
+            procs = int(work / _SPLIT_S)
+        if procs >= 2:
+            return merge(part, _split(lo, reps, procs, run, merge))
+    return part
+
+
+def _split(lo: int, hi: int, procs: int, run, merge):
+    """``run(lo, hi)`` over ``procs`` contiguous ranges: this process runs
+    the first, a forked child each of the others.
+
+    A child sends its pickled part, or its pickled exception, through a
+    pipe and always ends in os._exit.  The parts merge in range order, and
+    an error is raised from the lowest range that failed, as in one
+    process.  On any exception here every child is killed; every child is
+    reaped before this returns or raises.
+    """
+    import pickle
+    import signal
+
+    cuts = [lo + (hi - lo) * i // procs for i in range(procs + 1)]
+    children = []  # (pid, read end of its pipe), in range order
+    try:
+        for a, b in zip(cuts[1:-1], cuts[2:]):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                _child(wfd, run, a, b)
+            children.append((pid, rfd))
+            os.close(wfd)
+        part = run(cuts[0], cuts[1])
+        for (pid, rfd), a, b in zip(children, cuts[1:-1], cuts[2:]):
+            with open(rfd, "rb", closefd=False) as f:
+                data = f.read()
+            if not data:
+                raise RuntimeError(f"the process running replicates {a}..{b - 1} "
+                                   f"exited without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            part = merge(part, value)
+        return part
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, rfd in children:
+            os.close(rfd)
+            os.waitpid(pid, 0)
+
+
+def _child(wfd: int, run, lo: int, hi: int):
+    """Body of a forked child: run replicates lo..hi-1, send the outcome
+    through ``wfd`` and exit, never returning into the caller's stack nor
+    flushing the stdio buffers it inherited."""
+    global _in_child
+    import pickle
+
+    try:
+        _in_child = True
+        try:
+            outcome = (True, run(lo, hi))
+        except BaseException as exc:
+            outcome = (False, exc)
+        with open(wfd, "wb") as f:
+            f.write(pickle.dumps(outcome))
+    finally:
+        os._exit(0)
 
 
 def estimate_prefix_density(spec_or_sampler, y, n: int, pattern, reps: int,
@@ -168,16 +293,19 @@ def lln_trace(spec_or_sampler, y, n: int, f, j: int, k_schedule, reps: int,
     estimates = []
     ks = tuple(int(k) for k in k_schedule)
     for i, k in enumerate(ks):
-        vals = []
-        for r in range(reps):
-            stream = rng.substream("lln", i, r)
-            x_k = sampler(y, n, k, stream)
-            if k <= EXACT_SYMMETRIZATION_MAX:
-                vals.append(empirical_average(x_k, f, j, mode="exact"))
-            else:
-                vals.append(empirical_average(x_k, f, j, mode="monte_carlo",
-                                              num_perms=num_perms, rng=stream))
-        estimates.append(fsum(vals) / reps)
+        def run(lo, hi):  # the averages of replicates lo..hi-1
+            vals = []
+            for r in range(lo, hi):
+                stream = rng.substream("lln", i, r)
+                x_k = sampler(y, n, k, stream)
+                if k <= EXACT_SYMMETRIZATION_MAX:
+                    vals.append(empirical_average(x_k, f, j, mode="exact"))
+                else:
+                    vals.append(empirical_average(x_k, f, j, mode="monte_carlo",
+                                                  num_perms=num_perms, rng=stream))
+            return vals
+
+        estimates.append(fsum(_over_ranges(reps, run, list.__add__)) / reps)
     return LLNTrace(ks, tuple(estimates))
 
 

@@ -21,9 +21,10 @@ memo below, which only gains entries that are pure functions of their
 place).  A vertex graph memoises its adjacency, degrees and Fenwick tree on
 first use, so samplers build them once per input, not per replicate.  It
 also memoises the pattern keys of its balls by (center, radius), so a ball
-that many replicates draw is canonicalised once per graph; the memo holds
-PatternKeys (8 bytes an edge), never balls or forms, and dies with the
-graph.  A rooted graph is the breadth-first search that found it (root,
+that many replicates draw is canonicalised once per graph in each process
+(a forked child starts from the memo as it stood at the fork); the memo
+holds PatternKeys (8 bytes an edge), never balls or forms, and dies with
+the graph.  A rooted graph is the breadth-first search that found it (root,
 host adjacency, depth map and, for a ball, its place in that memo); its
 adjacency, vertices and edges are derived on first read, so a ball whose
 key the memo holds costs only its search.  Outside input enters through

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -356,3 +357,192 @@ def test_sized_input_reaches_sampler_restricted_once():
     assert seen == [complete_vertex(4)] * 3 and seen[0] is seen[2]
     tally_outputs(lambda y, n, k, stream: seen.append(y) or (1,), g, 6, 1, 1, RandomStream(0))
     assert seen[-1] is g
+
+
+# -- replicate ranges across processes -----------------------------------------------
+#
+# With the split threshold at 0, a tally splits after its first replicate into
+# one contiguous range per CPU the process may run on (os.sched_getaffinity),
+# the first run here, the others in forked children.
+
+_RANGE_GRAPH = VertexGraph(9, frozenset({(i, i + 1) for i in range(1, 8)}
+                                        | {(i, 9) for i in range(1, 9, 2)} | {(1, 8)}))
+_RANGE_INPUTS = {
+    "sequence": (1, 2, 1, 3, 2, 2, 4, 1, 5),
+    "partition": Partition((1, 2, 1, 3, 2, 1, 4, 2, 5)),
+    "edge": EdgeSeqGraph(((1, 2), (2, 3), (1, 2), (3, 4), (1, 4), (2, 5), (5, 6),
+                          (1, 3), (6, 7))),
+}
+_RANGE_SPECS = {"p_sample": {"p": 0.5}, "sparsified": {"rho": 0.7}}
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Force a split at every tally on ``cpus`` CPUs; count the forks made
+    here; afterwards, check that no child is left to reap."""
+    from graphsample import estimate
+
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def on(cpus):
+        monkeypatch.setattr(estimate, "_SPLIT_S", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forks
+
+    yield on
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _every_tally():
+    """Each tally-producing entry point, with its results in full order."""
+    from graphsample.invariance import (test_exchangeability, test_idempotence,
+                                        test_involution_invariance)
+    from graphsample.sampling import ALGORITHMS, diagnose_limit
+
+    out = {}
+    for algo in ALGORITHMS:
+        spec = SamplerSpec(algo, **_RANGE_SPECS.get(algo, {}))
+        y = _RANGE_INPUTS.get(algo, _RANGE_GRAPH)
+        tally = prefix_density_vector(spec, y, 8, 3, 61, RandomStream(11))
+        out[algo] = (list(tally.counts.items()), tally.reps)
+    seq = paintbox_draw(Paintbox(((1, 0.5), (2, 0.3)), dust=0.2), 40, RandomStream(2))
+    out["lln"] = lln_trace(SamplerSpec("partition"), seq, 40,
+                           lambda x: float(x.labels[0] == 1), 2, (2, 4, 9), 37,
+                           RandomStream(4)).estimates
+    uv = SamplerSpec("uniform_vertex")
+    for name, report in (
+            ("involution", test_involution_invariance("uniform", _RANGE_GRAPH, 9, 1, 45,
+                                                      RandomStream(5))),
+            ("exchangeability", test_exchangeability(uv, _RANGE_GRAPH, 9, 3, 45,
+                                                     RandomStream(6))),
+            ("idempotence", test_idempotence(uv, _RANGE_GRAPH, 9, 5, 3, 45,
+                                             RandomStream(7)))):
+        out[name] = (report.summary(), list(report.tally_a.counts.items()),
+                     list(report.tally_b.counts.items()))
+    diag = diagnose_limit(uv, _RANGE_GRAPH, 2, (5, 7, 9), 45, RandomStream(8))
+    out["diagnose"] = (diag.tv_steps, diag.verdict)
+    return out
+
+
+def test_tallies_do_not_depend_on_the_process_count(forked):
+    forks = forked(1)
+    one = _every_tally()
+    assert forks == []
+    forked(2)
+    assert _every_tally() == one
+    made = len(forks)
+    assert made > 0
+    forked(3)
+    assert _every_tally() == one
+    assert len(forks) - made == 2 * made  # two children a split at 3 CPUs, one at 2
+
+
+def _failing(fail):
+    """uniform_vertex with replicate r calling fail(r) first, and the
+    replicate index read from its stream; reps 10 split at 3 CPUs into
+    0 (this process), then 1..3 here, 4..6 and 7..9 in children."""
+    from graphsample.sampling import make_sampler
+
+    rng = RandomStream(1)
+    index = {rng.substream(r).stream_id: r for r in range(10)}
+    inner = make_sampler(SamplerSpec("uniform_vertex"))
+
+    def sampler(y, n, k, stream):
+        fail(index[stream.stream_id])
+        return inner(y, n, k, stream)
+
+    return lambda: tally_outputs(sampler, y4(), 4, 3, 10, rng)
+
+
+def _raise_at(*reps):
+    def fail(r):
+        if r in reps:
+            raise ValueError(f"replicate {r} failed")
+    return fail
+
+
+def test_a_childs_error_reaches_the_caller(forked):
+    forks = forked(3)
+    with pytest.raises(ValueError, match=r"^replicate 8 failed$"):
+        _failing(_raise_at(8))()
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("reps,raised", [((2, 8), 2), ((5, 8), 5)])
+def test_the_lowest_failing_range_wins(forked, reps, raised):
+    forked(3)
+    with pytest.raises(ValueError, match=rf"^replicate {raised} failed$"):
+        _failing(_raise_at(*reps))()
+
+
+def test_a_child_that_dies_is_a_runtime_error(forked):
+    parent = os.getpid()
+
+    def die(r):
+        if os.getpid() != parent:
+            os._exit(7)
+
+    forked(3)
+    with pytest.raises(RuntimeError, match="exited without a result"):
+        _failing(die)()
+
+
+def test_a_child_that_dies_exits_4_through_the_cli(forked, monkeypatch, tmp_path, capsys):
+    from graphsample import estimate
+    from graphsample.cli import main
+
+    parent, real_key = os.getpid(), key_for
+
+    def key_or_die(x):
+        if os.getpid() != parent:
+            os._exit(7)
+        return real_key(x)
+
+    forked(2)
+    monkeypatch.setattr(estimate, "key_for", key_or_die)
+    seq = tmp_path / "seq.txt"
+    seq.write_text("1\n2\n3\n")
+    code = main(["estimate", "--what", "vector", "--algo", "sequence", "--in", str(seq),
+                 "--n", "3", "--k", "2", "--reps", "10"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("internal error: RuntimeError: ")
+
+
+def test_an_interrupt_kills_the_children(forked):
+    import time
+
+    def fail(r):
+        if r == 2:
+            raise KeyboardInterrupt
+        if r >= 4:
+            time.sleep(60)
+
+    forked(3)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        _failing(fail)()
+    assert time.perf_counter() - start < 30
+
+
+def test_a_second_thread_keeps_the_loop_in_one_process(forked):
+    import threading
+
+    forks = forked(3)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        tally = _failing(lambda r: None)()
+    finally:
+        stop.set()
+        thread.join()
+    assert forks == [] and tally.reps == 10
