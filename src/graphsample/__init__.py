@@ -9,7 +9,6 @@ from .estimate import (
     degree_profile,
     empirical_average,
     endpoint_slot_stats,
-    estimate_prefix_density,
     frequency_profile,
     lln_trace,
     multiplicity_profile,

@@ -6,7 +6,8 @@ invalid input, 3 I/O error, 4 internal error.  generate, sample, estimate
 (but for ``--what misspec``, one exact fraction) and diagnose start their
 output with a ``# seed=<u64>`` comment so any run can be replayed exactly;
 test writes its one-line summary first, and with ``--out`` the two tallies
-after it, each under its own ``# seed=`` comment.
+after it, each under its own ``# seed=`` comment.  _provenance writes every
+such line; the io renderers write bodies only.
 ``--threads`` is accepted by estimate, test and diagnose and has no
 effect: long tallies split across the CPUs the process may run on, and
 results are bit-identical to one process.
@@ -21,7 +22,6 @@ from . import io as gio
 from . import models
 from .estimate import (
     degree_profile,
-    estimate_prefix_density,
     lln_trace,
     multiplicity_profile,
     prefix_density_vector,
@@ -46,7 +46,7 @@ from .sampling import (
     diagnose_limit,
     make_sampler,
 )
-from .structures import Partition, key_for
+from .structures import Partition, key_for, size_of
 
 # the generators that take --n, in the order --help lists them
 _SIZED_GENERATORS = {
@@ -155,9 +155,15 @@ def _load(algo: str, path):
     return gio.read_vertex_graph(path)
 
 
-def _emit(args, text: str, seeded: bool = False):
-    if seeded:  # under the metadata lines every CSV renderer writes
-        text = "".join(line + "\n" for line in gio._meta_lines(args.seed)) + text
+def _provenance(seed, **extra) -> str:
+    """``# seed=<seed>``, then a ``# key=value`` line per extra: the lines
+    that say what ran, above every seeded artifact's body."""
+    return "".join(f"# {key}={val}\n" for key, val in {"seed": seed, **extra}.items())
+
+
+def _emit(args, text: str, seeded: bool = True):
+    if seeded:
+        text = _provenance(args.seed) + text
     if args.out:
         gio.write_text(args.out, text)
     else:
@@ -179,7 +185,7 @@ def _cmd_generate(args) -> int:
         x = models.paintbox_draw(pb, _require(args.n, "--n"), rng).labels
     else:
         x = _SIZED_GENERATORS[name](_require(args.n, "--n"))
-    _emit(args, gio.render_structure(x), seeded=True)
+    _emit(args, gio.render_structure(x))
     return 0
 
 
@@ -203,7 +209,7 @@ def _cmd_sample(args) -> int:
         raise UsageError("missing required flag --k")
     rng = RandomStream(args.seed)
     out = sampler(y, n, k, rng)
-    _emit(args, gio.render_structure(out), seeded=True)
+    _emit(args, gio.render_structure(out))
     return 0
 
 
@@ -211,7 +217,7 @@ def _cmd_estimate(args) -> int:
     if args.what == "misspec":
         k = _require(args.misspec_k, "--misspec-k")
         j = _require(args.misspec_j, "--misspec-j")
-        _emit(args, gio.render_fraction(models.misspec_table(k, j)) + "\n")
+        _emit(args, gio.render_fraction(models.misspec_table(k, j)) + "\n", seeded=False)
         return 0
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
@@ -229,14 +235,17 @@ def _cmd_estimate(args) -> int:
         if args.what == "vector":
             k = _require(args.k, "--k")
             tally = prefix_density_vector(spec, y, n, k, args.reps, rng)
-            _emit(args, gio.render_tally_csv(tally, seed=args.seed))
+            _emit(args, gio.render_tally_csv(tally))
             return 0
         if args.what == "density":
             pattern = _load(args.algo, _require(args.pattern, "--pattern"))
-            est, err = estimate_prefix_density(spec, y, n, pattern, args.reps, rng)
-            _emit(args, "pattern_key,count,density,stderr\n"
-                        f"{key_for(pattern).hex()},"
-                        f"{round(est * args.reps)},{est:.10g},{err:.10g}\n", seeded=True)
+            k = size_of(pattern)
+            if k > n:
+                raise ValueError(f"pattern size {k} exceeds n = {n}")
+            tally = prefix_density_vector(spec, y, n, k, args.reps, rng)
+            key = key_for(pattern)
+            tally.counts = {key: tally.counts.get(key, 0)}  # a zero row if never drawn
+            _emit(args, gio.render_tally_csv(tally))
             return 0
         if args.algo not in _SEQUENCE_ALGOS:
             raise UsageError("--what lln supports sequence/partition inputs; "
@@ -249,13 +258,13 @@ def _cmd_estimate(args) -> int:
             return 1.0 if entries[0] == label else 0.0
 
         trace = lln_trace(spec, y, n, f, args.j, schedule, args.reps, rng)
-        _emit(args, gio.render_lln_csv(trace, seed=args.seed))
+        _emit(args, gio.render_lln_csv(trace))
         return 0
     profile, header = {"degrees": (degree_profile, "n,vertex,dbar"),
                        "multiplicity": (multiplicity_profile, "n,pair,mbar")}[args.what]
     g = gio.read_edge_seq(_require(args.infile, "--in"))
     schedule = _parse_schedule(_require(args.schedule, "--schedule"))
-    _emit(args, gio.render_profile_csv(profile(g, schedule), header, seed=args.seed))
+    _emit(args, gio.render_profile_csv(profile(g, schedule), header))
     return 0
 
 
@@ -282,11 +291,9 @@ def _cmd_test(args) -> int:
             report = test_equivalence(spec, y, y2, n, args.k_max, args.reps, rng)
     text = report.summary() + "\n"
     if args.out:
-        text += gio.render_tally_csv(report.tally_a, seed=args.seed,
-                                     extra={"operand": "a"})
-        text += gio.render_tally_csv(report.tally_b, seed=args.seed,
-                                     extra={"operand": "b"})
-    _emit(args, text)
+        for operand, tally in (("a", report.tally_a), ("b", report.tally_b)):
+            text += _provenance(args.seed, operand=operand) + gio.render_tally_csv(tally)
+    _emit(args, text, seeded=False)
     return 0 if report.passed else 1
 
 
@@ -297,7 +304,7 @@ def _cmd_diagnose(args) -> int:
     schedule = _parse_schedule(args.schedule)
     rng = RandomStream(args.seed)
     result = diagnose_limit(spec, y, k, schedule, args.reps, rng, tolerance=args.tol)
-    _emit(args, gio.render_diagnose_csv(result, seed=args.seed))
+    _emit(args, gio.render_diagnose_csv(result))
     sys.stderr.write(f"verdict: {result.verdict}\n")
     return 0
 

@@ -213,19 +213,6 @@ def _child(wfd: int, run, lo: int, hi: int):
         os._exit(0)
 
 
-def estimate_prefix_density(spec_or_sampler, y, n: int, pattern, reps: int,
-                            rng: RandomStream) -> tuple:
-    """Monte Carlo estimate of the probability that a sample of the size of
-    ``pattern`` equals it.  Returns (estimate, stderr)."""
-    sampler = _as_sampler(spec_or_sampler)
-    k = size_of(pattern)
-    if k > n:
-        raise ValueError(f"pattern size {k} exceeds n = {n}")
-    tally = tally_outputs(sampler, y, n, k, reps, rng)
-    key = key_for(pattern)
-    return tally.density(key), tally.stderr(key)
-
-
 def prefix_density_vector(spec_or_sampler, y, n: int, k: int, reps: int,
                           rng: RandomStream) -> PatternTally:
     """Tally of all observed size-k outputs; unobserved patterns implicitly

@@ -35,15 +35,6 @@ from .structures import (
 MAX_VERTICES = 10**7
 
 
-def _meta_lines(seed=None, extra=None) -> list:
-    lines = []
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    for key, val in (extra or {}).items():
-        lines.append(f"# {key}={val}")
-    return lines
-
-
 # ---------------------------------------------------------------------------
 # structures
 
@@ -232,21 +223,19 @@ def read_step_graphon(path) -> StepGraphon:
 # CSV outputs
 
 
-def render_tally_csv(tally: PatternTally, seed=None, extra=None) -> str:
-    lines = _meta_lines(seed, extra)
-    lines.append("pattern_key,count,density,stderr")
+def render_tally_csv(tally: PatternTally) -> str:
+    lines = ["pattern_key,count,density,stderr"]
     for key, count in tally.sorted_items():
         lines.append(f"{key.hex()},{count},{count / tally.reps:.10g},"
                       f"{tally.stderr(key):.10g}")
     return "".join(line + "\n" for line in lines)
 
 
-def render_profile_csv(profile: ItemProfile, header: str, seed=None) -> str:
+def render_profile_csv(profile: ItemProfile, header: str) -> str:
     """One ``n,<item>,<value>`` row per item and schedule point, items in
     sorted order; ``header`` names the columns and a pair item is written
     ``i-j``."""
-    lines = _meta_lines(seed)
-    lines.append(header)
+    lines = [header]
     for item in sorted(profile.series):
         name = f"{item[0]}-{item[1]}" if isinstance(item, tuple) else item
         for n, val in zip(profile.schedule, profile.series[item]):
@@ -254,18 +243,16 @@ def render_profile_csv(profile: ItemProfile, header: str, seed=None) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def render_lln_csv(trace: LLNTrace, seed=None) -> str:
-    lines = _meta_lines(seed)
-    lines.append("k,estimate")
+def render_lln_csv(trace: LLNTrace) -> str:
+    lines = ["k,estimate"]
     for k, est in zip(trace.ks, trace.estimates):
         lines.append(f"{k},{est:.10g}")
     return "".join(line + "\n" for line in lines)
 
 
-def render_diagnose_csv(result, seed=None) -> str:
-    lines = _meta_lines(seed, {"verdict": result.verdict,
-                               "tolerance": result.tolerance})
-    lines.append("n,pattern_key,density")
+def render_diagnose_csv(result) -> str:
+    lines = [f"# verdict={result.verdict}", f"# tolerance={result.tolerance}",
+             "n,pattern_key,density"]
     for n, tally in zip(result.schedule, result.tallies):
         for key, count in tally.sorted_items():
             lines.append(f"{n},{key.hex()},{count / tally.reps:.10g}")

@@ -175,6 +175,18 @@ def test_estimate_density_single_pattern(tmp_path, capsys):
     assert abs(est - 0.5) < 0.05  # P(edge) = 3/6 on y4 at k = 2
 
 
+def test_estimate_density_pattern_larger_than_n_usage_error(tmp_path, capsys):
+    y4_file = tmp_path / "y4.txt"
+    main(["generate", "y4", "--out", str(y4_file)])
+    code = main(["estimate", "--what", "density", "--algo", "uniform_vertex",
+                 "--in", str(y4_file), "--pattern", str(y4_file), "--n", "2",
+                 "--reps", "10"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pattern size 4 exceeds n = 2\n"
+
+
 @pytest.mark.parametrize("algo", ["shortest_path", "ego", "bs_root"])
 def test_estimate_density_without_pattern_format_usage_error(algo, tmp_path, capsys):
     """The pattern file is a vertex graph, whose key never equals a marked

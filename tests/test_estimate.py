@@ -8,7 +8,6 @@ from graphsample.estimate import (
     degree_profile,
     empirical_average,
     endpoint_slot_stats,
-    estimate_prefix_density,
     frequency_profile,
     lln_trace,
     multiplicity_profile,
@@ -76,37 +75,21 @@ def test_tally_replicate_r_uses_substream_r():
 
 # -- prefix densities --------------------------------------------------------------
 
-def test_estimate_prefix_density_y4_oracle():
-    law = oracles.law_uniform_vertex(y4(), 4, 3)
-    mid1 = VertexGraph(3, frozenset({(1, 2), (1, 3)}))
-    reps = 30_000
-    est, err = estimate_prefix_density(SamplerSpec("uniform_vertex"), y4(), 4,
-                                       mid1, reps, RandomStream(0))
-    exact = float(law[key_for(mid1)])
-    assert exact == 0.25
-    assert abs(est - exact) <= 4 * err
-
-
-def test_estimate_prefix_density_constant_sequence():
+def test_prefix_density_vector_constant_sequence():
     y = (7,) * 50
-    est, err = estimate_prefix_density(SamplerSpec("sequence"), y, 50,
-                                       (7, 7, 7), 2000, RandomStream(1))
-    assert est == 1.0 and err == 0.0
+    tally = prefix_density_vector(SamplerSpec("sequence"), y, 50, 3, 2000,
+                                  RandomStream(1))
+    key = key_for((7, 7, 7))
+    assert tally.density(key) == 1.0 and tally.stderr(key) == 0.0
 
 
-def test_estimate_prefix_density_impossible_pattern():
+def test_prefix_density_vector_impossible_pattern():
     star = star_edgeseq(20)
-    pattern = EdgeSeqGraph(((1, 2), (3, 4)))
-    est, err = estimate_prefix_density(SamplerSpec("edge"), star, 20,
-                                       pattern, 2000, RandomStream(2))
-    assert est == 0.0
-    assert err == 3 / 2000
-
-
-def test_estimate_prefix_density_size_mismatch():
-    with pytest.raises(ValueError):
-        estimate_prefix_density(SamplerSpec("uniform_vertex"), y4(), 2,
-                                y4(), 10, RandomStream(0))
+    pattern = EdgeSeqGraph(((1, 2), (3, 4)))  # two disjoint edges: no star holds them
+    tally = prefix_density_vector(SamplerSpec("edge"), star, 20, 2, 2000,
+                                  RandomStream(2))
+    assert tally.density(key_for(pattern)) == 0.0
+    assert tally.stderr(key_for(pattern)) == 3 / 2000
 
 
 def test_prefix_density_vector_sums_to_one_and_matches_oracle():

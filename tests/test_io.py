@@ -166,11 +166,10 @@ def test_step_graphon_asymmetric_rejected():
 def test_tally_csv_schema_and_counts():
     tally = prefix_density_vector(SamplerSpec("uniform_vertex"), y4(), 4, 3,
                                   1000, RandomStream(3))
-    text = gio.render_tally_csv(tally, seed=3)
+    text = gio.render_tally_csv(tally)
     lines = text.splitlines()
-    assert lines[0] == "# seed=3"
-    assert lines[1] == "pattern_key,count,density,stderr"
-    assert sum(int(l.split(",")[1]) for l in lines[2:]) == 1000
+    assert lines[0] == "pattern_key,count,density,stderr"
+    assert sum(int(l.split(",")[1]) for l in lines[1:]) == 1000
 
 
 def test_fraction_rendering():
@@ -183,8 +182,7 @@ def test_fraction_rendering():
 def test_lln_csv_header():
     from graphsample.estimate import LLNTrace
 
-    text = gio.render_lln_csv(LLNTrace((2, 4), (0.5, 0.25)), seed=9)
+    text = gio.render_lln_csv(LLNTrace((2, 4), (0.5, 0.25)))
     lines = text.splitlines()
-    assert lines[0] == "# seed=9"
-    assert lines[1] == "k,estimate"
-    assert lines[2] == "2,0.5"
+    assert lines[0] == "k,estimate"
+    assert lines[1] == "2,0.5"

@@ -171,6 +171,27 @@ def _edge_vector_cli():
                        {"edges": edges})
 
 
+def _density_cli(pattern):
+    return _cli_output(["estimate", "--what", "density", "--algo", "uniform_vertex",
+                        "--in", "{g}", "--pattern", "{pattern}", "--n", "7",
+                        "--reps", str(REPS), "--seed", str(SEED)],
+                       {"g": gio.render_structure(GRAPH), "pattern": pattern})
+
+
+def _lln_cli():
+    return _cli_output(["estimate", "--what", "lln", "--algo", "sequence", "--in", "{s}",
+                        "--n", "9", "--schedule", "3,9", "--label", "1", "--j", "2",
+                        "--reps", str(REPS), "--seed", str(SEED)],
+                       {"s": gio.render_structure(SEQUENCE)})
+
+
+def _diagnose_cli():
+    return _cli_output(["diagnose", "--algo", "degree_biased", "--in", "{g}",
+                        "--n", "50", "--k", "2", "--schedule", "10,25,50",
+                        "--reps", str(REPS), "--seed", str(SEED)],
+                       {"g": gio.render_structure(star_vertex(50))})
+
+
 SIZED_GENERATORS = ("star", "star_edges", "matching", "half_multiplicity",
                     "alternating", "singletons", "cycle", "complete")
 
@@ -221,6 +242,12 @@ CASES = {
     "cli.estimate.vector.bs_root.repeated": lambda: _rooted_vector_cli("bs_root", 2),
     "cli.estimate.vector.ego.repeated": lambda: _rooted_vector_cli("ego", 3),
     "cli.test.involution.cycle50": _cycle_involution_cli,
+    # GRAPH holds one triangle and no K4, so the second pattern is never drawn
+    "cli.estimate.density.observed": lambda: _density_cli("1 2\n1 3\n2 3\n"),
+    "cli.estimate.density.unobserved": lambda: _density_cli(
+        "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"),
+    "cli.estimate.lln": _lln_cli,
+    "cli.diagnose.degree_biased.star": _diagnose_cli,
     "involution.exact.random12": lambda: _exact_involution(RANDOM12, 12, 2),
     "involution.exact.graph": lambda: _exact_involution(GRAPH, 7, 1),
     **{f"cli.generate.{name}": (lambda name=name: _cli_output(
@@ -281,6 +308,12 @@ DIGESTS = {
     "cli.test.involution.cycle50": "bdc6761146006f8793705f5d201c36afb92d71801f0fb7a7be5d83e1f09604b1",
     "involution.exact.graph": "7a75617c04d614fb212316ad38679b2d245bc94940d93dc19b1cadc462260c55",
     "involution.exact.random12": "6b060a29cc0c5406b3173cd282fd40530c96c7b44eef4099f133bf4e53e5a4cc",
+    # captured before the CLI became the one writer of # seed= lines and
+    # --what density went through the tally renderer
+    "cli.diagnose.degree_biased.star": "069f44d14fbdd4cbcaf045476f3416494ed9bf9dd8cd347b0ad3d028e62cea66",
+    "cli.estimate.density.observed": "3a92d6979e34de2a1aa1f67322e990b6269cc68cfa6e8329b1a9a87f2a34eb82",
+    "cli.estimate.density.unobserved": "da4c5669c9ea36499f756240f4d33520d1bdab36078411e2ae0caa188bbfb842",
+    "cli.estimate.lln": "3f03c5eb0b922668de4e2ad1494af008404a21bbab5b797ecd88b5d5a0ac1331",
 }
 
 
