@@ -147,6 +147,11 @@ def parse_vertex_graph(text: str) -> VertexGraph:
         elif max(u, v) > header[1]:
             raise ValueError(f"line {number}: edge ({u},{v}) outside 1..{header[1]} "
                              f"declared on line {header[0]}: {line!r}")
+        if u == v:
+            raise ValueError(f"line {number}: self-loop at vertex {u}: {line!r}")
+        if u < 1 or v < 1:
+            raise ValueError(f"line {number}: edge ({u},{v}) has a vertex below 1: "
+                             f"{line!r}")
         edges.add((u, v))
         max_label = max(max_label, u, v)
     n = header[1] if header is not None else max_label
@@ -155,8 +160,16 @@ def parse_vertex_graph(text: str) -> VertexGraph:
 
 def parse_edge_seq(text: str) -> EdgeSeqGraph:
     _, lines = _data_lines(text)
-    return EdgeSeqGraph(tuple(tuple(_ints(number, line, line.split(), 2))
-                              for number, line in lines))
+    edges = []
+    for number, line in lines:
+        i, j = _ints(number, line, line.split(), 2)
+        if i == j:
+            raise ValueError(f"line {number}: self-loop pair ({i},{j}): {line!r}")
+        if not 1 <= i < j:
+            raise ValueError(f"line {number}: pair ({i},{j}) must satisfy 1 <= i < j: "
+                             f"{line!r}")
+        edges.append((i, j))
+    return EdgeSeqGraph(tuple(edges))
 
 
 def parse_label_seq(text: str) -> tuple:

@@ -37,9 +37,10 @@ class StepGraphon:
         object.__setattr__(self, "boundaries", b)
         object.__setattr__(self, "values", v)
         B = len(v)
-        if len(b) != B + 1 or b[0] != 0.0 or abs(b[-1] - 1.0) > _EPS:
+        # each check is written so that a NaN fails it
+        if len(b) != B + 1 or b[0] != 0.0 or not abs(b[-1] - 1.0) <= _EPS:
             raise ValueError("boundaries must run 0 = b0 < ... < bB = 1")
-        if any(b[i] >= b[i + 1] for i in range(B)):
+        if not all(b[i] < b[i + 1] for i in range(B)):
             raise ValueError("boundaries must be strictly increasing")
         for row in v:
             if len(row) != B:
@@ -152,10 +153,11 @@ class Paintbox:
     def __post_init__(self):
         atoms = tuple(sorted((int(m), float(p)) for m, p in self.atoms))
         object.__setattr__(self, "atoms", atoms)
-        if any(p < 0 for _, p in atoms) or self.dust < 0:
+        # each check is written so that a NaN fails it
+        if not all(p >= 0 for _, p in atoms) or not self.dust >= 0:
             raise ValueError("masses must be >= 0")
         total = self.dust + sum(p for _, p in atoms)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"masses must sum to 1 (got {total})")
         ids = [m for m, _ in atoms]
         if len(set(ids)) != len(ids):
@@ -205,9 +207,9 @@ class MultiplicitySpec:
         for (i, j), m in t:
             if not (1 <= i < j):
                 raise ValueError(f"pair ({i},{j}) must satisfy 1 <= i < j")
-            if m <= 0:
+            if not m > 0:  # NaN fails too
                 raise ValueError("target multiplicities must be > 0")
-        if sum(m for _, m in t) > 1.0 + _EPS:
+        if not sum(m for _, m in t) <= 1.0 + _EPS:
             raise ValueError("target multiplicities must sum to <= 1")
 
     @property

@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 import struct
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 #: Edge mark meaning "no path exists between the two chosen vertices".
@@ -230,13 +230,10 @@ def _distances_to(adj: dict, source: int, targets) -> dict:
 class EdgeSeqGraph:
     """Graph as an ordered sequence of edges (i_k, j_k), i_k < j_k.
 
-    Repeats of a pair encode multiedges.  ``canonical`` is true when the
-    flattened vertex sequence (i_1, j_1, i_2, j_2, ...) is labeled in order
-    of first appearance, i.e. satisfies s_m <= |{s_1..s_m}| for all m.
+    Repeats of a pair encode multiedges.
     """
 
     edges: tuple
-    canonical: bool = field(init=False)
 
     def __post_init__(self):
         norm = []
@@ -247,8 +244,13 @@ class EdgeSeqGraph:
                 raise ValueError(f"pair ({i},{j}) must satisfy 1 <= i < j")
             norm.append((i, j))
         object.__setattr__(self, "edges", tuple(norm))
-        flat = [x for e in norm for x in e]
-        object.__setattr__(self, "canonical", is_ordered(tuple(flat)))
+
+    @property
+    def canonical(self) -> bool:
+        """True when the flattened vertex sequence (i_1, j_1, i_2, j_2, ...)
+        is labeled in order of first appearance, i.e. satisfies
+        s_m <= |{s_1..s_m}| for all m."""
+        return is_ordered(x for e in self.edges for x in e)
 
     def __len__(self):
         return len(self.edges)

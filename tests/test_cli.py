@@ -456,6 +456,29 @@ def test_malformed_edge_line_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2: expected 2 field(s), found 1: '3'\n"
 
 
+@pytest.mark.parametrize("algo, text, message", [
+    ("uniform_vertex", "1 2\n0 3\n", "line 2: edge (0,3) has a vertex below 1: '0 3'"),
+    ("uniform_vertex", "1 2\n-1 3\n",
+     "line 2: edge (-1,3) has a vertex below 1: '-1 3'"),
+    ("uniform_vertex", "1 2\n2 2\n", "line 2: self-loop at vertex 2: '2 2'"),
+    ("uniform_vertex", "#n 3\n3 3\n", "line 2: self-loop at vertex 3: '3 3'"),
+    # the header's bound is checked first, as before
+    ("uniform_vertex", "#n 3\n0 5\n",
+     "line 2: edge (0,5) outside 1..3 declared on line 1: '0 5'"),
+    ("edge", "1 2\n2 2\n", "line 2: self-loop pair (2,2): '2 2'"),
+    ("edge", "1 2\n3 2\n", "line 2: pair (3,2) must satisfy 1 <= i < j: '3 2'"),
+    ("edge", "0 3\n", "line 1: pair (0,3) must satisfy 1 <= i < j: '0 3'"),
+], ids=["vertex_zero", "vertex_negative", "vertex_self_loop", "vertex_self_loop_header",
+        "vertex_header_first", "edge_self_loop", "edge_reversed", "edge_zero"])
+def test_refused_edge_line_names_its_line(algo, text, message, tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    code = main(["estimate", "--what", "vector", "--algo", algo,
+                 "--in", str(graph), "--n", "1", "--k", "1", "--reps", "10"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("text, message", [
     ("2\n0 0.5 1\n0.3 x\n0.1 0.2\n", "line 3: not a number: '0.3 x'"),
     ("two\n0 0.5 1\n0.3 0.1\n0.1 0.2\n", "line 1: not an integer: 'two'"),
@@ -465,6 +488,26 @@ def test_malformed_graphon_names_its_line(tmp_path, capsys, text, message):
     w.write_text(text)
     assert main(["generate", "graphon", "--file", str(w), "--k", "5"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["paintbox", "--atoms", "nan", "--n", "5"], "masses must be >= 0"),
+    (["paintbox", "--atoms", "0.5,0.5", "--dust", "nan", "--n", "5"],
+     "masses must be >= 0"),
+    (["graphon", "--file", "{w}", "--k", "5"],
+     "boundaries must run 0 = b0 < ... < bB = 1"),
+    (["graphon", "--file", "{inner}", "--k", "5"],
+     "boundaries must be strictly increasing"),
+], ids=["atoms", "dust", "last_boundary", "inner_boundary"])
+def test_nan_mass_or_boundary_usage_error(argv, message, tmp_path, capsys):
+    w, inner = tmp_path / "w.txt", tmp_path / "inner.txt"
+    w.write_text("1\n0.0 nan\n0.5\n")
+    inner.write_text("2\n0.0 nan 1.0\n0.5 0.5\n0.5 0.5\n")
+    argv = [a.format(w=w, inner=inner) for a in argv]
+    assert main(["generate", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("text, message", [

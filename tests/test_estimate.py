@@ -529,3 +529,24 @@ def test_a_second_thread_keeps_the_loop_in_one_process(forked):
         stop.set()
         thread.join()
     assert forks == [] and tally.reps == 10
+
+
+# -- refusals ---------------------------------------------------------------------
+
+def _first_is_one(x):
+    return 1.0 if x[0] == 1 else 0.0
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: empirical_average((1, 2, 1), _first_is_one, 4), "j = 4 outside 1..3"),
+    (lambda: empirical_average((1, 2, 1), _first_is_one, 1, mode="monte_carlo"),
+     "monte_carlo mode needs an rng"),
+    (lambda: empirical_average((1, 2, 1), _first_is_one, 1, mode="monte_carlo",
+                               num_perms=0, rng=RandomStream(0)),
+     "num_perms must be >= 1"),
+    (lambda: empirical_average((1, 2, 1), _first_is_one, 1, mode="sampled"),
+     "unknown mode 'sampled'"),
+], ids=["j_out_of_range", "monte_carlo_without_rng", "no_permutations", "unknown_mode"])
+def test_estimate_refusals(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

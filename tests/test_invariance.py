@@ -350,3 +350,17 @@ def test_equivalence_rejects_k_max_below_one(k_max, monkeypatch):
     with pytest.raises(ValueError, match="k_max must be >= 1"):
         test_equivalence(SamplerSpec("uniform_vertex"), y4(), y4(), 4, k_max, 100,
                          RandomStream(0))
+
+
+# -- refusals ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: test_involution_invariance("uniform", cycle_vertex(6), 6, 0, 10,
+                                        RandomStream(0)), "radius must be >= 1"),
+    (lambda: test_involution_invariance({1: 0.0, 2: 0.0}, cycle_vertex(6), 6, 1, 10,
+                                        RandomStream(0)),
+     "root law must have positive total mass"),
+], ids=["radius_zero", "zero_mass_root_law"])
+def test_invariance_refusals(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

@@ -186,3 +186,12 @@ def test_lln_csv_header():
     lines = text.splitlines()
     assert lines[0] == "k,estimate"
     assert lines[1] == "2,0.5"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2\n", "graphon file needs a block count and boundaries"),
+    ("2\n0 0.5 1\n0.3 0.1\n", "expected 2 value rows, found 1"),
+], ids=["short_file", "missing_rows"])
+def test_step_graphon_refusals(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gio.parse_step_graphon(text)

@@ -217,6 +217,52 @@ def test_multiplicity_deviation_bound(masses, n):
         assert abs(c / n - m) <= 1.0 / n + 1e-9
 
 
+# -- refusals ---------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StepGraphon((0.0, 0.5, 0.5, 1.0), ((0.1,) * 3,) * 3),
+     "boundaries must be strictly increasing"),
+    (lambda: StepGraphon((0.0, 0.5, 1.0), ((0.1, 0.1), (0.1,))),
+     "values must be a square matrix"),
+    (lambda: StepGraphon((0.0, NAN), ((0.5,),)),
+     r"boundaries must run 0 = b0 < \.\.\. < bB = 1"),
+    (lambda: StepGraphon((0.0, NAN, 1.0), ((0.5, 0.5), (0.5, 0.5))),
+     "boundaries must be strictly increasing"),
+    (lambda: sparsified_graphon_draw(TWO_BLOCK, 1.5, 3, RandomStream(0)),
+     r"rho\(3\) = 1.5 outside \[0,1\]"),
+    (lambda: sparsified_graphon_draw(TWO_BLOCK, 1.0, 0, RandomStream(0)),
+     "k must be >= 1"),
+    (lambda: Paintbox(((1, -0.5), (2, 1.5))), "masses must be >= 0"),
+    (lambda: Paintbox(((1, NAN),)), "masses must be >= 0"),
+    (lambda: Paintbox(((1, 0.5), (2, 0.5)), dust=NAN), "masses must be >= 0"),
+    (lambda: paintbox_draw(Paintbox(((1, 1.0),)), 0, RandomStream(0)),
+     "k must be >= 1"),
+    (lambda: MultiplicitySpec((((1, 2), 0.0),)), "target multiplicities must be > 0"),
+    (lambda: MultiplicitySpec((((1, 2), NAN),)), "target multiplicities must be > 0"),
+    (lambda: MultiplicitySpec((((1, 2), 0.5), ((3, 4), NAN))),
+     "target multiplicities must be > 0"),
+    (lambda: multigraph_from_multiplicities(MultiplicitySpec((((1, 2), 0.5),)), 0),
+     "n must be >= 1"),
+    (lambda: star_vertex(1), "star needs n >= 2"),
+    (lambda: star_edgeseq(0), "need n >= 1 edges"),
+    (lambda: matching_edgeseq(0), "need n >= 1 edges"),
+    (lambda: cycle_vertex(2), "cycle needs n >= 3"),
+    (lambda: complete_vertex(0), "need n >= 1"),
+], ids=["graphon_boundaries_repeat", "graphon_values_not_square",
+        "graphon_last_boundary_nan", "graphon_inner_boundary_nan", "rho_above_one",
+        "sparsified_k_zero", "paintbox_negative_mass", "paintbox_atom_nan",
+        "paintbox_dust_nan", "paintbox_k_zero", "multiplicity_zero_target",
+        "multiplicity_nan_target", "multiplicity_nan_second_target",
+        "multigraph_n_zero", "star_vertex", "star_edgeseq", "matching_edgeseq",
+        "cycle_vertex", "complete_vertex"])
+def test_model_refusals(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 # -- worked examples ----------------------------------------------------------------
 
 def test_make_examples_exact_structures():

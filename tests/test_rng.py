@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from graphsample.rng import RandomStream
 
 
@@ -65,3 +67,11 @@ def test_counter_tracks_draws():
     rng.randbelow(10)
     assert rng.counter == 2
 
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RandomStream(1).randbelow(0), r"randbelow requires n >= 1"),
+], ids=["randbelow_zero"])
+def test_rng_refusals(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

@@ -538,3 +538,23 @@ def test_diagnose_schedule_validation():
     with pytest.raises(ValueError):
         diagnose_limit(SamplerSpec("sequence"), (1, 2, 3), 1, (3, 2), 10,
                        RandomStream(0))
+
+
+# -- refusals ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SamplerSpec("no_such_algo"), "unknown algorithm 'no_such_algo'"),
+    (lambda: SamplerSpec("p_sample"), r"p_sample requires p in \[0,1\]"),
+    (lambda: SamplerSpec("uniform_vertex", p=0.5), "uniform_vertex takes no p parameter"),
+    (lambda: SamplerSpec("sparsified"), "sparsified requires rho"),
+    (lambda: SamplerSpec("sparsified", rho=1.5), r"rho must lie in \[0,1\]"),
+    (lambda: SamplerSpec("ego", rho=0.5), "ego takes no rho parameter"),
+    (lambda: sample_p(y4(), 4, 1.5, RandomStream(0)), r"p must lie in \[0,1\]"),
+    (lambda: diagnose_limit(SamplerSpec("uniform_vertex"), y4(), 2, (), 10,
+                            RandomStream(0)), "empty schedule"),
+], ids=["unknown_algorithm", "p_sample_without_p", "p_on_other_algorithm",
+        "sparsified_without_rho", "rho_above_one", "rho_on_other_algorithm",
+        "sample_p_above_one", "empty_schedule"])
+def test_sampling_refusals(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()

@@ -919,3 +919,11 @@ def test_ball_key_memo_holds_keys_only():
     memo = g.__dict__["_ball_keys"]
     assert {r for _, r in memo} == {1, 2}
     assert all(type(key) is PatternKey and key.kind == "ball" for key in memo.values())
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ball(y4(), 2, -1), "radius must be >= 0"),
+], ids=["ball_negative_radius"])
+def test_structure_refusals(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
