@@ -136,12 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args) -> SamplerSpec:
-    kwargs = {}
-    if args.algo == P_SAMPLE:
-        kwargs["p"] = args.p
-    elif args.algo == "sparsified":
-        kwargs["rho"] = args.rho
-    return SamplerSpec(args.algo, **kwargs)
+    """The named sampler; SamplerSpec refuses a --p or --rho it does not take."""
+    return SamplerSpec(args.algo, p=args.p, rho=args.rho)
 
 
 def _load(algo: str, path):
@@ -204,9 +200,7 @@ def _cmd_sample(args) -> int:
     y = _load(args.algo, args.infile)
     sampler = make_sampler(spec)
     n = _require(args.n, "--n")
-    k = args.k if args.k is not None else 1
-    if spec.algorithm != P_SAMPLE and args.k is None:
-        raise UsageError("missing required flag --k")
+    k = 1 if spec.algorithm == P_SAMPLE else _require(args.k, "--k")
     rng = RandomStream(args.seed)
     out = sampler(y, n, k, rng)
     _emit(args, gio.render_structure(out))
@@ -219,8 +213,6 @@ def _cmd_estimate(args) -> int:
         j = _require(args.misspec_j, "--misspec-j")
         _emit(args, gio.render_fraction(models.misspec_table(k, j)) + "\n", seeded=False)
         return 0
-    if args.reps < 1:
-        raise UsageError("--reps must be >= 1")
     rng = RandomStream(args.seed)
     if args.what in ("vector", "density", "lln"):
         _require(args.algo, "--algo")

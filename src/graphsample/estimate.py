@@ -74,22 +74,11 @@ def tally_outputs(sampler, y, n: int, k: int, reps: int, rng: RandomStream) -> P
     """Run ``sampler(y, n, k, stream_r)`` for reps replicates and tally the
     canonical keys of the outputs; replicate r always uses rng.substream(r).
 
-    A sampler is taken to see y only through y|n, as every sampler of
-    the paper does.  So for a structure y with 1 <= n < size_of(y), y is
-    replaced by y|n once, and every replicate samples the same prepared
-    structure (the graph samplers reuse its memoised adjacency and
-    degrees).  Any other n, or a y with no size (a graphon, say, for a
-    custom sampler), reaches the sampler as given, and the sampler's own
-    checks apply.
+    Every replicate samples the one structure _prepared(y, n).
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    try:
-        size = size_of(y)
-    except TypeError:
-        size = 0
-    if 1 <= n < size:
-        y = restrict(y, n)
+    y = _prepared(y, n)
 
     def run(lo, hi):  # {key: count} of replicates lo..hi-1, first occurrence first
         counts = {}
@@ -107,6 +96,22 @@ def tally_outputs(sampler, y, n: int, k: int, reps: int, rng: RandomStream) -> P
     tally.counts = _over_ranges(reps, run, merge)
     tally.reps = reps
     return tally
+
+
+def _prepared(y, n: int):
+    """y|n for a structure y with 1 <= n < size_of(y), else y as given.
+
+    A sampler is taken to see y only through y|n, as every sampler of the
+    paper does, so a replicate loop cuts y|n once and every replicate
+    samples the same prepared structure (the graph samplers reuse its
+    memoised adjacency, degrees and ball keys).  Any other n, or a y with
+    no size (a graphon, say, for a custom sampler), reaches the sampler as
+    given, and the sampler's own checks apply."""
+    try:
+        size = size_of(y)
+    except TypeError:
+        return y
+    return restrict(y, n) if 1 <= n < size else y
 
 
 def _over_ranges(reps: int, run, merge):
@@ -273,10 +278,12 @@ def lln_trace(spec_or_sampler, y, n: int, f, j: int, k_schedule, reps: int,
     """Group-averaged law of large numbers trace: for each k in the schedule,
     the mean over replicates of the symmetrized empirical average of f
     applied to a fresh size-k sample.  Exact symmetrization is used for
-    k <= 7, Monte Carlo permutations above."""
+    k <= 7, Monte Carlo permutations above.  Every replicate at every k
+    samples the one structure _prepared(y, n)."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
     sampler = _as_sampler(spec_or_sampler)
+    y = _prepared(y, n)
     estimates = []
     ks = tuple(int(k) for k in k_schedule)
     for i, k in enumerate(ks):

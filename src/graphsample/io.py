@@ -5,13 +5,14 @@ integers separated by a single space, LF line endings.  Line order is
 significant for edge sequences.  An optional first line ``#n <N>`` fixes
 the vertex count of a VertexGraph (otherwise n = max label); it is written
 only when needed, i.e. when the graph has trailing isolated vertices.  A
-vertex-graph file holds at most one ``#n`` line; other formats refuse it.  A
-vertex graph's declared or implied vertex count may not exceed MAX_VERTICES.
-Lines starting with ``# `` are metadata comments (e.g. ``# seed=...``)
-and are skipped on load.
+``#`` line is that header when its first whitespace-separated token is
+``#n``.  A vertex-graph file holds at most one ``#n`` line; other formats
+refuse it.  A vertex graph's declared or implied vertex count may not exceed
+MAX_VERTICES.  Every other line starting with ``#`` is a metadata comment
+(e.g. ``# seed=...``) and is skipped on load.
 
 Step-graphon format: line 1 the block count B, line 2 the B+1 boundaries,
-then B lines of B decimals; validated symmetric on load.
+then B lines of B decimals and nothing more; validated symmetric on load.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def _data_lines(text: str, vertex_count: bool = False):
         if not line:
             continue
         if line.startswith("#"):
-            if line.startswith("#n "):
+            if line.split()[0] == "#n":
                 if not vertex_count:
                     raise ValueError(f"line {number}: #n header outside a vertex-graph "
                                      f"file: {line!r}")
@@ -224,6 +225,9 @@ def parse_step_graphon(text: str) -> StepGraphon:
     rows = [_floats(number, line) for number, line in lines[2:2 + B]]
     if len(rows) != B:
         raise ValueError(f"expected {B} value rows, found {len(rows)}")
+    if len(lines) > 2 + B:
+        number, line = lines[2 + B]
+        raise ValueError(f"line {number}: extra line after the {B} value rows: {line!r}")
     return StepGraphon(boundaries, tuple(rows))  # symmetry checked on build
 
 

@@ -87,10 +87,12 @@ class SamplerSpec:
             raise ValueError(f"{self.algorithm} takes no rho parameter")
 
 
-def _check_n(y, n: int, kind=VertexGraph):
-    """Bounds of n for a non-empty input of the sampler's kind.  A wrong
-    kind (e.g. a shortest-path output fed back by the idempotence test) is
-    a TypeError, not a failure deep inside the sampler."""
+def _restricted(y, n: int, k: int | None = None, kind=VertexGraph):
+    """y|n for a vertex graph and y as given for any other kind, once the
+    input is checked: its kind, then non-empty, then n in 1..size, then k in
+    1..n unless k is None.  A wrong kind (e.g. a shortest-path output fed
+    back by the idempotence test) is a TypeError, not a failure deep inside
+    the sampler."""
     if not isinstance(y, kind):
         raise TypeError(f"unsupported input type {type(y).__name__}")
     size = size_of(y)
@@ -98,12 +100,9 @@ def _check_n(y, n: int, kind=VertexGraph):
         raise ValueError("empty input")
     if not 1 <= n <= size:
         raise ValueError(f"n = {n} outside 1..{size}")
-
-
-def _check_nk(y, n: int, k: int, kind=VertexGraph):
-    _check_n(y, n, kind)
-    if not 1 <= k <= n:
+    if k is not None and not 1 <= k <= n:
         raise ValueError(f"k = {k} outside 1..{n}")
+    return restrict_vertices(y, n) if kind is VertexGraph else y
 
 
 def _draw_distinct(n: int, k: int, rng: RandomStream) -> list:
@@ -177,8 +176,7 @@ def _draw_weighted_distinct(weights, tree: tuple, k: int, rng: RandomStream) -> 
 def sample_uniform_vertex(y: VertexGraph, n: int, k: int, rng: RandomStream) -> VertexGraph:
     """Select k vertices of y|n uniformly without replacement, report the
     induced subgraph relabeled 1..k in order of appearance."""
-    _check_nk(y, n, k)
-    y_n = restrict_vertices(y, n)
+    y_n = _restricted(y, n, k)
     order = _draw_distinct(n, k, rng)
     return induced_ordered(y_n, order)
 
@@ -208,10 +206,9 @@ def sample_p(y: VertexGraph, n: int, p: float, rng: RandomStream) -> VertexGraph
     """p-sampling: keep each vertex of y|n independently with probability p,
     take the induced subgraph, delete isolated vertices, and relabel the
     survivors in increasing original order.  Output size is random."""
-    _check_n(y, n)
+    y_n = _restricted(y, n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0,1]")
-    y_n = restrict_vertices(y, n)
     kept = induced_ordered(y_n, [v for v in range(1, n + 1) if rng.uniform() < p])
     return induced_ordered(kept, sorted({v for e in kept.edges for v in e}))
 
@@ -222,8 +219,7 @@ def sample_degree_biased(y: VertexGraph, n: int, k: int, rng: RandomStream) -> V
     of appearance.  Falls back to uniform among the remaining vertices when
     all remaining weights are zero (e.g. empty graphs), which keeps the
     sampler total and reduces to the uniform sampler there."""
-    _check_nk(y, n, k)
-    y_n = restrict_vertices(y, n)
+    y_n = _restricted(y, n, k)
     order = _draw_weighted_distinct(degrees(y_n), degree_tree(y_n), k, rng)
     return induced_ordered(y_n, order)
 
@@ -232,8 +228,7 @@ def sample_shortest_path(y: VertexGraph, n: int, k: int, rng: RandomStream) -> M
     """k uniform distinct vertices of y|n; report the complete graph on them
     with each edge marked by the shortest-path length inside y|n
     (UNREACHABLE for disconnected pairs)."""
-    _check_nk(y, n, k)
-    y_n = restrict_vertices(y, n)
+    y_n = _restricted(y, n, k)
     chosen = _draw_distinct(n, k, rng)
     return shortest_path_marks(y_n, chosen)
 
@@ -241,14 +236,14 @@ def sample_shortest_path(y: VertexGraph, n: int, k: int, rng: RandomStream) -> M
 def sample_sequence(y: tuple, n: int, k: int, rng: RandomStream) -> tuple:
     """k uniform without-replacement positions J_1..J_k of [n]; report the
     subsequence (y_J1, ..., y_Jk)."""
-    _check_nk(y, n, k, tuple)
+    _restricted(y, n, k, tuple)
     return subsample_in_order(y, _draw_distinct(n, k, rng))
 
 
 def sample_partition(pi: Partition, n: int, k: int, rng: RandomStream) -> Partition:
     """Subsample the block-label sequence of pi and reorder the labels by
     first appearance; the output is always an ordered partition."""
-    _check_nk(pi, n, k, Partition)
+    _restricted(pi, n, k, Partition)
     sub = sample_sequence(pi.labels, n, k, rng)
     return Partition(relabel_r(sub))
 
@@ -256,23 +251,21 @@ def sample_partition(pi: Partition, n: int, k: int, rng: RandomStream) -> Partit
 def sample_edges(y: EdgeSeqGraph, n: int, k: int, rng: RandomStream) -> EdgeSeqGraph:
     """k uniform without-replacement edge positions of y|n; report the
     selected subsequence relabeled canonically.  Output is always canonical."""
-    _check_nk(y, n, k, EdgeSeqGraph)
+    _restricted(y, n, k, EdgeSeqGraph)
     return subsample_in_order(y, _draw_distinct(n, k, rng))
 
 
 def sample_ego(y: VertexGraph, n: int, k: int, rng: RandomStream) -> list:
     """k uniform distinct vertices of y|n; report their 1-neighborhoods
     (ego networks), each rooted at the chosen vertex."""
-    _check_nk(y, n, k)
-    y_n = restrict_vertices(y, n)
+    y_n = _restricted(y, n, k)
     roots = _draw_distinct(n, k, rng)
     return [ball(y_n, v, 1) for v in roots]
 
 
 def sample_bs(y: VertexGraph, n: int, k: int, rng: RandomStream) -> RootedGraph:
     """Uniform root V in y|n; report the ball of radius k centered at V."""
-    _check_n(y, n)
-    y_n = restrict_vertices(y, n)
+    y_n = _restricted(y, n)
     root = rng.randbelow(n) + 1
     return ball(y_n, root, k)
 
@@ -343,10 +336,13 @@ def diagnose_limit(spec: SamplerSpec, y, k: int, schedule, reps: int,
     then reports total-variation distances between consecutive estimates.
     Verdict is STABILIZING when every successive TV after the first
     comparison is below the tolerance (a pragmatic Cauchy proxy: empirical
-    stabilization, never a claim that the limit exists).
+    stabilization, never a claim that the limit exists).  A tolerance not
+    above 0, NaN included, is a ValueError.
     """
     from .estimate import tally_outputs
 
+    if not tolerance > 0:
+        raise ValueError("tolerance must be > 0")
     schedule = _check_schedule(schedule)
     if schedule[-1] > size_of(y):
         raise ValueError(f"schedule maximum {schedule[-1]} exceeds input size "

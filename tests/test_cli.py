@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,8 @@ from graphsample.sampling import ALGORITHMS
 from graphsample.structures import Partition
 
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def run_cli(args):
@@ -482,6 +484,7 @@ def test_refused_edge_line_names_its_line(algo, text, message, tmp_path, capsys)
 @pytest.mark.parametrize("text, message", [
     ("2\n0 0.5 1\n0.3 x\n0.1 0.2\n", "line 3: not a number: '0.3 x'"),
     ("two\n0 0.5 1\n0.3 0.1\n0.1 0.2\n", "line 1: not an integer: 'two'"),
+    ("1\n0 1\n0.5\n0.5\n", "line 4: extra line after the 1 value rows: '0.5'"),
 ])
 def test_malformed_graphon_names_its_line(tmp_path, capsys, text, message):
     w = tmp_path / "w.txt"
@@ -518,6 +521,7 @@ def test_nan_mass_or_boundary_usage_error(argv, message, tmp_path, capsys):
      "line 1: vertex count 10000001 exceeds the limit 10000000: '#n 10000001'"),
     ("1 10000001\n",
      "line 1: vertex count 10000001 exceeds the limit 10000000: '1 10000001'"),
+    ("#n\n1 2\n", "line 1: expected 1 field(s), found 0: '#n'"),
 ])
 def test_vertex_count_header_errors_name_their_line(tmp_path, capsys, text, message):
     graph = tmp_path / "g.txt"
@@ -573,3 +577,72 @@ def test_console_entry_point_runs():
     code, out, _ = run_cli(["generate", "y4"])
     assert code == 0
     assert "1 2" in out
+
+
+_STRAY = {  # flags -> the SamplerSpec message that refuses them
+    ("--algo", "uniform_vertex", "--p", "0.3"): "uniform_vertex takes no p parameter",
+    ("--algo", "uniform_vertex", "--rho", "0.2"): "uniform_vertex takes no rho parameter",
+    ("--algo", "p_sample", "--p", "0.3", "--rho", "0.2"): "p_sample takes no rho parameter",
+    ("--algo", "sparsified", "--rho", "0.2", "--p", "0.3"): "sparsified takes no p parameter",
+}
+_SAMPLER_COMMANDS = {
+    "sample": ["sample"],
+    "estimate": ["estimate", "--what", "vector", "--reps", "10"],
+    "test": ["test", "--test", "exchangeability", "--reps", "10"],
+    "diagnose": ["diagnose", "--schedule", "2,4", "--reps", "10"],
+}
+
+
+@pytest.mark.parametrize("flags", list(_STRAY),
+                         ids=["p", "rho", "rho_on_p_sample", "p_on_sparsified"])
+@pytest.mark.parametrize("command", list(_SAMPLER_COMMANDS))
+def test_stray_sampler_parameter_usage_error(command, flags, tmp_path, capsys):
+    y4_file = tmp_path / "y4.txt"
+    main(["generate", "y4", "--out", str(y4_file)])
+    capsys.readouterr()
+    code = main([*_SAMPLER_COMMANDS[command], *flags, "--in", str(y4_file),
+                 "--n", "4", "--k", "2"])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {_STRAY[flags]}\n")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+def test_diagnose_tolerance_not_above_zero_usage_error(tol, tmp_path, capsys):
+    y4_file = tmp_path / "y4.txt"
+    main(["generate", "y4", "--out", str(y4_file)])
+    capsys.readouterr()
+    code = main(["diagnose", "--algo", "uniform_vertex", "--in", str(y4_file), "--n", "4",
+                 "--k", "2", "--schedule", "2,4", "--reps", "10", "--tol", tol])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: tolerance must be > 0\n")
+
+
+@pytest.mark.parametrize("what", ["vector", "lln"])
+def test_estimate_zero_reps_usage_error(what, tmp_path, capsys):
+    seq = tmp_path / "seq.txt"
+    seq.write_text("1\n2\n1\n")
+    code = main(["estimate", "--what", what, "--algo", "sequence", "--in", str(seq),
+                 "--n", "3", "--k", "2", "--schedule", "2,3", "--reps", "0"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: reps must be >= 1\n")
+
+
+def _readme_commands():
+    """Every ``graphsample ...`` line of README's fenced blocks, with
+    backslash continuations joined and `` # ...`` comments dropped."""
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.split(" # ")[0].split()[1:] for line in lines
+            if line.startswith("graphsample ")]
+
+
+def test_readme_commands_parse():
+    parser = _build_parser()
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: graphsample {' '.join(argv)}")

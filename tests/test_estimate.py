@@ -49,6 +49,11 @@ def test_tally_counts_and_densities():
     assert abs(sum(t.densities().values()) - 1.0) < 1e-15
 
 
+def test_empty_tally_reads_zero():
+    t = PatternTally()
+    assert t.density(key_for((1,))) == 0.0 and t.stderr(key_for((1,))) == 0.0
+
+
 def test_tally_tv_against_dict_and_tally():
     t = PatternTally()
     t.add(key_for((1,)), times=60)
@@ -339,6 +344,21 @@ def test_sized_input_reaches_sampler_restricted_once():
     tally_outputs(lambda y, n, k, stream: seen.append(y) or (1,), g, 4, 1, 3, RandomStream(0))
     assert seen == [complete_vertex(4)] * 3 and seen[0] is seen[2]
     tally_outputs(lambda y, n, k, stream: seen.append(y) or (1,), g, 6, 1, 1, RandomStream(0))
+    assert seen[-1] is g
+
+
+def test_lln_trace_reaches_sampler_restricted_once():
+    # one y|n for every replicate at every schedule point, and y itself at n = size
+    g = complete_vertex(6)
+    seen = []
+
+    def sampler(y, n, k, stream):
+        seen.append(y)
+        return tuple(range(1, k + 1))
+
+    lln_trace(sampler, g, 4, _first_is_one, 1, (2, 3), 3, RandomStream(0))
+    assert seen == [complete_vertex(4)] * 6 and all(y is seen[0] for y in seen)
+    lln_trace(sampler, g, 6, _first_is_one, 1, (2,), 1, RandomStream(0))
     assert seen[-1] is g
 
 

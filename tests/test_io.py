@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from graphsample import io as gio
@@ -191,7 +193,33 @@ def test_lln_csv_header():
 @pytest.mark.parametrize("text, message", [
     ("2\n", "graphon file needs a block count and boundaries"),
     ("2\n0 0.5 1\n0.3 0.1\n", "expected 2 value rows, found 1"),
-], ids=["short_file", "missing_rows"])
+    ("2\n0 0.5 1\n0.1 0.2\n0.2 0.3\n0.9 0.9\n",
+     "line 5: extra line after the 2 value rows: '0.9 0.9'"),
+], ids=["short_file", "missing_rows", "extra_row"])
 def test_step_graphon_refusals(text, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         gio.parse_step_graphon(text)
+
+
+def test_step_graphon_allows_comments_after_its_rows():
+    w = gio.parse_step_graphon("1\n0 1\n0.5\n\n# seed=3\n")
+    assert w == StepGraphon((0.0, 1.0), ((0.5,),))
+
+
+def test_vertex_count_header_is_its_first_token():
+    # "#n" followed by any whitespace is the header; "#note" stays a comment
+    assert gio.parse_vertex_graph("#n\t7\n1 2\n").n == 7
+    assert gio.parse_vertex_graph("#note 7\n# seed=1\n1 2\n").n == 2
+    with pytest.raises(ValueError, match=r"^line 1: expected 1 field\(s\), found 0: '#n'$"):
+        gio.parse_vertex_graph("#n\n1 2\n")
+    refused = re.escape("line 1: #n header outside a vertex-graph file: '#n\\t2'")
+    for parse, text in ((gio.parse_edge_seq, "#n\t2\n1 5\n"),
+                        (gio.parse_label_seq, "#n\t2\n1\n"),
+                        (gio.parse_step_graphon, "#n\t2\n1\n0 1\n0.5\n")):
+        with pytest.raises(ValueError, match=f"^{refused}$"):
+            parse(text)
+
+
+def test_render_structure_refuses_unknown_kind():
+    with pytest.raises(TypeError, match="^cannot render object$"):
+        gio.render_structure(object())

@@ -923,7 +923,25 @@ def test_ball_key_memo_holds_keys_only():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: ball(y4(), 2, -1), "radius must be >= 0"),
-], ids=["ball_negative_radius"])
+    (lambda: VertexGraph(-1), "vertex count must be >= 0"),
+    (lambda: MarkedCompleteGraph(-1, ()), "vertex count must be >= 0"),
+    (lambda: shortest_path_marks(y4(), [1, 5]), r"chosen vertex 5 outside 1\.\.4"),
+], ids=["ball_negative_radius", "vertex_graph_negative_size",
+        "marked_graph_negative_size", "chosen_vertex_outside_graph"])
 def test_structure_refusals(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: restrict(object(), 1), "no restriction defined for object"),
+    (lambda: subsample_in_order(object(), [1]), "no relabeling action for object"),
+    (lambda: key_for(object()), "no canonical key for object"),
+], ids=["restrict", "subsample_in_order", "key_for"])
+def test_structure_kind_refusals(build, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        build()
+
+
+def test_is_ordered_refuses_labels_below_one():
+    assert not is_ordered((0, 1))
