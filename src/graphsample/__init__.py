@@ -63,7 +63,6 @@ from .structures import (
     EdgeSeqGraph,
     MarkedCompleteGraph,
     Partition,
-    PatternKey,
     RootedGraph,
     VertexGraph,
     ball,

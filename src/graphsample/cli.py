@@ -60,6 +60,14 @@ _SIZED_GENERATORS = {
 GENERATORS = ("y4", *_SIZED_GENERATORS, "graphon", "paintbox")
 
 _SEQUENCE_ALGOS = {SEQUENCE, PARTITION}
+# the flags each task that runs no sampler reads, besides its selector and
+# the --seed, --out and --threads that every command accepts
+_UNSAMPLED_READS = {
+    "estimate --what degrees": {"infile", "schedule"},
+    "estimate --what multiplicity": {"infile", "schedule"},
+    "estimate --what misspec": {"misspec_k", "misspec_j"},
+    "test --test involution": {"infile", "n", "radius", "root", "reps"},
+}
 _THREADS_HELP = ("accepted, has no effect; long tallies split across the CPUs the "
                  "process may run on, bit-identical to one process")
 
@@ -195,6 +203,24 @@ class UsageError(Exception):
     pass
 
 
+def _refuse_unread(parser, args):
+    """A task that runs no sampler refuses the first flag it does not read.
+    A flag counts as given when its value differs from its default."""
+    selector = {"estimate": "what", "test": "test"}.get(args.command)
+    if selector is None:
+        return
+    task = f"{args.command} --{selector} {getattr(args, selector)}"
+    reads = _UNSAMPLED_READS.get(task)
+    if reads is None:
+        return
+    reads = reads | {selector, "seed", "out", "threads"}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for action in sub.choices[args.command]._actions:
+        if (action.dest not in reads
+                and getattr(args, action.dest, action.default) != action.default):
+            raise UsageError(f"{task} does not read {action.option_strings[0]}")
+
+
 def _cmd_sample(args) -> int:
     spec = _spec_from_args(args)
     y = _load(args.algo, args.infile)
@@ -308,6 +334,7 @@ def main(argv=None) -> int:
                 "estimate": _cmd_estimate, "test": _cmd_test,
                 "diagnose": _cmd_diagnose}
     try:
+        _refuse_unread(parser, args)
         code = handlers[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -66,8 +66,8 @@ class PatternTally:
         return 0.5 * fsum(abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) for k in keys)
 
     def sorted_items(self):
-        """(key, count) pairs, most frequent first, key bytes as tiebreak."""
-        return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0].kind, kv[0].data))
+        """(key, count) pairs, most frequent first, then by key bytes."""
+        return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def tally_outputs(sampler, y, n: int, k: int, reps: int, rng: RandomStream) -> PatternTally:
@@ -102,11 +102,12 @@ def _prepared(y, n: int):
     """y|n for a structure y with 1 <= n < size_of(y), else y as given.
 
     A sampler is taken to see y only through y|n, as every sampler of the
-    paper does, so a replicate loop cuts y|n once and every replicate
-    samples the same prepared structure (the graph samplers reuse its
-    memoised adjacency, degrees and ball keys).  Any other n, or a y with
-    no size (a graphon, say, for a custom sampler), reaches the sampler as
-    given, and the sampler's own checks apply."""
+    paper does, so a replicate loop, or an invariance test before its
+    tallies, cuts y|n once and every replicate samples the same prepared
+    structure (the graph samplers reuse its memoised adjacency, degrees
+    and ball keys).  Any other n, or a y with no size (a graphon, say, for
+    a custom sampler), reaches the sampler as given, and the sampler's own
+    checks apply."""
     try:
         size = size_of(y)
     except TypeError:
@@ -287,16 +288,15 @@ def lln_trace(spec_or_sampler, y, n: int, f, j: int, k_schedule, reps: int,
     estimates = []
     ks = tuple(int(k) for k in k_schedule)
     for i, k in enumerate(ks):
+        mode = "exact" if k <= EXACT_SYMMETRIZATION_MAX else "monte_carlo"
+
         def run(lo, hi):  # the averages of replicates lo..hi-1
             vals = []
             for r in range(lo, hi):
                 stream = rng.substream("lln", i, r)
                 x_k = sampler(y, n, k, stream)
-                if k <= EXACT_SYMMETRIZATION_MAX:
-                    vals.append(empirical_average(x_k, f, j, mode="exact"))
-                else:
-                    vals.append(empirical_average(x_k, f, j, mode="monte_carlo",
-                                                  num_perms=num_perms, rng=stream))
+                vals.append(empirical_average(x_k, f, j, mode=mode,
+                                              num_perms=num_perms, rng=stream))
             return vals
 
         estimates.append(fsum(_over_ranges(reps, run, list.__add__)) / reps)

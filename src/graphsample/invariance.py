@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .estimate import PatternTally, prefix_density_vector, tally_outputs
+from .estimate import PatternTally, _prepared, prefix_density_vector, tally_outputs
 from .rng import RandomStream
 from .sampling import P_SAMPLE, SamplerSpec, _as_sampler
 from .structures import (
@@ -101,6 +101,7 @@ def test_exchangeability(spec_or_sampler, y, n: int, k: int, reps: int,
     """Compare the law of S_{n->k}(y) to the law of T_pi(S_{n->k}(y)) for an
     independent uniform pi in Sym(k).  Exchangeable output passes."""
     sampler = _as_sampler(spec_or_sampler)
+    y = _prepared(y, n)
     tally_a = tally_outputs(sampler, y, n, k, reps, rng.substream("exch", 0))
 
     def permuted(yy, nn, kk, stream):
@@ -124,6 +125,7 @@ def test_idempotence(spec_or_sampler, y, n: int, m: int, k: int, reps: int,
     if not (1 <= k <= m <= n):
         raise ValueError("need k <= m <= n")
     sampler = _as_sampler(spec_or_sampler)
+    y = _prepared(y, n)
     tally_a = tally_outputs(sampler, y, n, k, reps, rng.substream("idem", 0))
 
     def composed(yy, nn, kk, stream):
@@ -145,6 +147,7 @@ def test_equivalence(spec_or_sampler, y, y2, n: int, k_max: int, reps: int,
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     sampler = _as_sampler(spec_or_sampler)
+    y, y2 = _prepared(y, n), _prepared(y2, n)
     worst = None
     for k in range(1, k_max + 1):
         ta = prefix_density_vector(sampler, y, n, k, reps, rng.substream("equiv", 0, k))
@@ -212,14 +215,17 @@ def test_involution_invariance(root_law, y: VertexGraph, n: int, radius: int,
                      f"meaningful for the infinite-graph statement")
 
     if exact:
+        # the key of each ball the laws read, each ball built once
+        touched = dict.fromkeys(u for v, _ in law for u in (v, *adj[v]))
+        keys = {u: key_for(ball(y_n, u, radius)) for u in touched}
         law_a = {}
         law_b = {}
         for v, w in law:
-            key = key_for(ball(y_n, v, radius))
+            key = keys[v]
             law_a[key] = law_a.get(key, 0.0) + w
             nbrs = adj[v]
             for u in nbrs:
-                key_u = key_for(ball(y_n, u, radius))
+                key_u = keys[u]
                 law_b[key_u] = law_b.get(key_u, 0.0) + w / len(nbrs)
         ta, tb = PatternTally(), PatternTally()
         # exact laws carried as integer tallies over a common denominator;

@@ -28,6 +28,7 @@ from .structures import (
     RootedGraph,
     UNREACHABLE,
     VertexGraph,
+    key_text,
 )
 
 #: Most vertices a vertex-graph file may declare (``#n``) or imply (its
@@ -243,7 +244,7 @@ def read_step_graphon(path) -> StepGraphon:
 def render_tally_csv(tally: PatternTally) -> str:
     lines = ["pattern_key,count,density,stderr"]
     for key, count in tally.sorted_items():
-        lines.append(f"{key.hex()},{count},{count / tally.reps:.10g},"
+        lines.append(f"{key_text(key)},{count},{count / tally.reps:.10g},"
                       f"{tally.stderr(key):.10g}")
     return "".join(line + "\n" for line in lines)
 
@@ -272,7 +273,7 @@ def render_diagnose_csv(result) -> str:
              "n,pattern_key,density"]
     for n, tally in zip(result.schedule, result.tallies):
         for key, count in tally.sorted_items():
-            lines.append(f"{n},{key.hex()},{count / tally.reps:.10g}")
+            lines.append(f"{n},{key_text(key)},{count / tally.reps:.10g}")
     lines.append("")
     lines.append("step,tv")
     for i, tv in enumerate(result.tv_steps):

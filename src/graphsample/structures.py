@@ -23,16 +23,19 @@ first use, so samplers build them once per input, not per replicate.  It
 also memoises the pattern keys of its balls by (center, radius), so a ball
 that many replicates draw is canonicalised once per graph in each process
 (a forked child starts from the memo as it stood at the fork); the memo
-holds PatternKeys (8 bytes an edge), never balls or forms, and dies with
-the graph.  A rooted graph is the breadth-first search that found it (root,
+holds key bytes (8 an edge), never balls or forms, and dies with the
+graph.  A rooted graph is the breadth-first search that found it (root,
 host adjacency, depth map and, for a ball, its place in that memo); its
 adjacency, vertices and edges are derived on first read, so a ball whose
 key the memo holds costs only its search.  Outside input enters through
 RootedGraph.from_edges, which checks it.
 
 Each operation that depends on the kind has one home here: size_of,
-restrict, subsample_in_order (the relabeling action) and key_for.  Keys
-are exact: a rooted graph is keyed by its canonical form under
+restrict, subsample_in_order (the relabeling action) and key_for.  A
+pattern key is bytes: the kind's tag, a colon and the kind's integer
+packing; this module alone writes that layout (key_for) and reads it
+(key_text, the CSV column).  Tallies and CSVs sort keys by their bytes.
+Keys are exact: a rooted graph is keyed by its canonical form under
 root-preserving isomorphism (canonical_rooted), and the packing takes any
 Python int.
 """
@@ -782,26 +785,11 @@ def subsample_in_order(x, positions):
 # canonical pattern keys
 
 
-@dataclass(frozen=True)
-class PatternKey:
-    """Canonical byte encoding of a structure, used as a tally key.
-
-    Encoding is a length-prefixed big-endian integer serialization per kind,
-    so equal structures give equal keys, deterministically across runs and
-    platforms.
-    """
-
-    kind: str
-    data: bytes
-
-    def hex(self) -> str:
-        return f"{self.kind}:{self.data.hex()}"
-
-
 #: Stands for an int outside the signed 32-bit range, or for itself: it is
 #: followed by a 32-bit byte count and the int's big-endian two's complement.
 _ESCAPE = -2 ** 31
 _WORD = struct.Struct(">i").pack
+_BALL = b"ball:"  # the tag of a rooted graph's key
 
 
 def _pack(ints) -> bytes:
@@ -819,32 +807,34 @@ def _pack(ints) -> bytes:
     return b"".join(words)
 
 
-def _rooted_key(rg: RootedGraph) -> PatternKey:
+def _rooted_key(rg: RootedGraph) -> bytes:
     size, edges = canonical_rooted(rg)
-    return PatternKey("ball", _pack([size, *itertools.chain.from_iterable(edges)]))
+    return _BALL + _pack([size, *itertools.chain.from_iterable(edges)])
 
 
-def key_for(x) -> PatternKey:
-    """Canonical PatternKey for any structure kind in this module."""
+def key_for(x) -> bytes:
+    """Canonical pattern key of any kind in this module: the kind's tag, a
+    colon, then its packing.  Tags are lowercase and the colon sorts below
+    every letter, so keys sort as (tag, packing) pairs, ball before balls."""
     if isinstance(x, VertexGraph):
         flat = [x.n]
         for u, v in sorted(x.edges):
             flat.extend((u, v))
-        return PatternKey("vg", _pack(flat))
+        return b"vg:" + _pack(flat)
     if isinstance(x, EdgeSeqGraph):
         flat = []
         for i, j in x.edges:
             flat.extend((i, j))
-        return PatternKey("es", _pack(flat))
+        return b"es:" + _pack(flat)
     if isinstance(x, Partition):
-        return PatternKey("part", _pack(x.labels))
+        return b"part:" + _pack(x.labels)
     if isinstance(x, tuple):
-        return PatternKey("seq", _pack(x))
+        return b"seq:" + _pack(x)
     if isinstance(x, MarkedCompleteGraph):
         flat = [x.k]
         for (i, j), m in x.marks:
             flat.extend((i, j, 0 if m == UNREACHABLE else int(m)))
-        return PatternKey("mc", _pack(flat))
+        return b"mc:" + _pack(flat)
     if isinstance(x, RootedGraph):
         if x.place is None:
             return _rooted_key(x)
@@ -854,5 +844,11 @@ def key_for(x) -> PatternKey:
             key = keys[at] = _rooted_key(x)
         return key
     if isinstance(x, list):  # list of rooted balls (ego sampler output)
-        return PatternKey("balls", _WORD(len(x)) + b"".join(key_for(b).data for b in x))
+        return b"balls:" + _WORD(len(x)) + b"".join(key_for(b)[len(_BALL):] for b in x)
     raise TypeError(f"no canonical key for {type(x).__name__}")
+
+
+def key_text(key: bytes) -> str:
+    """A key as ``tag:hex of the packing``, the pattern_key column of a CSV."""
+    tag, _, packing = key.partition(b":")
+    return f"{tag.decode()}:{packing.hex()}"

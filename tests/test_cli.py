@@ -627,6 +627,34 @@ def test_estimate_zero_reps_usage_error(what, tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: reps must be >= 1\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--what", "degrees", "--in", "{edges}", "--schedule", "5,10",
+      "--algo", "ego", "--p", "0.3", "--k", "9", "--reps", "0"],
+     "estimate --what degrees does not read --algo"),
+    (["estimate", "--what", "multiplicity", "--in", "{edges}", "--schedule", "5,10",
+      "--n", "10"], "estimate --what multiplicity does not read --n"),
+    (["estimate", "--what", "misspec", "--misspec-k", "20", "--misspec-j", "3",
+      "--reps", "5"], "estimate --what misspec does not read --reps"),
+    (["test", "--test", "involution", "--in", "{graph}", "--n", "10", "--k", "3"],
+     "test --test involution does not read --k"),
+], ids=["degrees", "multiplicity", "misspec", "involution"])
+def test_unsampled_task_refuses_a_flag_it_does_not_read(argv, message, tmp_path, capsys):
+    files = {"edges": tmp_path / "star_edges.txt", "graph": tmp_path / "c10.txt"}
+    main(["generate", "star_edges", "--n", "10", "--out", str(files["edges"])])
+    main(["generate", "cycle", "--n", "10", "--out", str(files["graph"])])
+    capsys.readouterr()
+    argv = [str(files[a[1:-1]]) if a.startswith("{") else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+    # --seed, --out and --threads are accepted everywhere, and a flag at its
+    # default value counts as not given
+    out = tmp_path / "out.txt"
+    kept = argv[:argv.index(message.split()[-1])]
+    assert main([*kept, "--seed", "3", "--out", str(out), "--threads", "2",
+                 "--reps", "10000"]) in (0, 1)
+    assert out.read_text()
+
+
 def _readme_commands():
     """Every ``graphsample ...`` line of README's fenced blocks, with
     backslash continuations joined and `` # ...`` comments dropped."""

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from graphsample.models import (
     y4,
 )
 from graphsample.rng import RandomStream
-from graphsample.sampling import SamplerSpec
+from graphsample.sampling import SamplerSpec, sample_uniform_vertex
 from graphsample.structures import (
     EdgeSeqGraph,
     Partition,
@@ -288,6 +290,21 @@ def test_truncation_check_stops_at_the_first_deep_vertex(monkeypatch):
     assert rep.notes == []
 
 
+def test_exact_involution_builds_each_ball_once(monkeypatch):
+    built = []
+    build = invariance.ball
+
+    def counted(g, center, r):
+        built.append(center)
+        return build(g, center, r)
+
+    monkeypatch.setattr(invariance, "ball", counted)
+    rep = test_involution_invariance("uniform", complete_vertex(5), 5, 1, 1, RandomStream(0),
+                                     exact=True)
+    assert rep.passed
+    assert sorted(built) == [1, 2, 3, 4, 5]
+
+
 def test_involution_monte_carlo_needs_a_replicate():
     with pytest.raises(ValueError, match="reps must be >= 1"):
         test_involution_invariance("uniform", cycle_vertex(10), 10, 1, 0, RandomStream(0))
@@ -364,3 +381,36 @@ def test_equivalence_rejects_k_max_below_one(k_max, monkeypatch):
 def test_invariance_refusals(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+# -- each test cuts y|n once per call -------------------------------------------
+
+def _gnp(n, p, seed):
+    rnd = random.Random(seed)
+    return VertexGraph(n, frozenset(e for e in itertools.combinations(range(1, n + 1), 2)
+                                    if rnd.random() < p))
+
+
+def _reads_adjacency(y, n, k, rng):
+    y.adjacency()
+    return sample_uniform_vertex(y, n, k, rng)
+
+
+@pytest.mark.parametrize("run, builds", [
+    (lambda g, h: test_exchangeability(SamplerSpec("ego"), g, 40, 3, 30, RandomStream(1)), 1),
+    (lambda g, h: test_idempotence(_reads_adjacency, g, 40, 20, 3, 30, RandomStream(1)), 1),
+    (lambda g, h: test_equivalence(SamplerSpec("ego"), g, h, 40, 3, 30, RandomStream(1)), 2),
+], ids=["exchangeability", "idempotence", "equivalence"])
+def test_invariance_tests_cut_y_n_once(run, builds, monkeypatch):
+    # the adjacency of every 40-vertex graph built, so each y|n the test cuts
+    built = []
+    adjacency = VertexGraph.adjacency
+
+    def counted(g):
+        if "_adjacency" not in g.__dict__:
+            built.append(g.n)
+        return adjacency(g)
+
+    monkeypatch.setattr(VertexGraph, "adjacency", counted)
+    run(_gnp(60, 0.1, 7), _gnp(60, 0.1, 8))
+    assert built.count(40) == builds

@@ -38,7 +38,7 @@ from graphsample.models import (
 )
 from graphsample.rng import RandomStream
 from graphsample.sampling import SamplerSpec, diagnose_limit
-from graphsample.structures import Partition, VertexGraph
+from graphsample.structures import Partition, VertexGraph, key_text
 
 REPS = 200
 SEED = 1
@@ -98,7 +98,7 @@ def _involution():
 def _exact_involution(y, n, radius):
     report = test_involution_invariance("uniform", y, n, radius, REPS, RandomStream(SEED),
                                         exact=True)
-    return "\n".join(f"{key.hex()},{count}" for tally in (report.tally_a, report.tally_b)
+    return "\n".join(f"{key_text(key)},{count}" for tally in (report.tally_a, report.tally_b)
                      for key, count in tally.sorted_items())
 
 

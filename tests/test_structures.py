@@ -16,7 +16,6 @@ from graphsample.structures import (
     EdgeSeqGraph,
     MarkedCompleteGraph,
     Partition,
-    PatternKey,
     RootedGraph,
     VertexGraph,
     ball,
@@ -25,6 +24,7 @@ from graphsample.structures import (
     degrees,
     is_ordered,
     key_for,
+    key_text,
     multiplicity_counts,
     relabel_r,
     relabel_rprime,
@@ -34,9 +34,9 @@ from graphsample.structures import (
     size_of,
     subsample_in_order,
 )
-from graphsample.estimate import prefix_density_vector
+from graphsample.estimate import PatternTally, prefix_density_vector
 from graphsample.invariance import test_involution_invariance
-from graphsample.io import render_rooted
+from graphsample.io import render_rooted, render_tally_csv
 from graphsample.models import cycle_vertex, star_vertex, y4
 from graphsample.rng import RandomStream
 from graphsample.sampling import SamplerSpec
@@ -712,7 +712,7 @@ def test_canonical_forms_of_larger_balls_pinned():
     g = _random_regular(400, 6, 2024)
     balls = [ball(g, v, r) for r in (1, 2) for v in range(1, g.n + 1)]
     balls += [ball(_kneser(8, 3), 1, 2), ball(_hypercube(6), 1, 3), ball(_spider(40), 1, 2)]
-    digest = hashlib.sha256(b"".join(key_for(b).data for b in balls)).hexdigest()
+    digest = hashlib.sha256(b"".join(key_for(b).partition(b":")[2] for b in balls)).hexdigest()
     assert digest == _LARGE_BALL_FORMS
 
 
@@ -821,21 +821,88 @@ _ANY_INT = st.one_of(_INT32, st.integers(-2 ** 70, 2 ** 70),
 @given(st.lists(_INT32, max_size=8))
 def test_key_packing_keeps_32_bit_words(xs):
     # every int with a 32-bit word of its own keeps the plain 32-bit packing
-    assert key_for(tuple(xs)).data == struct.pack(f">{len(xs) + 1}i", len(xs), *xs)
+    assert key_for(tuple(xs)).partition(b":")[2] == struct.pack(f">{len(xs) + 1}i", len(xs), *xs)
 
 
 def test_key_packing_escapes_ints_without_a_word():
     # bytes 80 00 00 00 across a word boundary are no escape
-    assert key_for((128, 0)).data.hex() == "000000020000008000000000"
-    assert key_for((2 ** 31,)).data.hex() == "000000018000000000000005" "0080000000"
-    assert key_for((-2 ** 31,)).data.hex() == "000000018000000000000005" "ff80000000"
-    assert key_for((2 ** 63, 1)).data.hex() == (
+    assert key_for((128, 0)).partition(b":")[2].hex() == "000000020000008000000000"
+    assert key_for((2 ** 31,)).partition(b":")[2].hex() == "000000018000000000000005" "0080000000"
+    assert key_for((-2 ** 31,)).partition(b":")[2].hex() == "000000018000000000000005" "ff80000000"
+    assert key_for((2 ** 63, 1)).partition(b":")[2].hex() == (
         "00000002" "80000000" "00000009" "008000000000000000" "00000001")
 
 
 @given(st.lists(_ANY_INT, max_size=6), st.lists(_ANY_INT, max_size=6))
 def test_key_injective_on_any_ints(xs, ys):
     assert (key_for(tuple(xs)) == key_for(tuple(ys))) == (xs == ys)
+
+
+# -- a key is its kind's tag, a colon, then the kind's packing ---------------------
+
+_pack = structures._pack
+
+
+def _ball_packing(b):
+    size, edges = canonical_rooted(b)
+    return _pack([size, *itertools.chain.from_iterable(edges)])
+
+
+_VERTEX = st.one_of(st.integers(1, 6), st.integers(1, 2 ** 70), st.just(2 ** 31))
+
+
+@st.composite
+def tagged_structures(draw):
+    """A structure of any kind, with the tag and the packing of its own
+    integers that its key must carry."""
+    tag = draw(st.sampled_from(("vg", "es", "part", "seq", "mc", "ball", "balls")))
+    if tag == "vg":
+        g = draw(small_graphs())
+        return g, tag, _pack([g.n, *itertools.chain.from_iterable(sorted(g.edges))])
+    if tag == "es":
+        pairs = draw(st.lists(st.tuples(_VERTEX, _VERTEX).filter(lambda e: e[0] != e[1])
+                              .map(lambda e: tuple(sorted(e))), max_size=4))
+        return EdgeSeqGraph(tuple(pairs)), tag, _pack(itertools.chain.from_iterable(pairs))
+    if tag == "part":
+        labels = relabel_r(draw(st.lists(st.integers(1, 4), max_size=6)))
+        return Partition(labels), tag, _pack(labels)
+    if tag == "seq":
+        xs = tuple(draw(st.lists(_ANY_INT, max_size=6)))
+        return xs, tag, _pack(xs)
+    if tag == "mc":
+        k = draw(st.integers(0, 4))
+        pairs = list(itertools.combinations(range(1, k + 1), 2))
+        marks = draw(st.lists(st.one_of(st.integers(1, 2 ** 40), st.just(UNREACHABLE)),
+                              min_size=len(pairs), max_size=len(pairs)))
+        flat = [k]
+        for (i, j), m in zip(pairs, marks):
+            flat += (i, j, 0 if m == UNREACHABLE else m)
+        return MarkedCompleteGraph(k, tuple(zip(pairs, marks))), tag, _pack(flat)
+    balls = draw(st.lists(st.integers(1, 5).flatmap(rooted_balls), min_size=1, max_size=3))
+    if tag == "ball":
+        return balls[0], tag, _ball_packing(balls[0])
+    return balls, tag, struct.pack(">i", len(balls)) + b"".join(map(_ball_packing, balls))
+
+
+@given(st.lists(tagged_structures(), min_size=1, max_size=8))
+def test_keys_read_and_sort_as_tag_then_packing(drawn):
+    keyed = [(key_for(x), tag, packing) for x, tag, packing in drawn]
+    for key, tag, packing in keyed:
+        assert type(key) is bytes
+        assert key_text(key) == f"{tag}:{packing.hex()}"
+    by_bytes = [key for key, _, _ in sorted(keyed, key=lambda e: e[0])]
+    assert by_bytes == [key for key, _, _ in sorted(keyed, key=lambda e: (e[1], e[2]))]
+
+
+def test_a_ball_sorts_before_an_ego_list_of_it_on_a_count_tie():
+    b = ball(cycle_vertex(5), 1, 1)
+    packing = _ball_packing(b)
+    tally = PatternTally()
+    tally.add(key_for([b]))
+    tally.add(key_for(b))
+    assert render_tally_csv(tally).splitlines()[1:] == [
+        f"ball:{packing.hex()},1,0.5,0.3535533906",
+        f"balls:00000001{packing.hex()},1,0.5,0.3535533906"]
 
 
 # -- ball keys are memoised on the graph the ball came from ---------------------
@@ -918,7 +985,7 @@ def test_ball_key_memo_holds_keys_only():
     test_involution_invariance("uniform", g, 30, 2, 100, RandomStream(2))
     memo = g.__dict__["_ball_keys"]
     assert {r for _, r in memo} == {1, 2}
-    assert all(type(key) is PatternKey and key.kind == "ball" for key in memo.values())
+    assert all(type(key) is bytes and key.startswith(b"ball:") for key in memo.values())
 
 
 @pytest.mark.parametrize("build, message", [
