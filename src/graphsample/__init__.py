@@ -1,6 +1,12 @@
 """Subsampling algorithms for large graphs, sequences and partitions, with
 prefix-density estimation, group-averaged laws of large numbers, and
-statistical tests of the samplers' invariance properties."""
+statistical tests of the samplers' invariance properties.
+
+The names of ``invariance`` and ``models`` load their module on first use
+(PEP 562), since most commands run neither."""
+
+import importlib
+import types
 
 from .estimate import (
     ItemProfile,
@@ -13,33 +19,6 @@ from .estimate import (
     lln_trace,
     multiplicity_profile,
     prefix_density_vector,
-)
-from .invariance import (
-    TestReport,
-    test_equivalence,
-    test_exchangeability,
-    test_idempotence,
-    test_involution_invariance,
-)
-from .models import (
-    MultiplicitySpec,
-    Paintbox,
-    StepGraphon,
-    all_singletons_seq,
-    alternating_seq,
-    complete_vertex,
-    cycle_vertex,
-    graphon_draw,
-    graphon_pattern_density,
-    half_multiplicity,
-    matching_edgeseq,
-    misspec_table,
-    multigraph_from_multiplicities,
-    paintbox_draw,
-    sparsified_graphon_draw,
-    star_edgeseq,
-    star_vertex,
-    y4,
 )
 from .rng import RandomStream
 from .sampling import (
@@ -78,4 +57,53 @@ from .structures import (
     shortest_path_marks,
 )
 
+# module -> the names it exports, imported when one is first read
+_LAZY = {
+    "invariance": (
+        "TestReport",
+        "test_equivalence",
+        "test_exchangeability",
+        "test_idempotence",
+        "test_involution_invariance",
+    ),
+    "models": (
+        "MultiplicitySpec",
+        "Paintbox",
+        "StepGraphon",
+        "all_singletons_seq",
+        "alternating_seq",
+        "complete_vertex",
+        "cycle_vertex",
+        "graphon_draw",
+        "graphon_pattern_density",
+        "half_multiplicity",
+        "matching_edgeseq",
+        "misspec_table",
+        "multigraph_from_multiplicities",
+        "paintbox_draw",
+        "sparsified_graphon_draw",
+        "star_edgeseq",
+        "star_vertex",
+        "y4",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = sorted({name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+                 | set(_HOME))
+
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

@@ -19,18 +19,11 @@ import argparse
 import sys
 
 from . import io as gio
-from . import models
 from .estimate import (
     degree_profile,
     lln_trace,
     multiplicity_profile,
     prefix_density_vector,
-)
-from .invariance import (
-    test_equivalence,
-    test_exchangeability,
-    test_idempotence,
-    test_involution_invariance,
 )
 from .rng import RandomStream
 from .sampling import (
@@ -48,14 +41,13 @@ from .sampling import (
 )
 from .structures import Partition, key_for, size_of
 
-# the generators that take --n, in the order --help lists them
+# the generators that take --n, in the order --help lists them, each named
+# by its function in models, which only generate and misspec import
 _SIZED_GENERATORS = {
-    "star": models.star_vertex, "star_edges": models.star_edgeseq,
-    "matching": models.matching_edgeseq,
-    "half_multiplicity": models.half_multiplicity,
-    "alternating": models.alternating_seq,
-    "singletons": models.all_singletons_seq, "cycle": models.cycle_vertex,
-    "complete": models.complete_vertex,
+    "star": "star_vertex", "star_edges": "star_edgeseq",
+    "matching": "matching_edgeseq", "half_multiplicity": "half_multiplicity",
+    "alternating": "alternating_seq", "singletons": "all_singletons_seq",
+    "cycle": "cycle_vertex", "complete": "complete_vertex",
 }
 GENERATORS = ("y4", *_SIZED_GENERATORS, "graphon", "paintbox")
 
@@ -175,6 +167,8 @@ def _emit(args, text: str, seeded: bool = True):
 
 
 def _cmd_generate(args) -> int:
+    from . import models
+
     rng = RandomStream(args.seed)
     name = args.name
     if name == "y4":
@@ -188,7 +182,7 @@ def _cmd_generate(args) -> int:
                              dust=args.dust)
         x = models.paintbox_draw(pb, _require(args.n, "--n"), rng).labels
     else:
-        x = _SIZED_GENERATORS[name](_require(args.n, "--n"))
+        x = getattr(models, _SIZED_GENERATORS[name])(_require(args.n, "--n"))
     _emit(args, gio.render_structure(x))
     return 0
 
@@ -235,9 +229,11 @@ def _cmd_sample(args) -> int:
 
 def _cmd_estimate(args) -> int:
     if args.what == "misspec":
+        from .models import misspec_table
+
         k = _require(args.misspec_k, "--misspec-k")
         j = _require(args.misspec_j, "--misspec-j")
-        _emit(args, gio.render_fraction(models.misspec_table(k, j)) + "\n", seeded=False)
+        _emit(args, gio.render_fraction(misspec_table(k, j)) + "\n", seeded=False)
         return 0
     rng = RandomStream(args.seed)
     if args.what in ("vector", "density", "lln"):
@@ -287,6 +283,13 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_test(args) -> int:
+    from .invariance import (
+        test_equivalence,
+        test_exchangeability,
+        test_idempotence,
+        test_involution_invariance,
+    )
+
     rng = RandomStream(args.seed)
     n = _require(args.n, "--n")
     if args.test == "involution":

@@ -17,10 +17,9 @@ then B lines of B decimals and nothing more; validated symmetric on load.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .estimate import ItemProfile, LLNTrace, PatternTally
-from .models import StepGraphon
 from .structures import (
     EdgeSeqGraph,
     MarkedCompleteGraph,
@@ -30,6 +29,11 @@ from .structures import (
     VertexGraph,
     key_text,
 )
+
+if TYPE_CHECKING:  # annotations only: fractions and models load on first use
+    from fractions import Fraction
+
+    from .models import StepGraphon
 
 #: Most vertices a vertex-graph file may declare (``#n``) or imply (its
 #: largest label).  Memory grows with the vertex count, about 220 bytes a
@@ -215,6 +219,8 @@ def _floats(number: int, line: str) -> tuple:
 
 
 def parse_step_graphon(text: str) -> StepGraphon:
+    from .models import StepGraphon
+
     lines = _data_lines(text)[1]
     if len(lines) < 2:
         raise ValueError("graphon file needs a block count and boundaries")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rng import RandomStream
+from .sampling import _rho_at
 from .structures import EdgeSeqGraph, Partition, VertexGraph, relabel_r, relabel_rprime
 
 _EPS = 1e-12
@@ -68,14 +69,6 @@ class StepGraphon:
     @classmethod
     def constant(cls, p: float) -> "StepGraphon":
         return cls((0.0, 1.0), ((p,),))
-
-
-def _rho_at(rho, k: int) -> float:
-    """Evaluate rho, a constant or a callable k -> [0,1], at output size k."""
-    val = float(rho(k) if callable(rho) else rho)
-    if not 0.0 <= val <= 1.0:
-        raise ValueError(f"rho({k}) = {val} outside [0,1]")
-    return val
 
 
 def graphon_draw(w: StepGraphon, k: int, rng: RandomStream) -> VertexGraph:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .models import _rho_at
 from .rng import RandomStream
 from .structures import (
     EdgeSeqGraph,
@@ -103,6 +102,14 @@ def _restricted(y, n: int, k: int | None = None, kind=VertexGraph):
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"k = {k} outside 1..{n}")
     return restrict_vertices(y, n) if kind is VertexGraph else y
+
+
+def _rho_at(rho, k: int) -> float:
+    """Evaluate rho, a constant or a callable k -> [0,1], at output size k."""
+    val = float(rho(k) if callable(rho) else rho)
+    if not 0.0 <= val <= 1.0:
+        raise ValueError(f"rho({k}) = {val} outside [0,1]")
+    return val
 
 
 def _draw_distinct(n: int, k: int, rng: RandomStream) -> list:

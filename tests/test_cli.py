@@ -674,3 +674,32 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: graphsample {' '.join(argv)}")
+
+
+def test_a_command_loads_only_the_modules_it_runs(tmp_path):
+    """In a fresh process, ``estimate --what vector`` never loads invariance,
+    models or fractions, and ``test`` does load invariance, so the check
+    cannot pass because nothing loads at all."""
+    graph = tmp_path / "c6.txt"
+    gio.write_text(graph, "1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n")
+    script = (
+        "import sys\n"
+        "import graphsample.cli as cli\n"
+        "lazy = ('graphsample.invariance', 'graphsample.models', 'fractions')\n"
+        "loaded = lambda: sorted(m for m in lazy if m in sys.modules)\n"
+        "assert cli.main(['estimate', '--what', 'vector', '--algo', 'ego', '--in', "
+        f"{str(graph)!r}, '--n', '6', '--k', '2', '--reps', '50', '--out', "
+        f"{str(tmp_path / 'v.csv')!r}]) == 0\n"
+        "print(loaded())\n"
+        "assert cli.main(['test', '--test', 'idempotence', '--algo', 'uniform_vertex', "
+        f"'--in', {str(graph)!r}, '--n', '6', '--m', '4', '--k', '2', "
+        "'--reps', '50']) in (0, 1)\n"
+        "print(loaded())\n"
+    )
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "['graphsample.invariance']"

@@ -1,21 +1,41 @@
 """Every name the package exports is used by something besides its own unit
 tests: another package module, the benchmark harness, the README, the
 acceptance suite or the test oracles.  An export that only its unit tests
-call is dead code and should be deleted, not re-exported."""
+call is dead code and should be deleted, not re-exported.
+
+The exports are read from ``__init__.py`` itself: its top-level
+``from .x import`` statements and its ``_LAZY`` table, whose names load
+their module on first use."""
 
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import graphsample
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "graphsample"
 
 
+def _exports() -> dict:
+    """Exported name -> the package module it comes from."""
+    home = {}
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            home.update((alias.asname or alias.name, node.module) for alias in node.names)
+        elif isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_LAZY"]:
+            home.update((name, module)
+                        for module, names in ast.literal_eval(node.value).items()
+                        for name in names)
+    return home
+
+
 def _exported_names() -> list:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return sorted(alias.asname or alias.name
-                  for node in tree.body if isinstance(node, ast.ImportFrom)
-                  for alias in node.names)
+    return sorted(_exports())
 
 
 def _reader_lines() -> list:
@@ -35,3 +55,35 @@ def test_every_export_has_a_reader():
         if not any(used.search(line) and not own.match(line) for line in lines):
             unread.append(name)
     assert unread == []
+
+
+def test_checked_names_are_the_package_exports():
+    # the reader above checks every export, the lazy ones included
+    assert _exported_names() == graphsample.__all__
+    assert set(graphsample._HOME) <= set(_exported_names())
+
+
+def test_every_export_is_its_home_module_object():
+    for name, module in _exports().items():
+        home = importlib.import_module(f"graphsample.{module}")
+        assert getattr(graphsample, name) is getattr(home, name), name
+    assert set(_exports()) <= set(dir(graphsample))
+
+
+def test_star_import_binds_every_export_and_imports_load_lazily():
+    """In a fresh process: ``import graphsample`` loads neither invariance
+    nor models, and ``from graphsample import *`` binds every export."""
+    script = (
+        "import sys, graphsample\n"
+        "lazy = ('graphsample.invariance', 'graphsample.models', 'fractions')\n"
+        "print(sorted(m for m in lazy if m in sys.modules))\n"
+        "space = {}\n"
+        "exec('from graphsample import *', space)\n"
+        "print(sorted(n for n in graphsample.__all__ "
+        "if space.get(n) is not getattr(graphsample, n)))\n"
+    )
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), path])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.splitlines() == ["[]", "[]"]
