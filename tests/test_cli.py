@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -19,13 +20,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 
 
-def run_cli(args):
+def _child_env():
     # The child needs src/ on its path even when pytest found the package
     # only through its own ``pythonpath`` setting.
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+    return dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+
+
+def run_cli(args):
     proc = subprocess.run([sys.executable, "-m", "graphsample.cli"] + args,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -682,24 +686,22 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path):
     cannot pass because nothing loads at all."""
     graph = tmp_path / "c6.txt"
     gio.write_text(graph, "1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n")
-    script = (
-        "import sys\n"
-        "import graphsample.cli as cli\n"
-        "lazy = ('graphsample.invariance', 'graphsample.models', 'fractions')\n"
-        "loaded = lambda: sorted(m for m in lazy if m in sys.modules)\n"
-        "assert cli.main(['estimate', '--what', 'vector', '--algo', 'ego', '--in', "
-        f"{str(graph)!r}, '--n', '6', '--k', '2', '--reps', '50', '--out', "
-        f"{str(tmp_path / 'v.csv')!r}]) == 0\n"
-        "print(loaded())\n"
-        "assert cli.main(['test', '--test', 'idempotence', '--algo', 'uniform_vertex', "
-        f"'--in', {str(graph)!r}, '--n', '6', '--m', '4', '--k', '2', "
-        "'--reps', '50']) in (0, 1)\n"
-        "print(loaded())\n"
-    )
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env)
+    script = textwrap.dedent("""
+        import sys
+        import graphsample.cli as cli
+        graph, out = sys.argv[1:]
+        lazy = ("graphsample.invariance", "graphsample.models", "fractions")
+        def loaded():
+            return sorted(m for m in lazy if m in sys.modules)
+        assert cli.main(["estimate", "--what", "vector", "--algo", "ego", "--in", graph,
+                         "--n", "6", "--k", "2", "--reps", "50", "--out", out]) == 0
+        print(loaded())
+        assert cli.main(["test", "--test", "idempotence", "--algo", "uniform_vertex",
+                         "--in", graph, "--n", "6", "--m", "4", "--k", "2",
+                         "--reps", "50", "--out", out]) in (0, 1)
+        print(loaded())
+    """)
+    proc = subprocess.run([sys.executable, "-c", script, str(graph), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "[]"
-    assert proc.stdout.splitlines()[-1] == "['graphsample.invariance']"
+    assert proc.stdout.splitlines() == ["[]", "['graphsample.invariance']"]

@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import graphsample
@@ -73,17 +74,19 @@ def test_every_export_is_its_home_module_object():
 def test_star_import_binds_every_export_and_imports_load_lazily():
     """In a fresh process: ``import graphsample`` loads neither invariance
     nor models, and ``from graphsample import *`` binds every export."""
-    script = (
-        "import sys, graphsample\n"
-        "lazy = ('graphsample.invariance', 'graphsample.models', 'fractions')\n"
-        "print(sorted(m for m in lazy if m in sys.modules))\n"
-        "space = {}\n"
-        "exec('from graphsample import *', space)\n"
-        "print(sorted(n for n in graphsample.__all__ "
-        "if space.get(n) is not getattr(graphsample, n)))\n"
-    )
+    script = textwrap.dedent("""
+        import sys
+        import graphsample
+        lazy = ("graphsample.invariance", "graphsample.models", "fractions")
+        print(sorted(m for m in lazy if m in sys.modules))
+        space = {}
+        exec("from graphsample import *", space)
+        print(sorted(name for name in graphsample.__all__
+                     if space.get(name) is not getattr(graphsample, name)))
+    """)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), path])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, check=True)
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]
