@@ -25,6 +25,7 @@ from .structures import EdgeSeqGraph, key_for, restrict, size_of, subsample_in_o
 
 EXACT_SYMMETRIZATION_MAX = 7  # k! grows past 5040 permutations above this
 CAUCHY_TOL = 0.01  # profile items whose last two values differ by more are flagged
+EXACT_TOL = 1e-9  # TV two equal exact laws may show from float rounding alone
 _SPLIT_S = 0.05  # seconds of replicates left that pay for one more process
 _in_child = False  # set in a forked child, which never forks again
 
@@ -57,17 +58,25 @@ class PatternTally:
     def densities(self) -> dict:
         return {k: c / self.reps for k, c in self.counts.items()}
 
-    def tv(self, other) -> float:
-        """Total variation distance to another tally or to an exact law
-        given as a dict key -> probability."""
-        mine = self.densities()
-        theirs = other.densities() if isinstance(other, PatternTally) else dict(other)
-        keys = set(mine) | set(theirs)
-        return 0.5 * fsum(abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) for k in keys)
-
     def sorted_items(self):
         """(key, count) pairs, most frequent first, then by key bytes."""
         return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def compare(a, b) -> tuple:
+    """(TV, threshold) between two laws, each a PatternTally or an exact law
+    given as a dict key -> probability; they agree iff TV <= threshold.
+
+    The threshold is 4 * sqrt(sum of 1/reps over the tallied sides), or
+    EXACT_TOL for two exact laws.  It ignores the number of patterns, which
+    the TV noise grows with, so a tally of many patterns can fail the very
+    law it was drawn from."""
+    law_a, law_b = (side.densities() if isinstance(side, PatternTally) else side
+                    for side in (a, b))
+    tv = 0.5 * fsum(abs(law_a.get(k, 0.0) - law_b.get(k, 0.0))
+                    for k in set(law_a) | set(law_b))
+    noise = sum(1.0 / side.reps for side in (a, b) if isinstance(side, PatternTally))
+    return tv, (4.0 * math.sqrt(noise) if noise else EXACT_TOL)
 
 
 def tally_outputs(sampler, y, n: int, k: int, reps: int, rng: RandomStream) -> PatternTally:

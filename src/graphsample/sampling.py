@@ -346,7 +346,7 @@ def diagnose_limit(spec: SamplerSpec, y, k: int, schedule, reps: int,
     stabilization, never a claim that the limit exists).  A tolerance not
     above 0, NaN included, is a ValueError.
     """
-    from .estimate import tally_outputs
+    from .estimate import compare, tally_outputs
 
     if not tolerance > 0:
         raise ValueError("tolerance must be > 0")
@@ -357,7 +357,7 @@ def diagnose_limit(spec: SamplerSpec, y, k: int, schedule, reps: int,
     sampler = make_sampler(spec)
     tallies = [tally_outputs(sampler, y, n, k, reps, rng.substream("diagnose", i))
                for i, n in enumerate(schedule)]
-    tvs = tuple(tallies[i].tv(tallies[i + 1]) for i in range(len(tallies) - 1))
+    tvs = tuple(compare(a, b)[0] for a, b in zip(tallies, tallies[1:]))
     checked = tvs[1:] if len(tvs) > 1 else tvs
     verdict = "STABILIZING" if all(t < tolerance for t in checked) else "NOT_STABILIZING"
     return DiagnoseResult(schedule, tallies, tvs, tolerance, verdict)

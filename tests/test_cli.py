@@ -681,9 +681,9 @@ def test_readme_commands_parse():
 
 
 def test_a_command_loads_only_the_modules_it_runs(tmp_path):
-    """In a fresh process, ``estimate --what vector`` never loads invariance,
-    models or fractions, and ``test`` does load invariance, so the check
-    cannot pass because nothing loads at all."""
+    """In a fresh process, ``estimate --what vector`` and ``diagnose`` never
+    load invariance, models or fractions, and ``test`` does load
+    invariance, so the check cannot pass because nothing loads at all."""
     graph = tmp_path / "c6.txt"
     gio.write_text(graph, "1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n")
     script = textwrap.dedent("""
@@ -696,6 +696,9 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path):
         assert cli.main(["estimate", "--what", "vector", "--algo", "ego", "--in", graph,
                          "--n", "6", "--k", "2", "--reps", "50", "--out", out]) == 0
         print(loaded())
+        assert cli.main(["diagnose", "--algo", "uniform_vertex", "--in", graph, "--n", "6",
+                         "--k", "2", "--schedule", "3,6", "--reps", "50", "--out", out]) == 0
+        print(loaded())
         assert cli.main(["test", "--test", "idempotence", "--algo", "uniform_vertex",
                          "--in", graph, "--n", "6", "--m", "4", "--k", "2",
                          "--reps", "50", "--out", out]) in (0, 1)
@@ -704,4 +707,4 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, str(graph), str(tmp_path / "out")],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "['graphsample.invariance']"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "['graphsample.invariance']"]

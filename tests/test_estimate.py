@@ -4,7 +4,9 @@ import os
 import pytest
 
 from graphsample.estimate import (
+    EXACT_TOL,
     PatternTally,
+    compare,
     degree_profile,
     empirical_average,
     endpoint_slot_stats,
@@ -58,10 +60,46 @@ def test_tally_tv_against_dict_and_tally():
     t = PatternTally()
     t.add(key_for((1,)), times=60)
     t.add(key_for((2,)), times=40)
-    assert t.tv({key_for((1,)): 0.5, key_for((2,)): 0.5}) == pytest.approx(0.1)
+    assert compare(t, {key_for((1,)): 0.5, key_for((2,)): 0.5})[0] == pytest.approx(0.1)
     u = PatternTally()
     u.add(key_for((1,)), times=100)
-    assert t.tv(u) == pytest.approx(0.4)
+    assert compare(t, u)[0] == pytest.approx(0.4)
+
+
+def _tally(reps, *keys):
+    """A tally of reps replicates spread evenly over the given keys."""
+    t = PatternTally()
+    for key in keys:
+        t.add(key_for((key,)), times=reps // len(keys))
+    return t
+
+
+_LAW = {key_for((1,)): 0.25, key_for((3,)): 0.75}
+
+
+def test_compare_threshold_of_two_tallies_adds_both_noise_terms():
+    # the term is 1/reps per side, whatever the number of patterns
+    a, b = _tally(100, 1, 2), _tally(400, 1, 2, 3, 4)
+    assert compare(a, b) == (pytest.approx(0.5), pytest.approx(4 * math.sqrt(1 / 100 + 1 / 400)))
+
+
+def test_compare_threshold_of_a_tally_and_an_exact_law_is_the_tally_term():
+    tv, threshold = compare(_tally(100, 1, 2), _LAW)
+    assert tv == pytest.approx(0.75)
+    assert threshold == pytest.approx(4 * math.sqrt(1 / 100))
+
+
+def test_compare_threshold_of_two_exact_laws_is_the_rounding_constant():
+    same = {key_for((3,)): 0.75, key_for((1,)): 0.25}
+    assert compare(_LAW, same) == (0.0, EXACT_TOL)
+    assert compare(_LAW, {key_for((2,)): 1.0}) == (1.0, EXACT_TOL)
+
+
+@pytest.mark.parametrize("a, b", [(_tally(100, 1, 2), _tally(400, 1, 2, 3, 4)),
+                                  (_tally(100, 1, 2), _LAW),
+                                  (_LAW, {key_for((2,)): 1.0})])
+def test_compare_is_symmetric(a, b):
+    assert compare(a, b) == compare(b, a)
 
 
 def test_tally_replicate_r_uses_substream_r():

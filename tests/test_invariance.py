@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,13 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphsample import invariance
+from graphsample.estimate import PatternTally, compare, prefix_density_vector
 from graphsample.invariance import (
     apply_relabeling,
     test_equivalence,
     test_exchangeability,
     test_idempotence,
     test_involution_invariance,
-    tv_threshold,
 )
 from graphsample.models import (
     complete_vertex,
@@ -182,6 +183,28 @@ def test_equivalence_star_vs_matching_fails():
     assert rep.statistic > 0.9  # disjoint supports at k = 2
 
 
+def test_equivalence_reports_the_k_of_the_largest_margin():
+    """The report is compare's verdict at the k whose TV most exceeds its
+    threshold, the smallest such k on a tie, named for the whole depth and
+    noted once."""
+    spec, rng = SamplerSpec("edge"), RandomStream(17)
+    star, matching = star_edgeseq(40), matching_edgeseq(40)
+    rep = test_equivalence(spec, star, matching, 40, 3, 2_000, rng)
+    runs = []
+    for k in (1, 2, 3):
+        ta = prefix_density_vector(spec, star, 40, k, 2_000, rng.substream("equiv", 0, k))
+        tb = prefix_density_vector(spec, matching, 40, k, 2_000, rng.substream("equiv", 1, k))
+        runs.append((k, compare(ta, tb), ta, tb))
+    # one edge looks alike in both; from two edges on the supports are disjoint
+    assert [tv for _, (tv, _), _, _ in runs] == [0.0, 1.0, 1.0]
+    k, (tv, threshold), ta, tb = max(runs, key=lambda run: run[1][0] - run[1][1])
+    assert k == 2
+    assert (rep.statistic, rep.threshold) == (tv, threshold)
+    assert (rep.tally_a.counts, rep.tally_b.counts) == (ta.counts, tb.counts)
+    assert rep.name == "equivalence(k<=[3])"
+    assert rep.notes == ["equivalent up to depth 3 only; exact equivalence would need all k"]
+
+
 def test_equivalence_self_passes():
     y = (1, 2, 1, 1, 2, 3, 1, 2)
     rep = test_equivalence(SamplerSpec("sequence"), y, y, 8, 3, 10_000,
@@ -211,6 +234,9 @@ def test_involution_star_hub_exact_enumeration():
     assert not rep.passed
     assert rep.statistic == pytest.approx(1.0)
     assert any("truncation" in note for note in rep.notes)
+    assert rep.reps == 0
+    assert rep.summary().splitlines()[0].endswith("reps = 0")
+    assert "exact enumeration over the root law (no Monte Carlo)" in rep.notes
 
 
 def test_involution_complete_graph_passes():
@@ -234,10 +260,16 @@ def test_involution_root_outside_graph_error():
                                        RandomStream(0))
 
 
-def test_involution_root_law_rejects_negative_weights():
-    with pytest.raises(ValueError, match="root 2 has negative weight -1.0"):
-        test_involution_invariance({1: 2.0, 2: -1.0}, star_vertex(10), 10, 1, 0,
-                                   RandomStream(0), exact=True)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "monte_carlo"])
+@pytest.mark.parametrize("weight, message", [(-1.0, "root 2 has negative weight -1.0"),
+                                             (math.nan, "root 2 has weight nan"),
+                                             (math.inf, "root 2 has weight inf")],
+                         ids=["negative", "nan", "inf"])
+def test_involution_root_law_rejects_negative_weights(weight, message, exact):
+    # a negative weight, or one that is not a finite number, is refused, not dropped
+    with pytest.raises(ValueError, match=message):
+        test_involution_invariance({1: 2.0, 2: weight}, star_vertex(10), 10, 1, 0,
+                                   RandomStream(0), exact=exact)
 
 
 def _diameter_by_brute_force(g):
@@ -346,16 +378,14 @@ def test_report_summary_and_threshold():
 
 
 def test_tv_threshold_scales_with_reps():
-    from graphsample.estimate import PatternTally
-
     a, b = PatternTally(), PatternTally()
     a.add(key_for((1,)), times=100)
     b.add(key_for((1,)), times=100)
-    t_small = tv_threshold(a, b)
+    t_small = compare(a, b)[1]
     a2, b2 = PatternTally(), PatternTally()
     a2.add(key_for((1,)), times=10_000)
     b2.add(key_for((1,)), times=10_000)
-    assert tv_threshold(a2, b2) < t_small
+    assert compare(a2, b2)[1] < t_small
 
 
 @pytest.mark.parametrize("k_max", [0, -1])
@@ -377,7 +407,11 @@ def test_equivalence_rejects_k_max_below_one(k_max, monkeypatch):
     (lambda: test_involution_invariance({1: 0.0, 2: 0.0}, cycle_vertex(6), 6, 1, 10,
                                         RandomStream(0)),
      "root law must have positive total mass"),
-], ids=["radius_zero", "zero_mass_root_law"])
+    # every weight over the total would read 0, and two empty laws agree
+    (lambda: test_involution_invariance({1: 1e308, 2: 1e308}, star_vertex(10), 10, 1, 0,
+                                        RandomStream(0), exact=True),
+     "root law total mass overflows"),
+], ids=["radius_zero", "zero_mass_root_law", "overflowing_root_law"])
 def test_invariance_refusals(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()

@@ -12,8 +12,11 @@ Monte Carlo involution-invariance report.  Their keys are the bytes of
 every isomorphism class re-records these digests and says so in its
 change notes.  Some rooted cases run ten or more replicates per vertex
 (the C50 involution test runs 500), so most of their balls are keyed
-from the graph's ball-key memo; the exact involution cases pin both
-enumerated tallies, which key each neighbour's ball once per edge.
+from the graph's ball-key memo.  The exact involution cases pin both
+enumerated laws, which key each neighbour's ball once per edge.  A report
+holds those laws as probabilities, so the pin writes each one as
+``round(w * 10**12)``, an integer count, and lists a law's keys as a tally
+lists them, most frequent first.
 """
 
 import hashlib
@@ -98,8 +101,12 @@ def _involution():
 def _exact_involution(y, n, radius):
     report = test_involution_invariance("uniform", y, n, radius, REPS, RandomStream(SEED),
                                         exact=True)
-    return "\n".join(f"{key_text(key)},{count}" for tally in (report.tally_a, report.tally_b)
-                     for key, count in tally.sorted_items())
+    rows = []
+    for law in (report.tally_a, report.tally_b):
+        counts = {key: round(w * 10**12) for key, w in law.items()}
+        rows += [f"{key_text(key)},{count}"
+                 for key, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
+    return "\n".join(rows)
 
 
 def _diagnose_star():
