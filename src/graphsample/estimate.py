@@ -7,6 +7,9 @@ a tally is a pure function of the input, sizes and seed.  That lets a long
 replicate loop run its contiguous ranges in forked processes, one per CPU
 the process may run on (_over_ranges); the ranges' parts merge in range
 order, so a tally is bit-identical, dict order included, to one process.
+
+A symmetrized empirical average is exact while its (k)_j arrangements fit
+its num_perms budget, and sampled from the stream it is given above that.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .rng import RandomStream
 from .sampling import _as_sampler, _check_schedule, _draw_distinct
 from .structures import EdgeSeqGraph, key_for, restrict, size_of, subsample_in_order
 
-EXACT_SYMMETRIZATION_MAX = 7  # k! grows past 5040 permutations above this
 CAUCHY_TOL = 0.01  # profile items whose last two values differ by more are flagged
 EXACT_TOL = 1e-9  # TV two equal exact laws may show from float rounding alone
 _SPLIT_S = 0.05  # seconds of replicates left that pay for one more process
@@ -240,40 +242,35 @@ def prefix_density_vector(spec_or_sampler, y, n: int, k: int, reps: int,
 # symmetrized empirical averages (the group-averaged LLN estimator)
 
 
-def empirical_average(x, f, j: int, mode: str = "exact",
-                      num_perms: int = 10_000, rng: RandomStream | None = None) -> float:
+def empirical_average(x, f, j: int, num_perms: int = 10_000,
+                      rng: RandomStream | None = None) -> float:
     """Average of f over the size-j restriction of the relabeling orbit of x:
 
         (1/|A|) * sum_{phi in A} f( restrict_j( T_phi(x) ) )
 
-    with A = Sym(k) enumerated exactly (mode="exact", k <= 7) or sampled by
-    ``num_perms`` uniform permutations (mode="monte_carlo").  T_phi permutes
-    vertices of a vertex graph, positions of a sequence, and positions
-    followed by canonical relabeling for partitions and edge sequences.
+    with A = Sym(k).  T_phi permutes vertices of a vertex graph, positions
+    of a sequence, and positions followed by canonical relabeling for
+    partitions and edge sequences.
 
-    The restriction to size j depends only on the first j images of phi, so
-    the exact average is computed over ordered j-arrangements (each appears
-    (k-j)! times in the full sum -- the value is identical).
+    The restriction depends only on phi's first j images, so the average is
+    taken over the (k)_j = k!/(k-j)! ordered j-arrangements of 1..k: all of
+    them when (k)_j <= num_perms, else num_perms uniform draws from rng.
     """
     k = size_of(x)
     if not 1 <= j <= k:
         raise ValueError(f"j = {j} outside 1..{k}")
-    if mode == "exact":
-        if k > EXACT_SYMMETRIZATION_MAX:
-            raise ValueError(f"exact symmetrization needs k <= "
-                             f"{EXACT_SYMMETRIZATION_MAX}, got {k}")
-        vals = [f(subsample_in_order(x, pos))
-                for pos in itertools.permutations(range(1, k + 1), j)]
-        return fsum(vals) / len(vals)
-    if mode == "monte_carlo":
-        if rng is None:
-            raise ValueError("monte_carlo mode needs an rng")
-        if num_perms < 1:
-            raise ValueError("num_perms must be >= 1")
-        vals = [f(subsample_in_order(x, _draw_distinct(k, j, rng)))
-                for _ in range(num_perms)]
-        return fsum(vals) / num_perms
-    raise ValueError(f"unknown mode {mode!r}")
+    if num_perms < 1:
+        raise ValueError("num_perms must be >= 1")
+    count = math.perm(k, j)
+    if count <= num_perms:
+        arrangements = itertools.permutations(range(1, k + 1), j)
+    elif rng is None:
+        raise ValueError(f"{count} arrangements exceed num_perms = {num_perms}, "
+                         f"and sampling them needs an rng")
+    else:
+        arrangements = (_draw_distinct(k, j, rng) for _ in range(num_perms))
+    vals = [f(subsample_in_order(x, pos)) for pos in arrangements]
+    return fsum(vals) / len(vals)
 
 
 @dataclass
@@ -287,9 +284,9 @@ def lln_trace(spec_or_sampler, y, n: int, f, j: int, k_schedule, reps: int,
               rng: RandomStream, num_perms: int = 10_000) -> LLNTrace:
     """Group-averaged law of large numbers trace: for each k in the schedule,
     the mean over replicates of the symmetrized empirical average of f
-    applied to a fresh size-k sample.  Exact symmetrization is used for
-    k <= 7, Monte Carlo permutations above.  Every replicate at every k
-    samples the one structure _prepared(y, n)."""
+    applied to a fresh size-k sample, exact while (k)_j <= num_perms and
+    sampled from the replicate's stream above that.  Every replicate at
+    every k samples the one structure _prepared(y, n)."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
     sampler = _as_sampler(spec_or_sampler)
@@ -297,15 +294,12 @@ def lln_trace(spec_or_sampler, y, n: int, f, j: int, k_schedule, reps: int,
     estimates = []
     ks = tuple(int(k) for k in k_schedule)
     for i, k in enumerate(ks):
-        mode = "exact" if k <= EXACT_SYMMETRIZATION_MAX else "monte_carlo"
-
         def run(lo, hi):  # the averages of replicates lo..hi-1
             vals = []
             for r in range(lo, hi):
                 stream = rng.substream("lln", i, r)
                 x_k = sampler(y, n, k, stream)
-                vals.append(empirical_average(x_k, f, j, mode=mode,
-                                              num_perms=num_perms, rng=stream))
+                vals.append(empirical_average(x_k, f, j, num_perms, stream))
             return vals
 
         estimates.append(fsum(_over_ranges(reps, run, list.__add__)) / reps)

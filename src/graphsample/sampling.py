@@ -343,14 +343,17 @@ def diagnose_limit(spec: SamplerSpec, y, k: int, schedule, reps: int,
     then reports total-variation distances between consecutive estimates.
     Verdict is STABILIZING when every successive TV after the first
     comparison is below the tolerance (a pragmatic Cauchy proxy: empirical
-    stabilization, never a claim that the limit exists).  A tolerance not
-    above 0, NaN included, is a ValueError.
+    stabilization, never a claim that the limit exists).  A schedule of
+    fewer than two sizes, which gives no TV to judge, and a tolerance not
+    above 0, NaN included, are ValueErrors.
     """
     from .estimate import compare, tally_outputs
 
     if not tolerance > 0:
         raise ValueError("tolerance must be > 0")
     schedule = _check_schedule(schedule)
+    if len(schedule) < 2:
+        raise ValueError("diagnose needs a schedule of at least two sizes")
     if schedule[-1] > size_of(y):
         raise ValueError(f"schedule maximum {schedule[-1]} exceeds input size "
                          f"{size_of(y)}")

@@ -362,7 +362,7 @@ def test_c12_lln_estimator():
     final = trace.estimates[-1]
 
     x7 = y[:7]
-    exact = empirical_average(x7, f, 1, mode="exact")
+    exact = empirical_average(x7, f, 1)
     freq = sum(1 for v in x7 if v == heavy) / 7
     ok = abs(final - 0.7) <= 0.01 and exact == freq
     report(12, ok, f"LLN trace at k=10^4: {final:.4f} (target 0.7 +- 0.01); "

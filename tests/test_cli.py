@@ -168,6 +168,17 @@ def test_estimate_lln_csv(tmp_path):
     assert len(lines) == 4
 
 
+def test_estimate_lln_exact_above_seven(tmp_path, capsys):
+    # (9)_2 = 72 arrangements fit the default budget, so k = 9 is averaged
+    # exactly: every replicate holds all nine labels, two of them 1
+    seq = tmp_path / "seq.txt"
+    seq.write_text("3\n1\n4\n1\n5\n9\n2\n6\n5\n")
+    assert main(["estimate", "--what", "lln", "--algo", "sequence", "--in", str(seq),
+                 "--n", "9", "--schedule", "3,9", "--label", "1", "--j", "2",
+                 "--reps", "20"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "9,0.2222222222"
+
+
 def test_estimate_density_single_pattern(tmp_path, capsys):
     y4_file = tmp_path / "y4.txt"
     main(["generate", "y4", "--out", str(y4_file)])
@@ -350,6 +361,17 @@ def test_cmd_diagnose(tmp_path, capsys):
     text = out.read_text()
     assert "# verdict=STABILIZING" in text
     assert "n,pattern_key,density" in text
+
+
+def test_diagnose_one_size_schedule_usage_error(tmp_path, capsys):
+    star = tmp_path / "star.txt"
+    main(["generate", "star", "--n", "50", "--out", str(star)])
+    capsys.readouterr()
+    code = main(["diagnose", "--algo", "uniform_vertex", "--in", str(star), "--n", "50",
+                 "--k", "2", "--schedule", "50", "--reps", "100"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "error: diagnose needs a schedule of at least two sizes\n")
 
 
 def test_diagnose_schedule_too_large_usage_error(tmp_path):

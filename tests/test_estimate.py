@@ -28,7 +28,7 @@ from graphsample.models import (
     star_edgeseq,
     y4,
 )
-from graphsample.models import complete_vertex
+from graphsample.models import complete_vertex, cycle_vertex
 from graphsample.rng import RandomStream
 from graphsample.sampling import SamplerSpec, sample_edges
 from graphsample.structures import EdgeSeqGraph, Partition, VertexGraph, key_for
@@ -158,19 +158,19 @@ def test_prefix_density_vector_partition_singletons():
 def test_empirical_average_sequence_frequency_identity():
     x = ("a", "b", "a")
     f = lambda s: 1.0 if s[0] == "a" else 0.0
-    assert empirical_average(x, f, 1, mode="exact") == pytest.approx(2 / 3)
+    assert empirical_average(x, f, 1) == pytest.approx(2 / 3)
 
 
 def test_empirical_average_constant_structure():
     x = (5, 5, 5, 5)
     f = lambda s: 3.25
-    assert empirical_average(x, f, 2, mode="exact") == 3.25
+    assert empirical_average(x, f, 2) == 3.25
 
 
 def test_empirical_average_triangle_edge_indicator():
     tri = complete_vertex(3)
     f = lambda g: 1.0 if (1, 2) in g.edges else 0.0
-    assert empirical_average(tri, f, 2, mode="exact") == 1.0
+    assert empirical_average(tri, f, 2) == 1.0
 
 
 def test_empirical_average_exact_invariant_under_relabeling():
@@ -178,23 +178,41 @@ def test_empirical_average_exact_invariant_under_relabeling():
 
     g = VertexGraph(4, frozenset({(1, 2), (2, 3)}))
     f = lambda h: float(len(h.edges))
-    base = empirical_average(g, f, 2, mode="exact")
+    base = empirical_average(g, f, 2)
     for perm in [(2, 1, 3, 4), (4, 3, 2, 1), (3, 1, 4, 2)]:
-        assert empirical_average(apply_relabeling(g, perm), f, 2,
-                                 mode="exact") == base
+        assert empirical_average(apply_relabeling(g, perm), f, 2) == base
 
 
-def test_empirical_average_exact_size_limit():
-    with pytest.raises(ValueError):
-        empirical_average(tuple(range(1, 9)), lambda s: 1.0, 1, mode="exact")
+def test_empirical_average_exact_up_to_the_budget():
+    # C6 at j = 3: (6)_3 = 120 arrangements, 6 of whose 15 first pairs are edges
+    x = cycle_vertex(6)
+    calls = []
+
+    def f(g):
+        calls.append(g)
+        return 1.0 if g.has_edge(1, 2) else 0.0
+
+    assert empirical_average(x, f, 3, num_perms=120) == 0.4
+    assert len(calls) == 120
+    with pytest.raises(ValueError, match="needs an rng"):
+        empirical_average(x, f, 3, num_perms=119)
+    calls.clear()
+    empirical_average(x, f, 3, num_perms=119, rng=RandomStream(0))
+    assert len(calls) == 119
 
 
 def test_empirical_average_monte_carlo_close_to_exact():
-    x = (1, 2, 1, 1, 2, 1)
-    f = lambda s: 1.0 if s[0] == 1 else 0.0
-    exact = empirical_average(x, f, 1, mode="exact")
-    mc = empirical_average(x, f, 1, mode="monte_carlo", num_perms=20_000,
-                           rng=RandomStream(0))
+    # (200)_2 = 39800 arrangements exceed the default budget of 10,000 draws
+    x = (1,) * 100 + (2,) * 60 + (3,) * 40
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return 1.0 if s[0] == s[1] else 0.0
+
+    exact = sum(c * (c - 1) for c in (100, 60, 40)) / (200 * 199)
+    mc = empirical_average(x, f, 2, rng=RandomStream(0))
+    assert len(calls) == 10_000
     assert abs(mc - exact) < 0.02
 
 
@@ -203,7 +221,7 @@ def test_empirical_average_edge_seq_action():
     shared = key_for(EdgeSeqGraph(((1, 2), (1, 3))))
     f = lambda h: 1.0 if key_for(h) == shared else 0.0
     # 6 ordered pairs of edge positions; (0,1) and (1,0) share a vertex
-    assert empirical_average(g, f, 2, mode="exact") == pytest.approx(2 / 6)
+    assert empirical_average(g, f, 2) == pytest.approx(2 / 6)
 
 
 # -- LLN traces -------------------------------------------------------------------------
@@ -443,8 +461,9 @@ def forked(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def _every_tally():
-    """Each tally-producing entry point, with its results in full order."""
+def _every_tally(forks):
+    """Each tally-producing entry point, with its results in full order, and
+    the number of processes the lln trace forked."""
     from graphsample.invariance import (test_exchangeability, test_idempotence,
                                         test_involution_invariance)
     from graphsample.sampling import ALGORITHMS, diagnose_limit
@@ -456,9 +475,13 @@ def _every_tally():
         tally = prefix_density_vector(spec, y, 8, 3, 61, RandomStream(11))
         out[algo] = (list(tally.counts.items()), tally.reps)
     seq = paintbox_draw(Paintbox(((1, 0.5), (2, 0.3)), dust=0.2), 40, RandomStream(2))
+    before = len(forks)
+    # whether positions 1 and 2 share a block: exact at k = 2 and 4, and at
+    # k = 9 from 40 draws of the (9)_2 = 72 arrangements
     out["lln"] = lln_trace(SamplerSpec("partition"), seq, 40,
-                           lambda x: float(x.labels[0] == 1), 2, (2, 4, 9), 37,
-                           RandomStream(4)).estimates
+                           lambda x: float(x.labels[1] == 1), 2, (2, 4, 9), 37,
+                           RandomStream(4), num_perms=40).estimates
+    lln_forks = len(forks) - before
     uv = SamplerSpec("uniform_vertex")
     for name, report in (
             ("involution", test_involution_invariance("uniform", _RANGE_GRAPH, 9, 1, 45,
@@ -471,19 +494,23 @@ def _every_tally():
                      list(report.tally_b.counts.items()))
     diag = diagnose_limit(uv, _RANGE_GRAPH, 2, (5, 7, 9), 45, RandomStream(8))
     out["diagnose"] = (diag.tv_steps, diag.verdict)
-    return out
+    return out, lln_forks
 
 
 def test_tallies_do_not_depend_on_the_process_count(forked):
     forks = forked(1)
-    one = _every_tally()
+    one, _ = _every_tally(forks)
     assert forks == []
     forked(2)
-    assert _every_tally() == one
+    two, lln_forks = _every_tally(forks)
+    assert two == one
+    assert lln_forks == 3  # one child at each schedule point
     made = len(forks)
     assert made > 0
     forked(3)
-    assert _every_tally() == one
+    three, lln_forks = _every_tally(forks)
+    assert three == one
+    assert lln_forks == 6
     assert len(forks) - made == 2 * made  # two children a split at 3 CPUs, one at 2
 
 
@@ -597,14 +624,12 @@ def _first_is_one(x):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: empirical_average((1, 2, 1), _first_is_one, 4), "j = 4 outside 1..3"),
-    (lambda: empirical_average((1, 2, 1), _first_is_one, 1, mode="monte_carlo"),
-     "monte_carlo mode needs an rng"),
-    (lambda: empirical_average((1, 2, 1), _first_is_one, 1, mode="monte_carlo",
-                               num_perms=0, rng=RandomStream(0)),
+    (lambda: empirical_average((1, 2, 1), _first_is_one, 1, num_perms=2),
+     "3 arrangements exceed num_perms = 2, and sampling them needs an rng"),
+    (lambda: empirical_average((1, 2, 1), _first_is_one, 1, num_perms=0,
+                               rng=RandomStream(0)),
      "num_perms must be >= 1"),
-    (lambda: empirical_average((1, 2, 1), _first_is_one, 1, mode="sampled"),
-     "unknown mode 'sampled'"),
-], ids=["j_out_of_range", "monte_carlo_without_rng", "no_permutations", "unknown_mode"])
+], ids=["j_out_of_range", "monte_carlo_without_rng", "no_permutations"])
 def test_estimate_refusals(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()

@@ -552,6 +552,8 @@ def test_diagnose_schedule_validation():
     (lambda: sample_p(y4(), 4, 1.5, RandomStream(0)), r"p must lie in \[0,1\]"),
     (lambda: diagnose_limit(SamplerSpec("uniform_vertex"), y4(), 2, (), 10,
                             RandomStream(0)), "empty schedule"),
+    (lambda: diagnose_limit(SamplerSpec("uniform_vertex"), y4(), 2, (4,), 10,
+                            RandomStream(0)), "diagnose needs a schedule of at least two sizes"),
     (lambda: diagnose_limit(SamplerSpec("uniform_vertex"), y4(), 2, (2, 4), 10,
                             RandomStream(0), tolerance=math.nan),
      "tolerance must be > 0"),
@@ -560,7 +562,8 @@ def test_diagnose_schedule_validation():
      "tolerance must be > 0"),
 ], ids=["unknown_algorithm", "p_sample_without_p", "p_on_other_algorithm",
         "sparsified_without_rho", "rho_above_one", "rho_on_other_algorithm",
-        "sample_p_above_one", "empty_schedule", "nan_tolerance", "negative_tolerance"])
+        "sample_p_above_one", "empty_schedule", "one_size_schedule", "nan_tolerance",
+        "negative_tolerance"])
 def test_sampling_refusals(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
