@@ -39,7 +39,7 @@ from .sampling import (
     diagnose_limit,
     make_sampler,
 )
-from .structures import Partition, key_for, size_of
+from .structures import Partition, key_for, restrict, size_of
 
 # the generators that take --n, in the order --help lists them, each named
 # by its function in models, which only generate and misspec import
@@ -52,13 +52,23 @@ _SIZED_GENERATORS = {
 GENERATORS = ("y4", *_SIZED_GENERATORS, "graphon", "paintbox")
 
 _SEQUENCE_ALGOS = {SEQUENCE, PARTITION}
-# the flags each task that runs no sampler reads, besides its selector and
-# the --seed, --out and --threads that every command accepts
-_UNSAMPLED_READS = {
+_SAMPLER_READS = {"algo", "infile", "n", "p", "rho"}
+# the flags each task reads, besides its selector and the --seed, --out and
+# --threads that every command accepts; generate is not listed, since what
+# it reads depends on the generator name
+_READS = {
+    "sample": {*_SAMPLER_READS, "k"},
+    "estimate --what vector": {*_SAMPLER_READS, "k", "reps"},
+    "estimate --what density": {*_SAMPLER_READS, "pattern", "reps"},
+    "estimate --what lln": {*_SAMPLER_READS, "schedule", "j", "label", "reps"},
     "estimate --what degrees": {"infile", "schedule"},
     "estimate --what multiplicity": {"infile", "schedule"},
     "estimate --what misspec": {"misspec_k", "misspec_j"},
+    "test --test exchangeability": {*_SAMPLER_READS, "k", "reps"},
+    "test --test idempotence": {*_SAMPLER_READS, "m", "k", "reps"},
+    "test --test equivalence": {*_SAMPLER_READS, "in2", "k_max", "reps"},
     "test --test involution": {"infile", "n", "radius", "root", "reps"},
+    "diagnose": {*_SAMPLER_READS, "k", "schedule", "tol", "reps"},
 }
 _THREADS_HELP = ("accepted, has no effect; long tallies split across the CPUs the "
                  "process may run on, bit-identical to one process")
@@ -132,6 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dia.add_argument("--schedule", required=True)
     dia.add_argument("--tol", type=float, default=0.02)
 
+    for p in sub.choices.values():  # the parser of args.command, for _refuse_unread
+        p.set_defaults(command_parser=p)
     return top
 
 
@@ -157,9 +169,9 @@ def _provenance(seed, **extra) -> str:
     return "".join(f"# {key}={val}\n" for key, val in {"seed": seed, **extra}.items())
 
 
-def _emit(args, text: str, seeded: bool = True):
+def _emit(args, text: str, seeded: bool = True, **extra):
     if seeded:
-        text = _provenance(args.seed) + text
+        text = _provenance(args.seed, **extra) + text
     if args.out:
         gio.write_text(args.out, text)
     else:
@@ -197,19 +209,17 @@ class UsageError(Exception):
     pass
 
 
-def _refuse_unread(parser, args):
-    """A task that runs no sampler refuses the first flag it does not read.
-    A flag counts as given when its value differs from its default."""
+def _refuse_unread(args):
+    """Every task but generate refuses the first flag it does not read.  A
+    flag counts as given when its value differs from its default."""
     selector = {"estimate": "what", "test": "test"}.get(args.command)
-    if selector is None:
-        return
-    task = f"{args.command} --{selector} {getattr(args, selector)}"
-    reads = _UNSAMPLED_READS.get(task)
+    task = (args.command if selector is None
+            else f"{args.command} --{selector} {getattr(args, selector)}")
+    reads = _READS.get(task)
     if reads is None:
         return
     reads = reads | {selector, "seed", "out", "threads"}
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for action in sub.choices[args.command]._actions:
+    for action in args.command_parser._actions:
         if (action.dest not in reads
                 and getattr(args, action.dest, action.default) != action.default):
             raise UsageError(f"{task} does not read {action.option_strings[0]}")
@@ -321,11 +331,14 @@ def _cmd_test(args) -> int:
 def _cmd_diagnose(args) -> int:
     spec = _spec_from_args(args)
     y = _load(args.algo, args.infile)
+    if args.n is not None:  # diagnose y|n, so a schedule past n is refused
+        y = restrict(y, args.n)
     k = _require(args.k, "--k")
     schedule = _parse_schedule(args.schedule)
     rng = RandomStream(args.seed)
     result = diagnose_limit(spec, y, k, schedule, args.reps, rng, tolerance=args.tol)
-    _emit(args, gio.render_diagnose_csv(result))
+    _emit(args, gio.render_diagnose_csv(result),
+          verdict=result.verdict, tolerance=result.tolerance)
     sys.stderr.write(f"verdict: {result.verdict}\n")
     return 0
 
@@ -337,7 +350,7 @@ def main(argv=None) -> int:
                 "estimate": _cmd_estimate, "test": _cmd_test,
                 "diagnose": _cmd_diagnose}
     try:
-        _refuse_unread(parser, args)
+        _refuse_unread(args)
         code = handlers[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -5,7 +5,7 @@ Monte Carlo estimators give replicate r its own random stream derived from
 the master stream, rng.substream(r), and replicate r reads nothing else, so
 a tally is a pure function of the input, sizes and seed.  That lets a long
 replicate loop run its contiguous ranges in forked processes, one per CPU
-the process may run on (_over_ranges); the ranges' parts merge in range
+the process may run on (_over_ranges), which joins their parts in range
 order, so a tally is bit-identical, dict order included, to one process.
 
 A symmetrized empirical average is exact while its (k)_j arrangements fit
@@ -19,6 +19,7 @@ import math
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from math import fsum
 
@@ -26,7 +27,6 @@ from .rng import RandomStream
 from .sampling import _as_sampler, _check_schedule, _draw_distinct
 from .structures import EdgeSeqGraph, key_for, restrict, size_of, subsample_in_order
 
-CAUCHY_TOL = 0.01  # profile items whose last two values differ by more are flagged
 EXACT_TOL = 1e-9  # TV two equal exact laws may show from float rounding alone
 _SPLIT_S = 0.05  # seconds of replicates left that pay for one more process
 _in_child = False  # set in a forked child, which never forks again
@@ -91,20 +91,12 @@ def tally_outputs(sampler, y, n: int, k: int, reps: int, rng: RandomStream) -> P
         raise ValueError("reps must be >= 1")
     y = _prepared(y, n)
 
-    def run(lo, hi):  # {key: count} of replicates lo..hi-1, first occurrence first
-        counts = {}
-        for r in range(lo, hi):
-            key = key_for(sampler(y, n, k, rng.substream(r)))
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def merge(a, b):
-        for key, c in b.items():
-            a[key] = a.get(key, 0) + c
-        return a
+    def run(lo, hi):  # key counts of replicates lo..hi-1, first occurrence first
+        return Counter(key_for(sampler(y, n, k, rng.substream(r)))
+                       for r in range(lo, hi))
 
     tally = PatternTally()
-    tally.counts = _over_ranges(reps, run, merge)
+    tally.counts = _over_ranges(reps, run)
     tally.reps = reps
     return tally
 
@@ -126,27 +118,29 @@ def _prepared(y, n: int):
     return restrict(y, n) if 1 <= n < size else y
 
 
-def _over_ranges(reps: int, run, merge):
-    """``run(0, reps)``, computed as contiguous ranges whose parts ``merge``
-    joins in range order.
+def _over_ranges(reps: int, run):
+    """``run(0, reps)``, computed as contiguous ranges whose parts are
+    joined in range order.
 
     ``run(lo, hi)`` computes replicates lo..hi-1 in order and returns their
-    part; ``merge(a, b)`` appends part b after part a.  This process runs
-    chunks of 1, 2, 4, ... replicates and times each.  Once the replicates
-    left, at the last chunk's seconds per replicate, hold ``_SPLIT_S`` of
-    work for each of two or more of the CPUs this process may run on, the
-    rest is split among that many processes (_split).  The last chunk's
-    rate, not the mean since the start, since the first replicates run slow
-    while memos fill.  Only a process with one thread forks, and a forked
-    child never forks again.
+    part, ``run(0, 0)`` the empty one; ``a += b`` appends part b after part
+    a, as for a list, or a Counter of keys in first-occurrence order (its
+    ``+=`` appends b's new keys in b's order).  This process runs chunks of
+    1, 2, 4, ... replicates and times each.  Once the replicates left, at
+    the last chunk's seconds per replicate, hold ``_SPLIT_S`` of work for
+    each of two or more of the CPUs this process may run on, the rest is
+    split among that many processes (_split).  The last chunk's rate, not
+    the mean since the start, since the first replicates run slow while
+    memos fill.  Only a process with one thread forks, and a forked child
+    never forks again.
     """
-    part, lo, size = None, 0, 1
+    part, lo, size = run(0, 0), 0, 1
     while lo < reps:
         hi = min(reps, lo + size)
         start = time.perf_counter()
         chunk = run(lo, hi)
         rate = (time.perf_counter() - start) / (hi - lo)
-        part = chunk if part is None else merge(part, chunk)
+        part += chunk
         lo, size = hi, 2 * size
         if (_in_child or not hasattr(os, "sched_getaffinity")
                 or not hasattr(os, "fork") or threading.active_count() != 1):
@@ -157,16 +151,17 @@ def _over_ranges(reps: int, run, merge):
         if work < procs * _SPLIT_S:
             procs = int(work / _SPLIT_S)
         if procs >= 2:
-            return merge(part, _split(lo, reps, procs, run, merge))
+            part += _split(lo, reps, procs, run)
+            return part
     return part
 
 
-def _split(lo: int, hi: int, procs: int, run, merge):
+def _split(lo: int, hi: int, procs: int, run):
     """``run(lo, hi)`` over ``procs`` contiguous ranges: this process runs
     the first, a forked child each of the others.
 
     A child sends its pickled part, or its pickled exception, through a
-    pipe and always ends in os._exit.  The parts merge in range order, and
+    pipe and always ends in os._exit.  The parts join in range order, and
     an error is raised from the lowest range that failed, as in one
     process.  On any exception here every child is killed; every child is
     reaped before this returns or raises.
@@ -199,7 +194,7 @@ def _split(lo: int, hi: int, procs: int, run, merge):
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
-            part = merge(part, value)
+            part += value
         return part
     except BaseException:
         for pid, _ in children:
@@ -292,7 +287,7 @@ def lln_trace(spec_or_sampler, y, n: int, f, j: int, k_schedule, reps: int,
     sampler = _as_sampler(spec_or_sampler)
     y = _prepared(y, n)
     estimates = []
-    ks = tuple(int(k) for k in k_schedule)
+    ks = _check_schedule(k_schedule)
     for i, k in enumerate(ks):
         def run(lo, hi):  # the averages of replicates lo..hi-1
             vals = []
@@ -302,7 +297,7 @@ def lln_trace(spec_or_sampler, y, n: int, f, j: int, k_schedule, reps: int,
                 vals.append(empirical_average(x_k, f, j, num_perms, stream))
             return vals
 
-        estimates.append(fsum(_over_ranges(reps, run, list.__add__)) / reps)
+        estimates.append(fsum(_over_ranges(reps, run)) / reps)
     return LLNTrace(ks, tuple(estimates))
 
 
@@ -315,19 +310,16 @@ class ItemProfile:
     """Per-item relative-occupancy estimates along a schedule of sizes.
 
     series[item] holds count(item, y|n) / normalizer(n) at each schedule n.
-    The candidate window is the set of items already present at the first
-    schedule point; mass sums their last-n values (items outside the window
-    are treated as dust whose individual share vanishes).  cauchy[item]
-    flags |last - previous| <= CAUCHY_TOL."""
+    mass sums the last-n values of the items already present at the first
+    schedule point, and ranked holds those values in decreasing order
+    (items that arrive later are treated as dust whose individual share
+    vanishes)."""
 
     schedule: tuple
-    window: tuple
     series: dict
     estimate: dict
-    cauchy: dict
     mass: float
     ranked: tuple
-
 
 
 def _item_profile(steps, schedule) -> ItemProfile:
@@ -358,12 +350,9 @@ def _item_profile(steps, schedule) -> ItemProfile:
     series = {it: tuple(snap.get(it, 0) / norm for snap, norm in snapshots)
               for it in all_items}
     estimate = {it: series[it][-1] for it in all_items}
-    cauchy = {it: len(schedule) < 2
-              or abs(series[it][-1] - series[it][-2]) <= CAUCHY_TOL
-              for it in all_items}
     mass = fsum(estimate[it] for it in window)
     ranked = tuple(sorted((estimate[it] for it in window), reverse=True))
-    return ItemProfile(schedule, window, series, estimate, cauchy, mass, ranked)
+    return ItemProfile(schedule, series, estimate, mass, ranked)
 
 
 def degree_profile(y: EdgeSeqGraph, schedule) -> ItemProfile:

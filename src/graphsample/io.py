@@ -275,8 +275,7 @@ def render_lln_csv(trace: LLNTrace) -> str:
 
 
 def render_diagnose_csv(result) -> str:
-    lines = [f"# verdict={result.verdict}", f"# tolerance={result.tolerance}",
-             "n,pattern_key,density"]
+    lines = ["n,pattern_key,density"]
     for n, tally in zip(result.schedule, result.tallies):
         for key, count in tally.sorted_items():
             lines.append(f"{n},{key_text(key)},{count / tally.reps:.10g}")

@@ -160,23 +160,17 @@ class Paintbox:
 def paintbox_draw(pb: Paintbox, k: int, rng: RandomStream) -> Partition:
     """Exchangeable partition of [k] from the paintbox: each element joins
     block m with probability p(m) or starts a fresh singleton with
-    probability p0; the label sequence is then ordered by first appearance."""
+    probability p0, by bisecting the atoms' running totals of mass with its
+    uniform; the label sequence is then ordered by first appearance."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    max_id = max((m for m, _ in pb.atoms), default=0)
+    ids = [m for m, _ in pb.atoms]
+    totals = list(itertools.accumulate(p for _, p in pb.atoms))
+    fresh = max(ids, default=0) + 1  # dust labels fresh + i are never reused
     raw = []
     for i in range(k):
-        u = rng.uniform()
-        acc = 0.0
-        chosen = None
-        for m, p in pb.atoms:
-            acc += p
-            if u < acc:
-                chosen = m
-                break
-        if chosen is None:  # dust: fresh singleton label, never reused
-            chosen = max_id + 1 + i
-        raw.append(chosen)
+        a = bisect_right(totals, rng.uniform())
+        raw.append(ids[a] if a < len(ids) else fresh + i)
     return Partition(relabel_r(raw))
 
 

@@ -249,13 +249,6 @@ class EdgeSeqGraph:
             norm.append((i, j))
         object.__setattr__(self, "edges", tuple(norm))
 
-    @property
-    def canonical(self) -> bool:
-        """True when the flattened vertex sequence (i_1, j_1, i_2, j_2, ...)
-        is labeled in order of first appearance, i.e. satisfies
-        s_m <= |{s_1..s_m}| for all m."""
-        return is_ordered(x for e in self.edges for x in e)
-
     def __len__(self):
         return len(self.edges)
 
@@ -371,10 +364,6 @@ class RootedGraph:
         return _memo(self, "_adjacency", lambda: {
             v: tuple(w for w in self.host[v] if w in dist) for v in dist})
 
-    def depths(self) -> dict:
-        """Vertex -> hop distance from the root."""
-        return self.dist
-
     @property
     def vertices(self) -> frozenset:
         return _memo(self, "_vertices", lambda: frozenset(self.dist))
@@ -421,7 +410,7 @@ def canonical_rooted(rg: RootedGraph) -> tuple:
     already visited.
     """
     adj = rg.adjacency()
-    colouring = _refine(adj, _cells({v: (d, len(adj[v])) for v, d in rg.depths().items()}))
+    colouring = _refine(adj, _cells({v: (d, len(adj[v])) for v, d in rg.dist.items()}))
     return (len(adj), _search(adj, colouring))
 
 

@@ -102,6 +102,36 @@ def draw_weighted_distinct_linear(weights, k, rng):
     return chosen
 
 
+class Uniforms:
+    """Stand-in stream that replays the given uniforms."""
+
+    def __init__(self, us):
+        self._us = iter(us)
+
+    def uniform(self):
+        return next(self._us)
+
+
+def paintbox_draw_linear(pb, k, rng):
+    """Reference for models.paintbox_draw: each element scans the atoms in
+    block order for the first running total above its uniform; with none,
+    the element is dust and starts a fresh singleton label.  The labels are
+    then ordered by first appearance."""
+    max_id = max((m for m, _ in pb.atoms), default=0)
+    raw = []
+    for i in range(k):
+        u = rng.uniform()
+        acc = 0.0
+        chosen = max_id + 1 + i
+        for m, p in pb.atoms:
+            acc += p
+            if u < acc:
+                chosen = m
+                break
+        raw.append(chosen)
+    return Partition(relabel_r(raw))
+
+
 def canonical_rooted_reference(rg):
     """Brute-force canonical form of a rooted graph, with its own adjacency
     and BFS: the minimum sorted edge encoding over every relabeling that

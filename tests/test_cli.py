@@ -186,7 +186,7 @@ def test_estimate_density_single_pattern(tmp_path, capsys):
     pat.write_text("#n 2\n1 2\n")
     assert main(["estimate", "--what", "density", "--algo", "uniform_vertex",
                  "--in", str(y4_file), "--pattern", str(pat), "--n", "4",
-                 "--k", "2", "--reps", "4000", "--seed", "8"]) == 0
+                 "--reps", "4000", "--seed", "8"]) == 0
     out = capsys.readouterr().out
     est = float(out.splitlines()[-1].split(",")[2])
     assert abs(est - 0.5) < 0.05  # P(edge) = 3/6 on y4 at k = 2
@@ -213,7 +213,7 @@ def test_estimate_density_without_pattern_format_usage_error(algo, tmp_path, cap
     pat = tmp_path / "pat.txt"
     pat.write_text("1 2\n2 3\n")
     code = main(["estimate", "--what", "density", "--algo", algo, "--in", str(c12),
-                 "--pattern", str(pat), "--n", "12", "--k", "3", "--reps", "200"])
+                 "--pattern", str(pat), "--n", "12", "--reps", "200"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -647,8 +647,9 @@ def test_diagnose_tolerance_not_above_zero_usage_error(tol, tmp_path, capsys):
 def test_estimate_zero_reps_usage_error(what, tmp_path, capsys):
     seq = tmp_path / "seq.txt"
     seq.write_text("1\n2\n1\n")
+    size = {"vector": ["--k", "2"], "lln": ["--schedule", "2,3"]}[what]
     code = main(["estimate", "--what", what, "--algo", "sequence", "--in", str(seq),
-                 "--n", "3", "--k", "2", "--schedule", "2,3", "--reps", "0"])
+                 "--n", "3", *size, "--reps", "0"])
     assert code == 2
     assert capsys.readouterr() == ("", "error: reps must be >= 1\n")
 
@@ -679,6 +680,71 @@ def test_unsampled_task_refuses_a_flag_it_does_not_read(argv, message, tmp_path,
     assert main([*kept, "--seed", "3", "--out", str(out), "--threads", "2",
                  "--reps", "10000"]) in (0, 1)
     assert out.read_text()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--what", "vector", "--algo", "uniform_vertex", "--in", "{graph}",
+      "--n", "10", "--k", "2", "--reps", "50", "--schedule", "2,3"],
+     "estimate --what vector does not read --schedule"),
+    (["estimate", "--what", "density", "--algo", "uniform_vertex", "--in", "{graph}",
+      "--pattern", "{pattern}", "--n", "10", "--reps", "50", "--k", "2"],
+     "estimate --what density does not read --k"),
+    (["estimate", "--what", "lln", "--algo", "sequence", "--in", "{seq}", "--n", "20",
+      "--schedule", "2,4", "--reps", "50", "--k", "99"],
+     "estimate --what lln does not read --k"),
+    (["test", "--test", "exchangeability", "--algo", "uniform_vertex", "--in", "{graph}",
+      "--n", "10", "--k", "2", "--reps", "50", "--m", "3"],
+     "test --test exchangeability does not read --m"),
+    (["test", "--test", "idempotence", "--algo", "uniform_vertex", "--in", "{graph}",
+      "--n", "10", "--m", "4", "--k", "2", "--reps", "50", "--k-max", "4"],
+     "test --test idempotence does not read --k-max"),
+    (["test", "--test", "equivalence", "--algo", "uniform_vertex", "--in", "{graph}",
+      "--in2", "{graph}", "--n", "10", "--reps", "50", "--k", "3"],
+     "test --test equivalence does not read --k"),
+], ids=["vector", "density", "lln", "exchangeability", "idempotence", "equivalence"])
+def test_sampled_task_refuses_a_flag_it_does_not_read(argv, message, tmp_path, capsys):
+    """sample and diagnose read every flag their parsers declare, so they
+    have no case here."""
+    files = {"graph": tmp_path / "c10.txt", "seq": tmp_path / "alt.txt",
+             "pattern": tmp_path / "edge.txt"}
+    main(["generate", "cycle", "--n", "10", "--out", str(files["graph"])])
+    main(["generate", "alternating", "--n", "20", "--out", str(files["seq"])])
+    files["pattern"].write_text("#n 2\n1 2\n")
+    capsys.readouterr()
+    argv = [str(files[a[1:-1]]) if a.startswith("{") else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+    out = tmp_path / "out.txt"
+    kept = argv[:argv.index(message.split()[-1])]
+    assert main([*kept, "--seed", "3", "--out", str(out), "--threads", "2"]) in (0, 1)
+    assert out.read_text()
+
+
+@pytest.mark.parametrize("schedule", ["6,4,2", "4,4"])
+def test_estimate_lln_schedule_not_increasing_usage_error(schedule, tmp_path, capsys):
+    seq = tmp_path / "alt.txt"
+    main(["generate", "alternating", "--n", "20", "--out", str(seq)])
+    capsys.readouterr()
+    code = main(["estimate", "--what", "lln", "--algo", "partition", "--in", str(seq),
+                 "--n", "20", "--schedule", schedule, "--reps", "10"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: schedule must be strictly increasing\n")
+
+
+def test_diagnose_reads_n(tmp_path, capsys):
+    """diagnose cuts its input to --n first: a schedule point past n is
+    refused, and --n at the input size changes nothing."""
+    star = tmp_path / "star.txt"
+    main(["generate", "star", "--n", "50", "--out", str(star)])
+    capsys.readouterr()
+    argv = ["diagnose", "--algo", "uniform_vertex", "--in", str(star), "--k", "2",
+            "--schedule", "25,50", "--reps", "20"]
+    assert main([*argv, "--n", "10"]) == 2
+    assert capsys.readouterr() == ("", "error: schedule maximum 50 exceeds input size 10\n")
+    assert main(argv) == 0
+    whole = capsys.readouterr()
+    assert main([*argv, "--n", "50"]) == 0
+    assert capsys.readouterr() == whole
 
 
 def _readme_commands():

@@ -338,15 +338,6 @@ def test_frequency_profile_singletons():
     assert prof.mass == pytest.approx(100 / 8000)
 
 
-def test_profile_cauchy_flags():
-    star = star_edgeseq(800)
-    prof = degree_profile(star, (100, 200, 400, 800))
-    assert prof.cauchy[1]  # hub series is constant at 0.5
-    bursty = EdgeSeqGraph(((1, 2),) * 10 + ((3, 4), (5, 6)) * 45)
-    prof2 = multiplicity_profile(bursty, (10, 100))
-    assert not prof2.cauchy[(1, 2)]  # share falls 1.0 -> 0.1
-
-
 def test_profile_schedule_validation():
     with pytest.raises(ValueError):
         degree_profile(star_edgeseq(10), (4, 20))
@@ -629,7 +620,14 @@ def _first_is_one(x):
     (lambda: empirical_average((1, 2, 1), _first_is_one, 1, num_perms=0,
                                rng=RandomStream(0)),
      "num_perms must be >= 1"),
-], ids=["j_out_of_range", "monte_carlo_without_rng", "no_permutations"])
+    (lambda: lln_trace(SamplerSpec("sequence"), (1, 2) * 5, 10, _first_is_one, 1,
+                       (6, 4, 2), 5, RandomStream(0)),
+     "schedule must be strictly increasing"),
+    (lambda: lln_trace(SamplerSpec("sequence"), (1, 2) * 5, 10, _first_is_one, 1,
+                       (4, 4), 5, RandomStream(0)),
+     "schedule must be strictly increasing"),
+], ids=["j_out_of_range", "monte_carlo_without_rng", "no_permutations",
+        "lln_decreasing_schedule", "lln_repeated_schedule"])
 def test_estimate_refusals(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()

@@ -1,7 +1,8 @@
 import math
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphsample.models import (
@@ -27,8 +28,11 @@ from graphsample.models import (
 from graphsample.rng import RandomStream
 from graphsample.structures import (
     VertexGraph,
+    is_ordered,
     multiplicity_counts,
 )
+
+import oracles
 
 TWO_BLOCK = StepGraphon((0.0, 0.5, 1.0), ((0.8, 0.1), (0.1, 0.6)))
 
@@ -160,6 +164,42 @@ def test_paintbox_output_always_ordered(k, seed):
     paintbox_draw(pb, k, RandomStream(seed))  # Partition validates on build
 
 
+# atom and dust weights, normalized to masses by _paintbox; zero weights
+# give massless atoms, whose running totals tie with the one before
+_ATOM_WEIGHTS = st.lists(st.integers(0, 8), min_size=1, max_size=6)
+_DUST_WEIGHTS = st.sampled_from((0, 0, 1, 3))
+
+
+def _paintbox(weights, dust):
+    total = sum(weights) + dust
+    assume(total > 0)
+    return Paintbox(tuple((m, w / total) for m, w in enumerate(weights, start=1)),
+                    dust=dust / total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ATOM_WEIGHTS, _DUST_WEIGHTS, st.integers(1, 40), st.integers(0, 2**63))
+def test_paintbox_draw_matches_linear_scan(weights, dust, k, seed):
+    pb = _paintbox(weights, dust)
+    expected = oracles.paintbox_draw_linear(pb, k, RandomStream(seed))
+    assert paintbox_draw(pb, k, RandomStream(seed)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ATOM_WEIGHTS, _DUST_WEIGHTS, st.data())
+def test_paintbox_draw_matches_linear_scan_at_exact_running_totals(weights, dust, data):
+    """Uniforms equal to a running total of the atom masses, which a seeded
+    stream almost never produces, go to the next atom in both."""
+    pb = _paintbox(weights, dust)
+    totals = [t for t in accumulate(p for _, p in pb.atoms) if t < 1.0]
+    edges = st.sampled_from((0.0, *totals, 1 - 2.0 ** -53))
+    k = data.draw(st.integers(1, 20))
+    us = data.draw(st.lists(st.one_of(edges, st.floats(0, 1, exclude_max=True)),
+                            min_size=k, max_size=k))
+    expected = oracles.paintbox_draw_linear(pb, k, oracles.Uniforms(us))
+    assert paintbox_draw(pb, k, oracles.Uniforms(us)) == expected
+
+
 def test_paintbox_matches_partition_sampler_on_long_input():
     # no dust: the paintbox law at k = 3 should match subsampling a long
     # sequence carrying the same block frequencies
@@ -277,7 +317,7 @@ def test_make_examples_exact_structures():
 
 def test_half_multiplicity_structure():
     g = half_multiplicity(8)
-    assert g.canonical
+    assert is_ordered(v for e in g.edges for v in e)
     counts = multiplicity_counts(g)
     assert counts[(1, 2)] == 4
     assert sum(1 for c in counts.values() if c == 1) == 4

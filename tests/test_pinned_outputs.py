@@ -32,11 +32,13 @@ from graphsample.cli import main
 from graphsample.estimate import empirical_average, prefix_density_vector
 from graphsample.invariance import test_exchangeability, test_involution_invariance
 from graphsample.models import (
+    Paintbox,
     StepGraphon,
     alternating_seq,
     cycle_vertex,
     graphon_pattern_density,
     half_multiplicity,
+    paintbox_draw,
     star_vertex,
 )
 from graphsample.rng import RandomStream
@@ -124,6 +126,16 @@ def _monte_carlo_average():
     # 100 draws, below the (6)_3 = 120 arrangements that would be averaged exactly
     value = empirical_average(x, f, 3, num_perms=100, rng=RandomStream(SEED))
     return repr(value)
+
+
+# atoms given out of block order, one of them massless, with dust and without
+PAINTBOXES = (Paintbox(((3, 0.25), (1, 0.5), (4, 0.0), (2, 0.125)), dust=0.125),
+              Paintbox(((2, 0.3), (1, 0.5), (5, 0.2))))
+
+
+def _paintbox_draws():
+    return "\n".join(repr(paintbox_draw(pb, REPS, RandomStream(SEED)).labels)
+                     for pb in PAINTBOXES)
 
 
 def _cli_output(argv, inputs) -> str:
@@ -232,6 +244,7 @@ CASES = {
     "exchangeability.partition": lambda: _exchangeability("partition", PARTITION, 9, 4),
     "exchangeability.sequence": lambda: _exchangeability("sequence", alternating_seq(9), 9, 3),
     "empirical_average.monte_carlo": _monte_carlo_average,
+    "paintbox_draw": _paintbox_draws,
     "vector.ego": lambda: _vector(SamplerSpec("ego"), GRAPH, 7, 2),
     "vector.bs_root": lambda: _vector(SamplerSpec("bs_root"), GRAPH, 7, 2),
     # layers 1+9 at the hub and 1+1+8 at a leaf: twin cells, no branching
@@ -276,7 +289,6 @@ DIGESTS = {
     "vector.sparsified": "e9362ae02347ef164a4eaa16ac126490fefc9c4530309fbaf15e853391020594",
     "vector.uniform_vertex": "144db4e1faf3ef8f3ad2e7ec7fd20c02e17a278de58265bb624ae34a93c63ec6",
     # captured before inputs were prepared once per tally
-    "diagnose.degree_biased.star": "678cb0b0437a798786a55d7b21c266f6e9bd80a4e8829e6ab6490a7e53983223",
     "vector.degree_biased.edgeless": "cbd4e22f9208732e8edb7e23f7633f41c7013ef672a1b851cd294af9997af17a",
     "vector.degree_biased.isolated": "a0b995691f5b099b9bfe213707d3fce779d1f6dd3d0ae2ffce07b5b48cf5a892",
     "vector.shortest_path.disconnected": "025505578fad7847fe9becda3ebd89a8f0bab0c510a16cdb9494362a69cc2c26",
@@ -325,6 +337,12 @@ DIGESTS = {
     # would now be C6's 120 arrangements exactly, draws 100
     "cli.estimate.lln": "f96cc1f7778f94a219c0cdb1a0a69eb2c8101d72ecd9f585a2bebd144b1a17f0",
     "empirical_average.monte_carlo": "bffb16d6fe1445f051b3cff3025340011b817b391ffc04dcd77d1452efa10c25",
+    # re-recorded when the CLI took over the # verdict= and # tolerance=
+    # lines: the renderer's output lost exactly those two lines, and the
+    # parent's output without them has this digest
+    "diagnose.degree_biased.star": "3e9858b09c3f73a34592d837c83b4025a8d1f12bd805ea35387a39930d5206d6",
+    # captured while paintbox_draw still scanned the atoms for every element
+    "paintbox_draw": "b939542e8e4ce0f3938b51e231eb59b5de32b0a5fdd2042d164fe10346efcaf9",
 }
 
 
