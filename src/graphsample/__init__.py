@@ -2,63 +2,64 @@
 prefix-density estimation, group-averaged laws of large numbers, and
 statistical tests of the samplers' invariance properties.
 
-The names of ``invariance`` and ``models`` load their module on first use
-(PEP 562), since most commands run neither."""
+Every exported name loads its module on first use (PEP 562), so
+``import graphsample`` loads no submodule and a command loads only the
+modules it runs."""
 
 import importlib
-import types
 
-from .estimate import (
-    ItemProfile,
-    LLNTrace,
-    PatternTally,
-    degree_profile,
-    empirical_average,
-    endpoint_slot_stats,
-    frequency_profile,
-    lln_trace,
-    multiplicity_profile,
-    prefix_density_vector,
-)
-from .rng import RandomStream
-from .sampling import (
-    ALGORITHMS,
-    SamplerSpec,
-    diagnose_limit,
-    make_sampler,
-    sample_bs,
-    sample_degree_biased,
-    sample_edges,
-    sample_ego,
-    sample_p,
-    sample_partition,
-    sample_sequence,
-    sample_shortest_path,
-    sample_sparsified,
-    sample_uniform_vertex,
-)
-from .structures import (
-    UNREACHABLE,
-    EdgeSeqGraph,
-    MarkedCompleteGraph,
-    Partition,
-    RootedGraph,
-    VertexGraph,
-    ball,
-    canonical_rooted,
-    degrees,
-    is_ordered,
-    key_for,
-    multiplicity_counts,
-    relabel_r,
-    relabel_rprime,
-    restrict,
-    restrict_vertices,
-    shortest_path_marks,
-)
-
-# module -> the names it exports, imported when one is first read
+# module -> the names it exports, each imported when first read
 _LAZY = {
+    "estimate": (
+        "ItemProfile",
+        "LLNTrace",
+        "PatternTally",
+        "degree_profile",
+        "empirical_average",
+        "endpoint_slot_stats",
+        "frequency_profile",
+        "lln_trace",
+        "multiplicity_profile",
+        "prefix_density_vector",
+    ),
+    "rng": (
+        "RandomStream",
+    ),
+    "sampling": (
+        "ALGORITHMS",
+        "SamplerSpec",
+        "diagnose_limit",
+        "make_sampler",
+        "sample_bs",
+        "sample_degree_biased",
+        "sample_edges",
+        "sample_ego",
+        "sample_p",
+        "sample_partition",
+        "sample_sequence",
+        "sample_shortest_path",
+        "sample_sparsified",
+        "sample_uniform_vertex",
+    ),
+    "structures": (
+        "UNREACHABLE",
+        "EdgeSeqGraph",
+        "MarkedCompleteGraph",
+        "Partition",
+        "RootedGraph",
+        "VertexGraph",
+        "ball",
+        "canonical_rooted",
+        "degrees",
+        "is_ordered",
+        "key_for",
+        "multiplicity_counts",
+        "relabel_r",
+        "relabel_rprime",
+        "restrict",
+        "restrict_vertices",
+        "shortest_path_marks",
+    ),
     "invariance": (
         "TestReport",
         "test_equivalence",
@@ -89,9 +90,7 @@ _LAZY = {
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
-__all__ = sorted({name for name, value in globals().items()
-                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-                 | set(_HOME))
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
 

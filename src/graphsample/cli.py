@@ -20,6 +20,7 @@ import sys
 
 from . import io as gio
 from .estimate import (
+    PatternTally,
     degree_profile,
     lln_trace,
     multiplicity_profile,
@@ -205,6 +206,12 @@ def _require(value, flag):
     return value
 
 
+def _k(args):
+    """--k for a sampled task; p_sample reads none (its output size is
+    random), so its samplers get None."""
+    return None if args.algo == P_SAMPLE else _require(args.k, "--k")
+
+
 class UsageError(Exception):
     pass
 
@@ -219,6 +226,8 @@ def _refuse_unread(args):
     if reads is None:
         return
     reads = reads | {selector, "seed", "out", "threads"}
+    if args.algo == P_SAMPLE:  # its output size is random
+        reads = reads - {"k"}
     for action in args.command_parser._actions:
         if (action.dest not in reads
                 and getattr(args, action.dest, action.default) != action.default):
@@ -230,9 +239,8 @@ def _cmd_sample(args) -> int:
     y = _load(args.algo, args.infile)
     sampler = make_sampler(spec)
     n = _require(args.n, "--n")
-    k = 1 if spec.algorithm == P_SAMPLE else _require(args.k, "--k")
     rng = RandomStream(args.seed)
-    out = sampler(y, n, k, rng)
+    out = sampler(y, n, _k(args), rng)
     _emit(args, gio.render_structure(out))
     return 0
 
@@ -257,8 +265,7 @@ def _cmd_estimate(args) -> int:
         y = _load(args.algo, args.infile)
         n = _require(args.n, "--n")
         if args.what == "vector":
-            k = _require(args.k, "--k")
-            tally = prefix_density_vector(spec, y, n, k, args.reps, rng)
+            tally = prefix_density_vector(spec, y, n, _k(args), args.reps, rng)
             _emit(args, gio.render_tally_csv(tally))
             return 0
         if args.what == "density":
@@ -267,9 +274,9 @@ def _cmd_estimate(args) -> int:
             if k > n:
                 raise ValueError(f"pattern size {k} exceeds n = {n}")
             tally = prefix_density_vector(spec, y, n, k, args.reps, rng)
-            key = key_for(pattern)
-            tally.counts = {key: tally.counts.get(key, 0)}  # a zero row if never drawn
-            _emit(args, gio.render_tally_csv(tally))
+            key = key_for(pattern)  # its row reads 0 if never drawn
+            row = PatternTally({key: tally.counts.get(key, 0)}, tally.reps)
+            _emit(args, gio.render_tally_csv(row))
             return 0
         if args.algo not in _SEQUENCE_ALGOS:
             raise UsageError("--what lln supports sequence/partition inputs; "
@@ -312,11 +319,10 @@ def _cmd_test(args) -> int:
         spec = _spec_from_args(args)
         y = _load(args.algo, args.infile)
         if args.test == "exchangeability":
-            report = test_exchangeability(spec, y, n, _require(args.k, "--k"),
-                                          args.reps, rng)
+            report = test_exchangeability(spec, y, n, _k(args), args.reps, rng)
         elif args.test == "idempotence":
             report = test_idempotence(spec, y, n, _require(args.m, "--m"),
-                                      _require(args.k, "--k"), args.reps, rng)
+                                      _k(args), args.reps, rng)
         else:
             y2 = _load(args.algo, _require(args.in2, "--in2"))
             report = test_equivalence(spec, y, y2, n, args.k_max, args.reps, rng)
@@ -333,7 +339,7 @@ def _cmd_diagnose(args) -> int:
     y = _load(args.algo, args.infile)
     if args.n is not None:  # diagnose y|n, so a schedule past n is refused
         y = restrict(y, args.n)
-    k = _require(args.k, "--k")
+    k = _k(args)
     schedule = _parse_schedule(args.schedule)
     rng = RandomStream(args.seed)
     result = diagnose_limit(spec, y, k, schedule, args.reps, rng, tolerance=args.tol)

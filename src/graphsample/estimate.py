@@ -32,16 +32,13 @@ _SPLIT_S = 0.05  # seconds of replicates left that pay for one more process
 _in_child = False  # set in a forked child, which never forks again
 
 
+@dataclass(frozen=True)
 class PatternTally:
-    """Counts of canonical pattern keys over Monte Carlo replicates."""
+    """Counts of canonical pattern keys over reps Monte Carlo replicates,
+    in first-occurrence order; a key never drawn is absent."""
 
-    def __init__(self):
-        self.counts = {}
-        self.reps = 0
-
-    def add(self, key, times: int = 1):
-        self.counts[key] = self.counts.get(key, 0) + times
-        self.reps += times
+    counts: dict
+    reps: int
 
     def density(self, key) -> float:
         return self.counts.get(key, 0) / self.reps if self.reps else 0.0
@@ -95,10 +92,7 @@ def tally_outputs(sampler, y, n: int, k: int, reps: int, rng: RandomStream) -> P
         return Counter(key_for(sampler(y, n, k, rng.substream(r)))
                        for r in range(lo, hi))
 
-    tally = PatternTally()
-    tally.counts = _over_ranges(reps, run)
-    tally.reps = reps
-    return tally
+    return PatternTally(_over_ranges(reps, run), reps)
 
 
 def _prepared(y, n: int):

@@ -134,15 +134,16 @@ def _draw_weighted_distinct(weights, tree: tuple, k: int, rng: RandomStream) -> 
     when all remaining weights are zero.  1-based values, selection order.
 
     ``tree`` is structures.fenwick(weights), built once per input (for a
-    graph's degrees, structures.degree_tree); it is copied, never changed.
-    A draw with uniform u descends the tree to the first vertex whose
-    prefix sum of remaining weight exceeds u * total and then zeroes that
-    vertex's weight, O(log n) each (Wong & Easton 1980).  Integer sums are
-    exact and u * total < total for u < 1, so this is the vertex a linear
-    scan over the remaining vertices in ascending order picks."""
+    graph's degrees, structures.degree_tree); it is copied, never changed,
+    and its entry 0 is the total weight.  A draw with uniform u descends
+    the tree to the first vertex whose prefix sum of remaining weight
+    exceeds u * total and then zeroes that vertex's weight, O(log n) each
+    (Wong & Easton 1980).  Integer sums are exact and u * total < total
+    for u < 1, so this is the vertex a linear scan over the remaining
+    vertices in ascending order picks."""
     n = len(weights)
     tree = list(tree)
-    total = sum(weights)
+    total = tree[0]
     top = 1 << (n.bit_length() - 1) if n else 0
     chosen = []
     rest = None  # remaining vertices in ascending order, once all weigh zero

@@ -140,9 +140,10 @@ def degrees(g: VertexGraph) -> tuple:
 
 def fenwick(weights) -> tuple:
     """Fenwick tree of integer weights (Fenwick 1994): entry i holds the sum
-    of weights[i - lowbit(i) .. i - 1]; entry 0 is unused."""
+    of weights[i - lowbit(i) .. i - 1] and entry 0, which no descent reads,
+    the total."""
     n = len(weights)
-    tree = [0]
+    tree = [sum(weights)]
     tree.extend(weights)
     for i in range(1, n + 1):
         j = i + (i & -i)
@@ -249,9 +250,6 @@ class EdgeSeqGraph:
             norm.append((i, j))
         object.__setattr__(self, "edges", tuple(norm))
 
-    def __len__(self):
-        return len(self.edges)
-
 
 def multiplicity_counts(g: EdgeSeqGraph) -> dict:
     """Exact multiedge counts, pair -> number of occurrences."""
@@ -318,9 +316,6 @@ class Partition:
         if not is_ordered(self.labels):
             raise ValueError("partition labels must be ordered "
                              "(s_m <= |{s_1..s_m}| for all m)")
-
-    def __len__(self):
-        return len(self.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import os
 import re
 import subprocess
@@ -239,8 +240,7 @@ def test_cmd_test_idempotence_of_p_sample_usage_error(tmp_path, capsys):
     c12 = tmp_path / "c12.txt"
     main(["generate", "cycle", "--n", "12", "--out", str(c12)])
     code = main(["test", "--test", "idempotence", "--algo", "p_sample", "--p", "0.5",
-                 "--in", str(c12), "--n", "12", "--m", "6", "--k", "3",
-                 "--reps", "10"])
+                 "--in", str(c12), "--n", "12", "--m", "6", "--reps", "10"])
     assert code == 2
     assert "p_sample has a random output size" in capsys.readouterr().err
 
@@ -626,8 +626,9 @@ def test_stray_sampler_parameter_usage_error(command, flags, tmp_path, capsys):
     y4_file = tmp_path / "y4.txt"
     main(["generate", "y4", "--out", str(y4_file)])
     capsys.readouterr()
+    k = [] if "p_sample" in flags else ["--k", "2"]  # p_sample reads no --k
     code = main([*_SAMPLER_COMMANDS[command], *flags, "--in", str(y4_file),
-                 "--n", "4", "--k", "2"])
+                 "--n", "4", *k])
     assert code == 2
     assert capsys.readouterr() == ("", f"error: {_STRAY[flags]}\n")
 
@@ -703,8 +704,8 @@ def test_unsampled_task_refuses_a_flag_it_does_not_read(argv, message, tmp_path,
      "test --test equivalence does not read --k"),
 ], ids=["vector", "density", "lln", "exchangeability", "idempotence", "equivalence"])
 def test_sampled_task_refuses_a_flag_it_does_not_read(argv, message, tmp_path, capsys):
-    """sample and diagnose read every flag their parsers declare, so they
-    have no case here."""
+    """sample and diagnose read every flag their parsers declare but for
+    --k with p_sample, which the next test covers."""
     files = {"graph": tmp_path / "c10.txt", "seq": tmp_path / "alt.txt",
              "pattern": tmp_path / "edge.txt"}
     main(["generate", "cycle", "--n", "10", "--out", str(files["graph"])])
@@ -718,6 +719,35 @@ def test_sampled_task_refuses_a_flag_it_does_not_read(argv, message, tmp_path, c
     kept = argv[:argv.index(message.split()[-1])]
     assert main([*kept, "--seed", "3", "--out", str(out), "--threads", "2"]) in (0, 1)
     assert out.read_text()
+
+
+@pytest.mark.parametrize("task", ["sample", "estimate --what vector",
+                                  "test --test exchangeability", "diagnose"])
+def test_p_sample_task_refuses_k(task, tmp_path, capsys):
+    """p_sample's output size is random, so no task reads --k with it."""
+    c10 = tmp_path / "c10.txt"
+    main(["generate", "cycle", "--n", "10", "--out", str(c10)])
+    capsys.readouterr()
+    argv = [*task.split(), "--algo", "p_sample", "--p", "0.5", "--in", str(c10),
+            "--n", "10"]
+    argv += {"sample": [], "diagnose": ["--schedule", "5,10", "--reps", "50"]}.get(
+        task, ["--reps", "50"])
+    assert main([*argv, "--k", "7"]) == 2
+    assert capsys.readouterr() == ("", f"usage error: {task} does not read --k\n")
+    assert main(argv) in (0, 1)
+
+
+def test_estimate_vector_of_p_sample_keeps_its_bytes_without_k(tmp_path, capsys):
+    """The tally the command wrote with --k 1 before it stopped reading
+    --k for p_sample (SHA-256 of its stdout)."""
+    c10 = tmp_path / "c10.txt"
+    main(["generate", "cycle", "--n", "10", "--out", str(c10)])
+    capsys.readouterr()
+    assert main(["estimate", "--what", "vector", "--algo", "p_sample", "--p", "0.5",
+                 "--in", str(c10), "--n", "10", "--reps", "200", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "465789e2f64eb0c323b7fdba374a129353fbbba7dc40535c0f945dae83da9ced")
 
 
 @pytest.mark.parametrize("schedule", ["6,4,2", "4,4"])

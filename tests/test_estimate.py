@@ -39,11 +39,8 @@ import oracles
 # -- pattern tallies ------------------------------------------------------------
 
 def test_tally_counts_and_densities():
-    t = PatternTally()
     a, b = key_for((1,)), key_for((2,))
-    for _ in range(3):
-        t.add(a)
-    t.add(b)
+    t = PatternTally({a: 3, b: 1}, 4)
     assert t.reps == 4
     assert t.density(a) == 0.75
     assert t.stderr(b) == math.sqrt(0.25 * 0.75 / 4)
@@ -52,26 +49,20 @@ def test_tally_counts_and_densities():
 
 
 def test_empty_tally_reads_zero():
-    t = PatternTally()
+    t = PatternTally({}, 0)
     assert t.density(key_for((1,))) == 0.0 and t.stderr(key_for((1,))) == 0.0
 
 
 def test_tally_tv_against_dict_and_tally():
-    t = PatternTally()
-    t.add(key_for((1,)), times=60)
-    t.add(key_for((2,)), times=40)
+    t = PatternTally({key_for((1,)): 60, key_for((2,)): 40}, 100)
     assert compare(t, {key_for((1,)): 0.5, key_for((2,)): 0.5})[0] == pytest.approx(0.1)
-    u = PatternTally()
-    u.add(key_for((1,)), times=100)
+    u = PatternTally({key_for((1,)): 100}, 100)
     assert compare(t, u)[0] == pytest.approx(0.4)
 
 
 def _tally(reps, *keys):
     """A tally of reps replicates spread evenly over the given keys."""
-    t = PatternTally()
-    for key in keys:
-        t.add(key_for((key,)), times=reps // len(keys))
-    return t
+    return PatternTally({key_for((key,)): reps // len(keys) for key in keys}, reps)
 
 
 _LAW = {key_for((1,)): 0.25, key_for((3,)): 0.75}

@@ -379,13 +379,9 @@ def test_report_summary_and_threshold():
 
 
 def test_tv_threshold_scales_with_reps():
-    a, b = PatternTally(), PatternTally()
-    a.add(key_for((1,)), times=100)
-    b.add(key_for((1,)), times=100)
+    a = b = PatternTally({key_for((1,)): 100}, 100)
     t_small = compare(a, b)[1]
-    a2, b2 = PatternTally(), PatternTally()
-    a2.add(key_for((1,)), times=10_000)
-    b2.add(key_for((1,)), times=10_000)
+    a2 = b2 = PatternTally({key_for((1,)): 10_000}, 10_000)
     assert compare(a2, b2)[1] < t_small
 
 

@@ -222,6 +222,7 @@ def test_fenwick_draw_matches_linear_scan(weights, data, seed):
     n = len(weights)
     k = data.draw(st.one_of(st.just(n), st.integers(1, n)))
     expected = oracles.draw_weighted_distinct_linear(weights, k, RandomStream(seed))
+    assert fenwick(weights)[0] == sum(weights)
     assert _draw_weighted_distinct(weights, fenwick(weights), k, RandomStream(seed)) == expected
 
 
@@ -239,6 +240,7 @@ def test_fenwick_draw_matches_linear_scan_at_exact_prefix_sums(weights, data):
                             min_size=k, max_size=k))
     expected = oracles.draw_weighted_distinct_linear(weights, k, oracles.Uniforms(us))
     got = _draw_weighted_distinct(weights, fenwick(weights), k, oracles.Uniforms(us))
+    assert fenwick(weights)[0] == sum(weights)
     assert got == expected
 
 

@@ -299,8 +299,8 @@ def test_memoised_graph_equals_fresh_copy():
         1: [2, 7], 2: [1, 3, 6], 3: [2, 4, 7], 4: [3, 5], 5: [4, 6], 6: [2, 5, 7],
         7: [1, 3, 6]}
     assert deg == tuple(len(adj[v]) for v in range(1, 8)) == (2, 3, 3, 2, 2, 3, 3)
-    # entry i sums deg over i - lowbit(i) + 1 .. i
-    assert tree == (0, 2, 5, 3, 10, 2, 5, 3)
+    # entry 0 is the total, entry i sums deg over i - lowbit(i) + 1 .. i
+    assert tree == (18, 2, 5, 3, 10, 2, 5, 3)
 
 
 def test_restriction_does_not_inherit_parent_memo():
@@ -897,9 +897,7 @@ def test_keys_read_and_sort_as_tag_then_packing(drawn):
 def test_a_ball_sorts_before_an_ego_list_of_it_on_a_count_tie():
     b = ball(cycle_vertex(5), 1, 1)
     packing = _ball_packing(b)
-    tally = PatternTally()
-    tally.add(key_for([b]))
-    tally.add(key_for(b))
+    tally = PatternTally({key_for([b]): 1, key_for(b): 1}, 2)
     assert render_tally_csv(tally).splitlines()[1:] == [
         f"ball:{packing.hex()},1,0.5,0.3535533906",
         f"balls:00000001{packing.hex()},1,0.5,0.3535533906"]
