@@ -8,6 +8,12 @@ output with a ``# seed=<u64>`` comment so any run can be replayed exactly;
 test writes its one-line summary first, and with ``--out`` the two tallies
 after it, each under its own ``# seed=`` comment.  _provenance writes every
 such line; the io renderers write bodies only.
+
+A task is a command, with its ``--what``, ``--test`` or generator name.
+_TASKS lists the flags each task reads and marks those it needs; the
+parsers are built from it, and one check before the handler refuses the
+first flag given that the task does not read, then names the first flag
+it needs that is missing (exit 2 both).
 ``--threads`` is accepted by estimate, test and diagnose and has no
 effect: long tallies split across the CPUs the process may run on, and
 results are bit-identical to one process.
@@ -50,29 +56,78 @@ _SIZED_GENERATORS = {
     "alternating": "alternating_seq", "singletons": "all_singletons_seq",
     "cycle": "cycle_vertex", "complete": "complete_vertex",
 }
-GENERATORS = ("y4", *_SIZED_GENERATORS, "graphon", "paintbox")
-
 _SEQUENCE_ALGOS = {SEQUENCE, PARTITION}
-_SAMPLER_READS = {"algo", "infile", "n", "p", "rho"}
-# the flags each task reads, besides its selector and the --seed, --out and
-# --threads that every command accepts; generate is not listed, since what
-# it reads depends on the generator name
-_READS = {
-    "sample": {*_SAMPLER_READS, "k"},
-    "estimate --what vector": {*_SAMPLER_READS, "k", "reps"},
-    "estimate --what density": {*_SAMPLER_READS, "pattern", "reps"},
-    "estimate --what lln": {*_SAMPLER_READS, "schedule", "j", "label", "reps"},
-    "estimate --what degrees": {"infile", "schedule"},
-    "estimate --what multiplicity": {"infile", "schedule"},
-    "estimate --what misspec": {"misspec_k", "misspec_j"},
-    "test --test exchangeability": {*_SAMPLER_READS, "k", "reps"},
-    "test --test idempotence": {*_SAMPLER_READS, "m", "k", "reps"},
-    "test --test equivalence": {*_SAMPLER_READS, "in2", "k_max", "reps"},
-    "test --test involution": {"infile", "n", "radius", "root", "reps"},
-    "diagnose": {*_SAMPLER_READS, "k", "schedule", "tol", "reps"},
+
+# every flag but the selectors: dest -> (option, add_argument keywords), in
+# the order --help lists them; a flag's default is None unless given here
+_FLAGS = {
+    "algo": ("--algo", {"choices": ALGORITHMS}),
+    "infile": ("--in", {}),
+    "seed": ("--seed", {"type": int, "default": 0}),
+    "out": ("--out", {}),
+    "n": ("--n", {"type": int}),
+    "k": ("--k", {"type": int}),
+    "p": ("--p", {"type": float}),
+    "rho": ("--rho", {"type": float}),
+    "reps": ("--reps", {"type": int, "default": 10_000}),
+    "threads": ("--threads", {"type": int, "help": (
+        "accepted, has no effect; long tallies split across the CPUs the "
+        "process may run on, bit-identical to one process")}),
+    "pattern": ("--pattern", {"help": "pattern file (density)"}),
+    "schedule": ("--schedule", {"help": "comma-separated sizes"}),
+    "j": ("--j", {"type": int, "default": 1, "help": "restriction size for lln"}),
+    "label": ("--label", {"type": int, "default": 1,
+                          "help": "label whose first-entry indicator lln traces"}),
+    "misspec_k": ("--misspec-k", {"type": int}),
+    "misspec_j": ("--misspec-j", {"type": int}),
+    "in2": ("--in2", {"help": "second input (equivalence)"}),
+    "m": ("--m", {"type": int, "help": "middle size (idempotence)"}),
+    "k_max": ("--k-max", {"type": int, "default": 3}),
+    "radius": ("--radius", {"type": int, "default": 1}),
+    "root": ("--root", {"default": "uniform",
+                        "help": '"uniform" or a fixed root vertex (involution)'}),
+    "tol": ("--tol", {"type": float, "default": 0.02}),
+    "file": ("--file", {"help": "step-graphon file (graphon)"}),
+    "atoms": ("--atoms", {"help": "comma-separated paintbox atom masses"}),
+    "dust": ("--dust", {"type": float, "default": 0.0}),
 }
-_THREADS_HELP = ("accepted, has no effect; long tallies split across the CPUs the "
-                 "process may run on, bit-identical to one process")
+_READ_BY_ALL = {"seed", "out"}
+_SAMPLER = "algo! infile! p rho"
+_MC = "reps threads"  # --threads is read, and ignored, by every Monte Carlo task
+# The CLI's contract.  command -> (its help, the selector that picks its
+# task, task -> the flags the task reads besides --seed and --out); a !
+# marks a flag the task needs.  generate's selector is the positional
+# generator name.  The parsers, the refusal of a flag a task does not read
+# and the missing-flag errors are all derived from this table.
+_TASKS = {
+    "generate": ("write a synthetic input structure", "name", {
+        "y4": "",
+        **dict.fromkeys(_SIZED_GENERATORS, "n!"),
+        "graphon": "file! k!",
+        "paintbox": "atoms! n! dust",
+    }),
+    "sample": ("run one sampler, write the output", None, {
+        None: f"{_SAMPLER} n! k!",
+    }),
+    "estimate": ("prefix densities, profiles, LLN traces", "--what", {
+        "vector": f"{_SAMPLER} n! k! {_MC}",
+        "density": f"{_SAMPLER} n! pattern! {_MC}",
+        "degrees": "infile! schedule! threads",
+        "multiplicity": "infile! schedule! threads",
+        "lln": f"{_SAMPLER} n! schedule! j label {_MC}",
+        "misspec": "misspec_k! misspec_j! threads",
+    }),
+    "test": ("invariance / idempotence / equivalence tests", "--test", {
+        "exchangeability": f"{_SAMPLER} n! k! {_MC}",
+        "idempotence": f"{_SAMPLER} n! m! k! {_MC}",
+        "equivalence": f"{_SAMPLER} n! in2! k_max {_MC}",
+        "involution": f"infile! n! radius root {_MC}",
+    }),
+    "diagnose": ("limit-in-input-size stabilization trace", None, {
+        None: f"{_SAMPLER} n k! schedule! tol {_MC}",  # y|n when --n is given
+    }),
+}
+GENERATORS = tuple(_TASKS["generate"][2])
 
 
 def _parse_schedule(text: str):
@@ -80,72 +135,47 @@ def _parse_schedule(text: str):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser per command: its selector (argparse requires it), then
+    every flag any of its tasks reads, and --seed and --out."""
     top = argparse.ArgumentParser(prog="graphsample",
                                   description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--k", type=int, default=None)
-
-    def sampled(p, algo_required, in_required, reps=True):
-        """The common flags plus a sampler's: --algo, --in, --p and --rho,
-        and with reps, the Monte Carlo flags --reps and --threads."""
-        p.add_argument("--algo", choices=ALGORITHMS, required=algo_required)
-        p.add_argument("--in", dest="infile", required=in_required)
-        common(p)
-        p.add_argument("--p", type=float, default=None)
-        p.add_argument("--rho", type=float, default=None)
-        if reps:
-            p.add_argument("--reps", type=int, default=10_000)
-            p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
-
-    gen = sub.add_parser("generate", help="write a synthetic input structure")
-    gen.add_argument("name", choices=GENERATORS)
-    common(gen)
-    gen.add_argument("--file", default=None, help="step-graphon file (graphon)")
-    gen.add_argument("--atoms", default=None,
-                     help="comma-separated paintbox atom masses")
-    gen.add_argument("--dust", type=float, default=0.0)
-
-    smp = sub.add_parser("sample", help="run one sampler, write the output")
-    sampled(smp, algo_required=True, in_required=True, reps=False)
-
-    est = sub.add_parser("estimate", help="prefix densities, profiles, LLN traces")
-    est.add_argument("--what", choices=("vector", "density", "degrees",
-                                        "multiplicity", "lln", "misspec"),
-                     required=True)
-    sampled(est, algo_required=False, in_required=False)
-    est.add_argument("--pattern", default=None, help="pattern file (density)")
-    est.add_argument("--schedule", default=None, help="comma-separated sizes")
-    est.add_argument("--j", type=int, default=1, help="restriction size for lln")
-    est.add_argument("--label", type=int, default=1,
-                     help="label whose first-entry indicator lln traces")
-    est.add_argument("--misspec-k", type=int, default=None)
-    est.add_argument("--misspec-j", type=int, default=None)
-
-    tst = sub.add_parser("test", help="invariance / idempotence / equivalence tests")
-    tst.add_argument("--test", choices=("exchangeability", "idempotence",
-                                        "equivalence", "involution"),
-                     required=True)
-    sampled(tst, algo_required=False, in_required=True)
-    tst.add_argument("--in2", default=None, help="second input (equivalence)")
-    tst.add_argument("--m", type=int, default=None, help="middle size (idempotence)")
-    tst.add_argument("--k-max", type=int, default=3)
-    tst.add_argument("--radius", type=int, default=1)
-    tst.add_argument("--root", default="uniform",
-                     help='"uniform" or a fixed root vertex (involution)')
-
-    dia = sub.add_parser("diagnose", help="limit-in-input-size stabilization trace")
-    sampled(dia, algo_required=True, in_required=True)
-    dia.add_argument("--schedule", required=True)
-    dia.add_argument("--tol", type=float, default=0.02)
-
-    for p in sub.choices.values():  # the parser of args.command, for _refuse_unread
-        p.set_defaults(command_parser=p)
+    for command, (help_text, selector, tasks) in _TASKS.items():
+        p = sub.add_parser(command, help=help_text)
+        if selector == "name":
+            p.add_argument(selector, choices=tuple(tasks))
+        elif selector:
+            p.add_argument(selector, choices=tuple(tasks), required=True)
+        reads = {flag.rstrip("!") for flags in tasks.values() for flag in flags.split()}
+        for dest, (option, kw) in _FLAGS.items():
+            if dest in reads | _READ_BY_ALL:
+                p.add_argument(option, dest=dest, **kw)
     return top
+
+
+class UsageError(Exception):
+    pass
+
+
+def _check_flags(args):
+    """Refuse the first flag the task does not read, then name the first
+    flag it needs that is missing.  A flag counts as given when its value
+    differs from its default.  p_sample reads no --k: its output size is
+    random."""
+    _, selector, tasks = _TASKS[args.command]
+    value = getattr(args, selector.lstrip("-")) if selector else None
+    # the task as messages name it: "sample", "generate star", "estimate --what lln"
+    task = " ".join(w for w in (args.command, selector, value) if w and w != "name")
+    p_sample = getattr(args, "algo", None) == P_SAMPLE
+    flags = [flag for flag in tasks[value].split() if not (p_sample and flag == "k!")]
+    reads = {flag.rstrip("!") for flag in flags} | _READ_BY_ALL
+    for dest, (option, kw) in _FLAGS.items():
+        default = kw.get("default")
+        if dest not in reads and getattr(args, dest, default) != default:
+            raise UsageError(f"{task} does not read {option}")
+    for flag in flags:
+        if flag.endswith("!") and getattr(args, flag[:-1]) is None:
+            raise UsageError(f"missing required flag {_FLAGS[flag[:-1]][0]}")
 
 
 def _spec_from_args(args) -> SamplerSpec:
@@ -187,60 +217,23 @@ def _cmd_generate(args) -> int:
     if name == "y4":
         x = models.y4()
     elif name == "graphon":
-        w = gio.read_step_graphon(_require(args.file, "--file"))
-        x = models.graphon_draw(w, _require(args.k, "--k"), rng)
+        x = models.graphon_draw(gio.read_step_graphon(args.file), args.k, rng)
     elif name == "paintbox":
-        masses = [float(v) for v in _require(args.atoms, "--atoms").split(",")]
+        masses = [float(v) for v in args.atoms.split(",")]
         pb = models.Paintbox(tuple((i + 1, m) for i, m in enumerate(masses)),
                              dust=args.dust)
-        x = models.paintbox_draw(pb, _require(args.n, "--n"), rng).labels
+        x = models.paintbox_draw(pb, args.n, rng).labels
     else:
-        x = getattr(models, _SIZED_GENERATORS[name])(_require(args.n, "--n"))
+        x = getattr(models, _SIZED_GENERATORS[name])(args.n)
     _emit(args, gio.render_structure(x))
     return 0
-
-
-def _require(value, flag):
-    if value is None:
-        raise UsageError(f"missing required flag {flag}")
-    return value
-
-
-def _k(args):
-    """--k for a sampled task; p_sample reads none (its output size is
-    random), so its samplers get None."""
-    return None if args.algo == P_SAMPLE else _require(args.k, "--k")
-
-
-class UsageError(Exception):
-    pass
-
-
-def _refuse_unread(args):
-    """Every task but generate refuses the first flag it does not read.  A
-    flag counts as given when its value differs from its default."""
-    selector = {"estimate": "what", "test": "test"}.get(args.command)
-    task = (args.command if selector is None
-            else f"{args.command} --{selector} {getattr(args, selector)}")
-    reads = _READS.get(task)
-    if reads is None:
-        return
-    reads = reads | {selector, "seed", "out", "threads"}
-    if args.algo == P_SAMPLE:  # its output size is random
-        reads = reads - {"k"}
-    for action in args.command_parser._actions:
-        if (action.dest not in reads
-                and getattr(args, action.dest, action.default) != action.default):
-            raise UsageError(f"{task} does not read {action.option_strings[0]}")
 
 
 def _cmd_sample(args) -> int:
     spec = _spec_from_args(args)
     y = _load(args.algo, args.infile)
     sampler = make_sampler(spec)
-    n = _require(args.n, "--n")
-    rng = RandomStream(args.seed)
-    out = sampler(y, n, _k(args), rng)
+    out = sampler(y, args.n, args.k, RandomStream(args.seed))
     _emit(args, gio.render_structure(out))
     return 0
 
@@ -249,28 +242,27 @@ def _cmd_estimate(args) -> int:
     if args.what == "misspec":
         from .models import misspec_table
 
-        k = _require(args.misspec_k, "--misspec-k")
-        j = _require(args.misspec_j, "--misspec-j")
-        _emit(args, gio.render_fraction(misspec_table(k, j)) + "\n", seeded=False)
+        fraction = misspec_table(args.misspec_k, args.misspec_j)
+        _emit(args, gio.render_fraction(fraction) + "\n", seeded=False)
         return 0
     rng = RandomStream(args.seed)
     if args.what in ("vector", "density", "lln"):
-        _require(args.algo, "--algo")
-        _require(args.infile, "--in")
         if args.what == "density" and args.algo in (SHORTEST_PATH, EGO, BS_ROOT):
             raise UsageError("--what density reads its pattern as the sampler's "
                              "output, and shortest_path, ego and bs_root outputs "
                              "have no pattern file format; use --what vector")
         spec = _spec_from_args(args)
         y = _load(args.algo, args.infile)
-        n = _require(args.n, "--n")
+        n = args.n
         if args.what == "vector":
-            tally = prefix_density_vector(spec, y, n, _k(args), args.reps, rng)
+            tally = prefix_density_vector(spec, y, n, args.k, args.reps, rng)
             _emit(args, gio.render_tally_csv(tally))
             return 0
         if args.what == "density":
-            pattern = _load(args.algo, _require(args.pattern, "--pattern"))
+            pattern = _load(args.algo, args.pattern)
             k = size_of(pattern)
+            if k == 0:
+                raise ValueError(f"pattern {args.pattern} is empty")
             if k > n:
                 raise ValueError(f"pattern size {k} exceeds n = {n}")
             tally = prefix_density_vector(spec, y, n, k, args.reps, rng)
@@ -281,7 +273,7 @@ def _cmd_estimate(args) -> int:
         if args.algo not in _SEQUENCE_ALGOS:
             raise UsageError("--what lln supports sequence/partition inputs; "
                              "use --what density for graph functionals")
-        schedule = _parse_schedule(_require(args.schedule, "--schedule"))
+        schedule = _parse_schedule(args.schedule)
         label = args.label
 
         def f(x):  # indicator that the restriction starts with the label
@@ -293,8 +285,8 @@ def _cmd_estimate(args) -> int:
         return 0
     profile, header = {"degrees": (degree_profile, "n,vertex,dbar"),
                        "multiplicity": (multiplicity_profile, "n,pair,mbar")}[args.what]
-    g = gio.read_edge_seq(_require(args.infile, "--in"))
-    schedule = _parse_schedule(_require(args.schedule, "--schedule"))
+    g = gio.read_edge_seq(args.infile)
+    schedule = _parse_schedule(args.schedule)
     _emit(args, gio.render_profile_csv(profile(g, schedule), header))
     return 0
 
@@ -308,23 +300,21 @@ def _cmd_test(args) -> int:
     )
 
     rng = RandomStream(args.seed)
-    n = _require(args.n, "--n")
+    n = args.n
     if args.test == "involution":
         y = gio.read_vertex_graph(args.infile)
         root_law = "uniform" if args.root == "uniform" else {int(args.root): 1.0}
         report = test_involution_invariance(root_law, y, n, args.radius,
                                             args.reps, rng)
     else:
-        _require(args.algo, "--algo")
         spec = _spec_from_args(args)
         y = _load(args.algo, args.infile)
         if args.test == "exchangeability":
-            report = test_exchangeability(spec, y, n, _k(args), args.reps, rng)
+            report = test_exchangeability(spec, y, n, args.k, args.reps, rng)
         elif args.test == "idempotence":
-            report = test_idempotence(spec, y, n, _require(args.m, "--m"),
-                                      _k(args), args.reps, rng)
+            report = test_idempotence(spec, y, n, args.m, args.k, args.reps, rng)
         else:
-            y2 = _load(args.algo, _require(args.in2, "--in2"))
+            y2 = _load(args.algo, args.in2)
             report = test_equivalence(spec, y, y2, n, args.k_max, args.reps, rng)
     text = report.summary() + "\n"
     if args.out:
@@ -339,10 +329,10 @@ def _cmd_diagnose(args) -> int:
     y = _load(args.algo, args.infile)
     if args.n is not None:  # diagnose y|n, so a schedule past n is refused
         y = restrict(y, args.n)
-    k = _k(args)
     schedule = _parse_schedule(args.schedule)
     rng = RandomStream(args.seed)
-    result = diagnose_limit(spec, y, k, schedule, args.reps, rng, tolerance=args.tol)
+    result = diagnose_limit(spec, y, args.k, schedule, args.reps, rng,
+                            tolerance=args.tol)
     _emit(args, gio.render_diagnose_csv(result),
           verdict=result.verdict, tolerance=result.tolerance)
     sys.stderr.write(f"verdict: {result.verdict}\n")
@@ -356,7 +346,7 @@ def main(argv=None) -> int:
                 "estimate": _cmd_estimate, "test": _cmd_test,
                 "diagnose": _cmd_diagnose}
     try:
-        _refuse_unread(args)
+        _check_flags(args)
         code = handlers[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

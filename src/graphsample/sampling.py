@@ -134,16 +134,17 @@ def _draw_weighted_distinct(weights, tree: tuple, k: int, rng: RandomStream) -> 
     when all remaining weights are zero.  1-based values, selection order.
 
     ``tree`` is structures.fenwick(weights), built once per input (for a
-    graph's degrees, structures.degree_tree); it is copied, never changed,
-    and its entry 0 is the total weight.  A draw with uniform u descends
-    the tree to the first vertex whose prefix sum of remaining weight
-    exceeds u * total and then zeroes that vertex's weight, O(log n) each
-    (Wong & Easton 1980).  Integer sums are exact and u * total < total
-    for u < 1, so this is the vertex a linear scan over the remaining
-    vertices in ascending order picks."""
+    graph's degrees, structures.degree_tree); it is never changed, and its
+    entry 0 is the total weight.  A draw with uniform u descends the tree to
+    the first vertex whose prefix sum of remaining weight exceeds u * total
+    and then zeroes that vertex's weight, keeping what it took from each
+    tree entry in a dict, so a call costs O(k log n) (Wong & Easton 1980).
+    Integer sums are exact and u * total < total for u < 1, so this is the
+    vertex a linear scan over the remaining vertices in ascending order
+    picks."""
     n = len(weights)
-    tree = list(tree)
     total = tree[0]
+    removed = {}  # tree index -> weight the draws so far took from it
     top = 1 << (n.bit_length() - 1) if n else 0
     chosen = []
     rest = None  # remaining vertices in ascending order, once all weigh zero
@@ -159,15 +160,17 @@ def _draw_weighted_distinct(weights, tree: tuple, k: int, rng: RandomStream) -> 
         pos, acc, step = 0, 0, top
         while step:
             nxt = pos + step
-            if nxt <= n and acc + tree[nxt] <= target:
-                pos = nxt
-                acc += tree[nxt]
+            if nxt <= n:
+                part = tree[nxt] - removed.get(nxt, 0)
+                if acc + part <= target:
+                    pos = nxt
+                    acc += part
             step >>= 1
         v = pos + 1
         w = weights[pos]
         total -= w
         while v <= n:
-            tree[v] -= w
+            removed[v] = removed.get(v, 0) + w
             v += v & -v
         chosen.append(pos + 1)
     return chosen
@@ -303,11 +306,13 @@ def make_sampler(spec: SamplerSpec):
 
 
 def _check_schedule(schedule) -> tuple:
-    """schedule as a tuple of ints; empty or not strictly increasing is a
-    ValueError."""
+    """schedule as a tuple of ints; empty, holding a size below 1 or not
+    strictly increasing is a ValueError."""
     schedule = tuple(int(n) for n in schedule)
     if not schedule:
         raise ValueError("empty schedule")
+    if min(schedule) < 1:
+        raise ValueError("schedule sizes must be >= 1")
     if any(schedule[i] >= schedule[i + 1] for i in range(len(schedule) - 1)):
         raise ValueError("schedule must be strictly increasing")
     return schedule

@@ -73,6 +73,11 @@ def test_workload_calls_every_required_span(workload, tmp_path):
     """The coverage guard of a traced benchmark run, at 3 replicates per
     command: every span REQUIRED for the workload records a call."""
     paths = inputs.write_inputs(str(tmp_path), 1)
+    # Tracer.install wraps names only in the modules already loaded, as
+    # after run.py's untraced pass; some load on first use
+    for targets in trace_layers.SPANS.values():
+        for owner, _ in targets:
+            importlib.import_module(f"graphsample.{owner.partition(':')[0]}")
     tracer = trace_layers.Tracer()
     tracer.install()
     try:

@@ -397,9 +397,10 @@ _REPS = {"reps": (("--reps",), 10_000, False, None, int),
          "threads": (("--threads",), None, False, None, int)}
 
 
-def _options(algo_required, in_required):
-    return {"algo": (("--algo",), None, algo_required, tuple(ALGORITHMS), None),
-            "infile": (("--in",), None, in_required, None, None),
+# Argparse requires only the selectors; cli._check_flags names a missing
+# --algo, --in or --schedule, like every other flag a task needs.
+_SAMPLED = {"algo": (("--algo",), None, False, tuple(ALGORITHMS), None),
+            "infile": (("--in",), None, False, None, None),
             **_COMMON, **_SAMPLER}
 
 
@@ -408,8 +409,8 @@ CLI_OPTIONS = {
                  "file": (("--file",), None, False, None, None),
                  "atoms": (("--atoms",), None, False, None, None),
                  "dust": (("--dust",), 0.0, False, None, float)},
-    "sample": _options(True, True),
-    "estimate": {**_options(False, False), **_REPS,
+    "sample": _SAMPLED,
+    "estimate": {**_SAMPLED, **_REPS,
                  "what": (("--what",), None, True, _TASKS, None),
                  "pattern": (("--pattern",), None, False, None, None),
                  "schedule": (("--schedule",), None, False, None, None),
@@ -417,15 +418,15 @@ CLI_OPTIONS = {
                  "label": (("--label",), 1, False, None, int),
                  "misspec_k": (("--misspec-k",), None, False, None, int),
                  "misspec_j": (("--misspec-j",), None, False, None, int)},
-    "test": {**_options(False, True), **_REPS,
+    "test": {**_SAMPLED, **_REPS,
              "test": (("--test",), None, True, _TESTS, None),
              "in2": (("--in2",), None, False, None, None),
              "m": (("--m",), None, False, None, int),
              "k_max": (("--k-max",), 3, False, None, int),
              "radius": (("--radius",), 1, False, None, int),
              "root": (("--root",), "uniform", False, None, None)},
-    "diagnose": {**_options(True, True), **_REPS,
-                 "schedule": (("--schedule",), None, True, None, None),
+    "diagnose": {**_SAMPLED, **_REPS,
+                 "schedule": (("--schedule",), None, False, None, None),
                  "tol": (("--tol",), 0.02, False, None, float)},
 }
 
@@ -719,6 +720,57 @@ def test_sampled_task_refuses_a_flag_it_does_not_read(argv, message, tmp_path, c
     kept = argv[:argv.index(message.split()[-1])]
     assert main([*kept, "--seed", "3", "--out", str(out), "--threads", "2"]) in (0, 1)
     assert out.read_text()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("generate star --n 10 --k 3", "generate star does not read --k"),
+    ("generate paintbox --atoms 0.5,0.5 --n 5 --k 9 --file nope.txt",
+     "generate paintbox does not read --k"),
+    ("generate graphon --file nope.txt --k 4 --atoms 0.5", "generate graphon does not read --atoms"),
+    ("generate y4 --n 4", "generate y4 does not read --n"),
+    ("generate cycle --n 5 --dust 0.1", "generate cycle does not read --dust"),
+])
+def test_generate_refuses_a_flag_its_generator_does_not_read(argv, message, capsys):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("sample --in x.txt --n 4 --k 2", "--algo"),
+    ("sample --algo uniform_vertex --n 4 --k 2", "--in"),
+    ("test --test involution --n 4", "--in"),
+    ("diagnose --algo uniform_vertex --in x.txt --k 2", "--schedule"),
+    ("estimate --what vector --algo uniform_vertex --in x.txt --n 4", "--k"),
+    ("generate graphon --k 4", "--file"),
+    ("generate paintbox --atoms 0.5,0.5", "--n"),
+])
+def test_missing_needed_flag_is_named(argv, flag, capsys):
+    """Argparse requires only the selectors; every other flag a task needs
+    is named by the one check, before any file is read."""
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"usage error: missing required flag {flag}\n")
+
+
+def test_schedule_size_below_one_usage_error(tmp_path, capsys):
+    edges = tmp_path / "star_edges.txt"
+    main(["generate", "star_edges", "--n", "10", "--out", str(edges)])
+    capsys.readouterr()
+    assert main(["estimate", "--what", "degrees", "--in", str(edges),
+                 "--schedule=0,5"]) == 2
+    assert capsys.readouterr() == ("", "error: schedule sizes must be >= 1\n")
+
+
+@pytest.mark.parametrize("algo, generator", [("uniform_vertex", "cycle"),
+                                             ("sequence", "alternating")])
+def test_estimate_density_empty_pattern_usage_error(algo, generator, tmp_path, capsys):
+    """A pattern of size 0 is refused by name; the task reads no --k."""
+    y, empty = tmp_path / "y.txt", tmp_path / "empty.txt"
+    main(["generate", generator, "--n", "4", "--out", str(y)])
+    empty.write_text("")
+    capsys.readouterr()
+    assert main(["estimate", "--what", "density", "--algo", algo, "--in", str(y),
+                 "--pattern", str(empty), "--n", "4", "--reps", "10"]) == 2
+    assert capsys.readouterr() == ("", f"error: pattern {empty} is empty\n")
 
 
 @pytest.mark.parametrize("task", ["sample", "estimate --what vector",

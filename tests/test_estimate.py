@@ -617,8 +617,13 @@ def _first_is_one(x):
     (lambda: lln_trace(SamplerSpec("sequence"), (1, 2) * 5, 10, _first_is_one, 1,
                        (4, 4), 5, RandomStream(0)),
      "schedule must be strictly increasing"),
+    (lambda: lln_trace(SamplerSpec("sequence"), (1, 2) * 5, 10, _first_is_one, 1,
+                       (0, 4), 5, RandomStream(0)),
+     "schedule sizes must be >= 1"),
+    (lambda: degree_profile(star_edgeseq(10), (0, 5)), "schedule sizes must be >= 1"),
 ], ids=["j_out_of_range", "monte_carlo_without_rng", "no_permutations",
-        "lln_decreasing_schedule", "lln_repeated_schedule"])
+        "lln_decreasing_schedule", "lln_repeated_schedule", "lln_size_zero",
+        "degrees_size_zero"])
 def test_estimate_refusals(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()

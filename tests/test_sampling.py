@@ -1,4 +1,5 @@
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,30 @@ def test_fenwick_draw_matches_linear_scan_at_exact_prefix_sums(weights, data):
     got = _draw_weighted_distinct(weights, fenwick(weights), k, oracles.Uniforms(us))
     assert fenwick(weights)[0] == sum(weights)
     assert got == expected
+
+
+class _CountingTree(Sequence):
+    """A Fenwick tree that counts the entries a draw reads."""
+
+    def __init__(self, tree):
+        self.tree, self.reads = tree, 0
+
+    def __len__(self):
+        return len(self.tree)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.tree[i]
+
+
+def test_fenwick_draw_reads_a_few_entries_per_draw():
+    """A draw descends the tree and never copies it, so k = 3 draws on 2^12
+    weights read about 3 * 12 entries, not all 2^12 + 1."""
+    weights = [1 + i % 5 for i in range(2 ** 12)]
+    tree = _CountingTree(fenwick(weights))
+    got = _draw_weighted_distinct(weights, tree, 3, RandomStream(4))
+    assert got == _draw_weighted_distinct(weights, fenwick(weights), 3, RandomStream(4))
+    assert tree.reads <= 3 * 13 + 1
 
 
 # -- shortest path ------------------------------------------------------------------
@@ -548,6 +573,8 @@ def test_diagnose_schedule_validation():
                             RandomStream(0)), "empty schedule"),
     (lambda: diagnose_limit(SamplerSpec("uniform_vertex"), y4(), 2, (4,), 10,
                             RandomStream(0)), "diagnose needs a schedule of at least two sizes"),
+    (lambda: diagnose_limit(SamplerSpec("uniform_vertex"), y4(), 2, (0, 4), 10,
+                            RandomStream(0)), "schedule sizes must be >= 1"),
     (lambda: diagnose_limit(SamplerSpec("uniform_vertex"), y4(), 2, (2, 4), 10,
                             RandomStream(0), tolerance=math.nan),
      "tolerance must be > 0"),
@@ -556,8 +583,8 @@ def test_diagnose_schedule_validation():
      "tolerance must be > 0"),
 ], ids=["unknown_algorithm", "p_sample_without_p", "p_on_other_algorithm",
         "sparsified_without_rho", "rho_above_one", "rho_on_other_algorithm",
-        "sample_p_above_one", "empty_schedule", "one_size_schedule", "nan_tolerance",
-        "negative_tolerance"])
+        "sample_p_above_one", "empty_schedule", "one_size_schedule",
+        "size_zero_schedule", "nan_tolerance", "negative_tolerance"])
 def test_sampling_refusals(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
