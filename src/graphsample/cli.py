@@ -130,10 +130,6 @@ _TASKS = {
 GENERATORS = tuple(_TASKS["generate"][2])
 
 
-def _parse_schedule(text: str):
-    return tuple(int(x) for x in text.split(","))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     """One parser per command: its selector (argparse requires it), then
     every flag any of its tasks reads, and --seed and --out."""
@@ -155,6 +151,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 class UsageError(Exception):
     pass
+
+
+def _parse(args, dest: str, parse, what: str):
+    """parse(the text of flag dest); a ValueError there becomes a usage
+    error that names the flag and the text."""
+    text = getattr(args, dest)
+    try:
+        return parse(text)
+    except ValueError:
+        raise UsageError(f"{_FLAGS[dest][0]} takes {what}, not {text!r}") from None
+
+
+def _schedule(args) -> tuple:
+    return _parse(args, "schedule", lambda text: tuple(map(int, text.split(","))),
+                  "comma-separated sizes")
 
 
 def _check_flags(args):
@@ -219,7 +230,8 @@ def _cmd_generate(args) -> int:
     elif name == "graphon":
         x = models.graphon_draw(gio.read_step_graphon(args.file), args.k, rng)
     elif name == "paintbox":
-        masses = [float(v) for v in args.atoms.split(",")]
+        masses = _parse(args, "atoms", lambda text: [float(v) for v in text.split(",")],
+                        "comma-separated masses")
         pb = models.Paintbox(tuple((i + 1, m) for i, m in enumerate(masses)),
                              dust=args.dust)
         x = models.paintbox_draw(pb, args.n, rng).labels
@@ -273,7 +285,7 @@ def _cmd_estimate(args) -> int:
         if args.algo not in _SEQUENCE_ALGOS:
             raise UsageError("--what lln supports sequence/partition inputs; "
                              "use --what density for graph functionals")
-        schedule = _parse_schedule(args.schedule)
+        schedule = _schedule(args)
         label = args.label
 
         def f(x):  # indicator that the restriction starts with the label
@@ -286,7 +298,7 @@ def _cmd_estimate(args) -> int:
     profile, header = {"degrees": (degree_profile, "n,vertex,dbar"),
                        "multiplicity": (multiplicity_profile, "n,pair,mbar")}[args.what]
     g = gio.read_edge_seq(args.infile)
-    schedule = _parse_schedule(args.schedule)
+    schedule = _schedule(args)
     _emit(args, gio.render_profile_csv(profile(g, schedule), header))
     return 0
 
@@ -303,7 +315,8 @@ def _cmd_test(args) -> int:
     n = args.n
     if args.test == "involution":
         y = gio.read_vertex_graph(args.infile)
-        root_law = "uniform" if args.root == "uniform" else {int(args.root): 1.0}
+        root_law = ("uniform" if args.root == "uniform" else
+                    {_parse(args, "root", int, '"uniform" or a vertex'): 1.0})
         report = test_involution_invariance(root_law, y, n, args.radius,
                                             args.reps, rng)
     else:
@@ -329,7 +342,7 @@ def _cmd_diagnose(args) -> int:
     y = _load(args.algo, args.infile)
     if args.n is not None:  # diagnose y|n, so a schedule past n is refused
         y = restrict(y, args.n)
-    schedule = _parse_schedule(args.schedule)
+    schedule = _schedule(args)
     rng = RandomStream(args.seed)
     result = diagnose_limit(spec, y, args.k, schedule, args.reps, rng,
                             tolerance=args.tol)

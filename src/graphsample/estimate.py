@@ -20,25 +20,24 @@ import os
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
 from math import fsum
 
 from .rng import RandomStream
 from .sampling import _as_sampler, _check_schedule, _draw_distinct
-from .structures import EdgeSeqGraph, key_for, restrict, size_of, subsample_in_order
+from .structures import (EdgeSeqGraph, _Frozen, _Record, key_for, restrict, size_of,
+                         subsample_in_order)
 
 EXACT_TOL = 1e-9  # TV two equal exact laws may show from float rounding alone
 _SPLIT_S = 0.05  # seconds of replicates left that pay for one more process
 _in_child = False  # set in a forked child, which never forks again
 
 
-@dataclass(frozen=True)
-class PatternTally:
+class PatternTally(_Frozen):
     """Counts of canonical pattern keys over reps Monte Carlo replicates,
     in first-occurrence order; a key never drawn is absent."""
 
-    counts: dict
-    reps: int
+    def __init__(self, counts: dict, reps: int):
+        self._set(counts, reps)
 
     def density(self, key) -> float:
         return self.counts.get(key, 0) / self.reps if self.reps else 0.0
@@ -262,11 +261,9 @@ def empirical_average(x, f, j: int, num_perms: int = 10_000,
     return fsum(vals) / len(vals)
 
 
-@dataclass
-class LLNTrace:
-    ks: tuple
-    estimates: tuple
-
+class LLNTrace(_Record):
+    def __init__(self, ks: tuple, estimates: tuple):
+        self._set(ks, estimates)
 
 
 def lln_trace(spec_or_sampler, y, n: int, f, j: int, k_schedule, reps: int,
@@ -299,8 +296,7 @@ def lln_trace(spec_or_sampler, y, n: int, f, j: int, k_schedule, reps: int,
 # limiting degree / multiplicity / frequency profiles
 
 
-@dataclass
-class ItemProfile:
+class ItemProfile(_Record):
     """Per-item relative-occupancy estimates along a schedule of sizes.
 
     series[item] holds count(item, y|n) / normalizer(n) at each schedule n.
@@ -309,11 +305,9 @@ class ItemProfile:
     (items that arrive later are treated as dust whose individual share
     vanishes)."""
 
-    schedule: tuple
-    series: dict
-    estimate: dict
-    mass: float
-    ranked: tuple
+    def __init__(self, schedule: tuple, series: dict, estimate: dict, mass: float,
+                 ranked: tuple):
+        self._set(schedule, series, estimate, mass, ranked)
 
 
 def _item_profile(steps, schedule) -> ItemProfile:

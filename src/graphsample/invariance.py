@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .estimate import PatternTally, _prepared, compare, prefix_density_vector, tally_outputs
@@ -21,6 +20,7 @@ from .rng import RandomStream
 from .sampling import P_SAMPLE, SamplerSpec, _as_sampler
 from .structures import (
     VertexGraph,
+    _Record,
     _bfs_distances,
     ball,
     key_for,
@@ -30,19 +30,17 @@ from .structures import (
 )
 
 
-@dataclass
-class TestReport:
+class TestReport(_Record):
     """Outcome of one invariance test: (statistic, threshold) is
     estimate.compare(tally_a, tally_b); pass iff statistic <= threshold.
     An exact report's tally_a and tally_b are exact laws, dicts key ->
     probability, and its reps is 0."""
 
-    name: str
-    statistic: float
-    threshold: float
-    tally_a: PatternTally | dict
-    tally_b: PatternTally | dict
-    notes: list = field(default_factory=list)
+    def __init__(self, name: str, statistic: float, threshold: float,
+                 tally_a: PatternTally | dict, tally_b: PatternTally | dict,
+                 notes: list | None = None):
+        self._set(name, statistic, threshold, tally_a, tally_b,
+                  [] if notes is None else notes)
 
     @property
     def passed(self) -> bool:

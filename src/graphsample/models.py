@@ -11,32 +11,25 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .rng import RandomStream
 from .sampling import _rho_at
-from .structures import EdgeSeqGraph, Partition, VertexGraph, relabel_r, relabel_rprime
+from .structures import EdgeSeqGraph, Partition, VertexGraph, _Frozen, relabel_r, relabel_rprime
 
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class StepGraphon:
+class StepGraphon(_Frozen):
     """Symmetric block-constant function on [0,1]^2.
 
     boundaries are cut points 0 = b_0 < ... < b_B = 1; values is a B x B
     symmetric matrix of edge probabilities.
     """
 
-    boundaries: tuple
-    values: tuple  # tuple of tuples, B x B
-
-    def __post_init__(self):
-        b = tuple(float(x) for x in self.boundaries)
-        v = tuple(tuple(float(x) for x in row) for row in self.values)
-        object.__setattr__(self, "boundaries", b)
-        object.__setattr__(self, "values", v)
+    def __init__(self, boundaries: tuple, values: tuple):
+        b = tuple(float(x) for x in boundaries)
+        v = tuple(tuple(float(x) for x in row) for row in values)
         B = len(v)
         # each check is written so that a NaN fails it
         if len(b) != B + 1 or b[0] != 0.0 or not abs(b[-1] - 1.0) <= _EPS:
@@ -53,6 +46,7 @@ class StepGraphon:
             for c in range(B):
                 if abs(v[a][c] - v[c][a]) > _EPS:
                     raise ValueError("values must be symmetric")
+        self._set(b, v)
 
     @property
     def num_blocks(self) -> int:
@@ -135,26 +129,23 @@ def graphon_pattern_density(w: StepGraphon, pattern: VertexGraph) -> float:
 # paintbox partitions
 
 
-@dataclass(frozen=True)
-class Paintbox:
-    """Kingman paintbox: atom masses p(m) for infinite blocks plus dust p0
-    generating singletons.  Masses must sum to 1."""
+class Paintbox(_Frozen):
+    """Kingman paintbox: atom masses p(m) for infinite blocks, as
+    (block_id, mass) pairs, plus dust p0 generating singletons.  Masses
+    must sum to 1."""
 
-    atoms: tuple  # tuple of (block_id, mass)
-    dust: float = 0.0
-
-    def __post_init__(self):
-        atoms = tuple(sorted((int(m), float(p)) for m, p in self.atoms))
-        object.__setattr__(self, "atoms", atoms)
+    def __init__(self, atoms: tuple, dust: float = 0.0):
+        atoms = tuple(sorted((int(m), float(p)) for m, p in atoms))
         # each check is written so that a NaN fails it
-        if not all(p >= 0 for _, p in atoms) or not self.dust >= 0:
+        if not all(p >= 0 for _, p in atoms) or not dust >= 0:
             raise ValueError("masses must be >= 0")
-        total = self.dust + sum(p for _, p in atoms)
+        total = dust + sum(p for _, p in atoms)
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"masses must sum to 1 (got {total})")
         ids = [m for m, _ in atoms]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate block ids")
+        self._set(atoms, dust)
 
 
 def paintbox_draw(pb: Paintbox, k: int, rng: RandomStream) -> Partition:
@@ -178,19 +169,15 @@ def paintbox_draw(pb: Paintbox, k: int, rng: RandomStream) -> Partition:
 # multigraphs with prescribed limiting relative multiplicities
 
 
-@dataclass(frozen=True)
-class MultiplicitySpec:
+class MultiplicitySpec(_Frozen):
     """Target limiting relative multiplicities for specific edges.
 
     targets holds ((i, j), mbar) items: canonical pairs i < j with masses
     mbar > 0 of sum <= 1; the residual mass 1 - sum is realized as never-repeating
     fresh simple edges."""
 
-    targets: tuple  # tuple of ((i, j), mbar)
-
-    def __post_init__(self):
-        t = tuple(sorted((tuple(p), float(m)) for p, m in self.targets))
-        object.__setattr__(self, "targets", t)
+    def __init__(self, targets: tuple):
+        t = tuple(sorted((tuple(p), float(m)) for p, m in targets))
         for (i, j), m in t:
             if not (1 <= i < j):
                 raise ValueError(f"pair ({i},{j}) must satisfy 1 <= i < j")
@@ -198,6 +185,7 @@ class MultiplicitySpec:
                 raise ValueError("target multiplicities must be > 0")
         if not sum(m for _, m in t) <= 1.0 + _EPS:
             raise ValueError("target multiplicities must sum to <= 1")
+        self._set(t)
 
     @property
     def residual(self) -> float:

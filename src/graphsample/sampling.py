@@ -18,8 +18,6 @@ random by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rng import RandomStream
 from .structures import (
     EdgeSeqGraph,
@@ -27,6 +25,8 @@ from .structures import (
     Partition,
     RootedGraph,
     VertexGraph,
+    _Frozen,
+    _Record,
     ball,
     degree_tree,
     degrees,
@@ -55,35 +55,31 @@ ALGORITHMS = (UNIFORM_VERTEX, SPARSIFIED, P_SAMPLE, DEGREE_BIASED, SHORTEST_PATH
 _THIN_TAG = "edge-thinning"
 
 
-@dataclass(frozen=True)
-class SamplerSpec:
+class SamplerSpec(_Frozen):
     """Which algorithm to run, plus its parameters.
 
     p is required for p_sample, rho (a constant or a callable k -> [0,1])
     for sparsified; all other algorithms take no parameters.
     """
 
-    algorithm: str
-    p: float | None = None
-    rho: object = None
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.algorithm == P_SAMPLE:
-            if self.p is None or not 0.0 <= self.p <= 1.0:
+    def __init__(self, algorithm: str, p: float | None = None, rho: object = None):
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+        if algorithm == P_SAMPLE:
+            if p is None or not 0.0 <= p <= 1.0:
                 raise ValueError("p_sample requires p in [0,1]")
-        elif self.p is not None:
-            raise ValueError(f"{self.algorithm} takes no p parameter")
-        if self.algorithm == SPARSIFIED:
-            if self.rho is None:
+        elif p is not None:
+            raise ValueError(f"{algorithm} takes no p parameter")
+        if algorithm == SPARSIFIED:
+            if rho is None:
                 raise ValueError("sparsified requires rho")
-            if not callable(self.rho):
-                v = float(self.rho)
+            if not callable(rho):
+                v = float(rho)
                 if not 0.0 <= v <= 1.0:
                     raise ValueError("rho must lie in [0,1]")
-        elif self.rho is not None:
-            raise ValueError(f"{self.algorithm} takes no rho parameter")
+        elif rho is not None:
+            raise ValueError(f"{algorithm} takes no rho parameter")
+        self._set(algorithm, p, rho)
 
 
 def _restricted(y, n: int, k: int | None = None, kind=VertexGraph):
@@ -327,13 +323,13 @@ def _as_sampler(spec_or_sampler):
 # limit-in-input-size diagnostic
 
 
-@dataclass
-class DiagnoseResult:
-    schedule: tuple
-    tallies: list       # one PatternTally per n
-    tv_steps: tuple     # TV between consecutive tallies
-    tolerance: float
-    verdict: str        # STABILIZING | NOT_STABILIZING
+class DiagnoseResult(_Record):
+    """tallies holds one PatternTally per schedule n, tv_steps the TV
+    between consecutive tallies; verdict is STABILIZING or NOT_STABILIZING."""
+
+    def __init__(self, schedule: tuple, tallies: list, tv_steps: tuple,
+                 tolerance: float, verdict: str):
+        self._set(schedule, tallies, tv_steps, tolerance, verdict)
 
 
 def diagnose_limit(spec: SamplerSpec, y, k: int, schedule, reps: int,

@@ -15,7 +15,7 @@ Ground types for everything else in the package:
 Label sequences are plain tuples of positive ints.  All values here are
 immutable after construction, so a sampler's output is a pure function of
 (input, n, k, seed) however often the input is reused.  That holds
-also for derived data kept outside the dataclass fields (equality, hashing
+also for derived data kept outside a value's fields (equality, hashing
 and repr ignore it; it is never mutated once built, but for the ball-key
 memo below, which only gains entries that are pure functions of their
 place).  A vertex graph memoises its adjacency, degrees and Fenwick tree on
@@ -46,7 +46,6 @@ import functools
 import itertools
 import struct
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import Iterable
 
 #: Edge mark meaning "no path exists between the two chosen vertices".
@@ -60,13 +59,53 @@ Edge = tuple[int, int]
 def _memo(obj, name: str, build):
     """build(), computed once per obj and kept in the private attribute
     ``name``.  Only for values that depend on nothing but an immutable obj;
-    object.__setattr__ passes the frozen dataclass guard."""
+    writing to __dict__ passes the guard of a _Frozen obj."""
     try:
         return obj.__dict__[name]
     except KeyError:
-        value = build()
-        object.__setattr__(obj, name, value)
+        value = obj.__dict__[name] = build()
         return value
+
+
+class _Record:
+    """A value whose fields are the parameters of its class's __init__, in
+    order, which __init__ stores with _set.  Two values are == when of one
+    class with equal fields; repr shows Name(field=value!r, ...).  Defining
+    __eq__ leaves it unhashable."""
+
+    def __init_subclass__(cls):
+        if "__init__" in vars(cls):
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _set(self, *values):
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class _Frozen(_Record):
+    """A _Record hashed by its fields, whose attributes cannot be assigned
+    or deleted once __init__ has stored them."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _adjacency(vertices, edges) -> dict:
@@ -88,24 +127,20 @@ def _check_edge(u: int, v: int) -> Edge:
 # vertex-counted world
 
 
-@dataclass(frozen=True)
-class VertexGraph:
+class VertexGraph(_Frozen):
     """Simple undirected graph with vertices labeled 1..n.
 
     Edges are stored once as pairs (u, v) with u < v <= n; no self-loops.
     """
 
-    n: int
-    edges: frozenset = frozenset()
-
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges: frozenset = frozenset()):
+        if n < 0:
             raise ValueError("vertex count must be >= 0")
-        norm = frozenset(_check_edge(u, v) for u, v in self.edges)
+        norm = frozenset(_check_edge(u, v) for u, v in edges)
         for u, v in norm:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"edge ({u},{v}) outside 1..{self.n}")
-        object.__setattr__(self, "edges", norm)
+            if not (1 <= u < v <= n):
+                raise ValueError(f"edge ({u},{v}) outside 1..{n}")
+        self._set(n, norm)
 
     def adjacency(self) -> dict:
         """Vertex -> tuple of neighbours, built once per graph; callers
@@ -231,24 +266,21 @@ def _distances_to(adj: dict, source: int, targets) -> dict:
 # edge-counted world
 
 
-@dataclass(frozen=True)
-class EdgeSeqGraph:
+class EdgeSeqGraph(_Frozen):
     """Graph as an ordered sequence of edges (i_k, j_k), i_k < j_k.
 
     Repeats of a pair encode multiedges.
     """
 
-    edges: tuple
-
-    def __post_init__(self):
+    def __init__(self, edges: tuple):
         norm = []
-        for i, j in self.edges:
+        for i, j in edges:
             if i == j:
                 raise ValueError(f"self-loop pair ({i},{j})")
             if not (1 <= i < j):
                 raise ValueError(f"pair ({i},{j}) must satisfy 1 <= i < j")
             norm.append((i, j))
-        object.__setattr__(self, "edges", tuple(norm))
+        self._set(tuple(norm))
 
 
 def multiplicity_counts(g: EdgeSeqGraph) -> dict:
@@ -305,34 +337,30 @@ def relabel_rprime(edges: Iterable[Edge]) -> EdgeSeqGraph:
     return EdgeSeqGraph(tuple(out))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Frozen):
     """Ordered partition of {1..n}, encoded by its block-label sequence."""
 
-    labels: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not is_ordered(self.labels):
+    def __init__(self, labels: tuple):
+        labels = tuple(labels)
+        if not is_ordered(labels):
             raise ValueError("partition labels must be ordered "
                              "(s_m <= |{s_1..s_m}| for all m)")
+        self._set(labels)
 
 
 # ---------------------------------------------------------------------------
 # rooted graphs and balls
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class RootedGraph:
+class RootedGraph(_Frozen):
     """Finite connected graph with a distinguished root vertex: the subgraph
     of the adjacency host induced on dist, the hop distances from root in
     host of its vertices.  place is (memo, at) for a ball, the dict that
-    keeps its pattern key and the key's slot in it, else None."""
+    keeps its pattern key and the key's slot in it, else None.  Its own ==,
+    hash and repr read the graph, not the fields."""
 
-    root: int
-    host: dict
-    dist: dict
-    place: tuple | None = None
+    def __init__(self, root: int, host: dict, dist: dict, place: tuple | None = None):
+        self._set(root, host, dist, place)
 
     @classmethod
     def from_edges(cls, vertices, edges, root: int) -> "RootedGraph":
@@ -649,28 +677,24 @@ def _encode(adj: dict, label: dict) -> tuple:
 # marked complete graphs (shortest-path sampler output)
 
 
-@dataclass(frozen=True)
-class MarkedCompleteGraph:
+class MarkedCompleteGraph(_Frozen):
     """Complete graph on k vertices whose edges carry path-length marks.
 
     marks maps every pair (i, j) with i < j <= k to a hop distance >= 1,
     or to UNREACHABLE when no path exists.
     """
 
-    k: int
-    marks: tuple  # tuple of ((i, j), mark), sorted by pair
-
-    def __post_init__(self):
-        if self.k < 0:
+    def __init__(self, k: int, marks: tuple):
+        if k < 0:
             raise ValueError("vertex count must be >= 0")
-        d = dict(self.marks)
-        want = {(i, j) for i in range(1, self.k + 1) for j in range(i + 1, self.k + 1)}
+        d = dict(marks)
+        want = {(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)}
         if set(d) != want:
             raise ValueError("marks must cover exactly the pairs i < j <= k")
         for pair, m in d.items():
             if m != UNREACHABLE and (not isinstance(m, int) or m < 1):
                 raise ValueError(f"mark for {pair} must be an int >= 1 or UNREACHABLE")
-        object.__setattr__(self, "marks", tuple(sorted(d.items())))
+        self._set(k, tuple(sorted(d.items())))  # ((i, j), mark), sorted by pair
 
 
 def shortest_path_marks(g: VertexGraph, chosen) -> MarkedCompleteGraph:

@@ -751,6 +751,25 @@ def test_missing_needed_flag_is_named(argv, flag, capsys):
     assert capsys.readouterr() == ("", f"usage error: missing required flag {flag}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--what", "degrees", "--in", "{edges}", "--schedule", "5,"],
+     "--schedule takes comma-separated sizes, not '5,'"),
+    (["generate", "paintbox", "--atoms", "0.5,x", "--n", "5"],
+     "--atoms takes comma-separated masses, not '0.5,x'"),
+    (["test", "--test", "involution", "--in", "{graph}", "--n", "10", "--root", "x",
+      "--reps", "10"],
+     "--root takes \"uniform\" or a vertex, not 'x'"),
+], ids=["schedule", "atoms", "root"])
+def test_malformed_flag_value_names_the_flag(argv, message, tmp_path, capsys):
+    files = {"edges": tmp_path / "star_edges.txt", "graph": tmp_path / "c10.txt"}
+    main(["generate", "star_edges", "--n", "10", "--out", str(files["edges"])])
+    main(["generate", "cycle", "--n", "10", "--out", str(files["graph"])])
+    capsys.readouterr()
+    argv = [str(files[a[1:-1]]) if a.startswith("{") else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
 def test_schedule_size_below_one_usage_error(tmp_path, capsys):
     edges = tmp_path / "star_edges.txt"
     main(["generate", "star_edges", "--n", "10", "--out", str(edges)])
@@ -853,14 +872,17 @@ def test_readme_commands_parse():
 def test_a_command_loads_only_the_modules_it_runs(tmp_path):
     """In a fresh process, ``estimate --what vector`` and ``diagnose`` never
     load invariance, models or fractions, and ``test`` does load
-    invariance, so the check cannot pass because nothing loads at all."""
+    invariance, so the check cannot pass because nothing loads at all.  No
+    command, ``generate`` included, loads dataclasses or inspect, whose
+    import costs every process start-up several milliseconds."""
     graph = tmp_path / "c6.txt"
     gio.write_text(graph, "1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n")
     script = textwrap.dedent("""
         import sys
         import graphsample.cli as cli
         graph, out = sys.argv[1:]
-        lazy = ("graphsample.invariance", "graphsample.models", "fractions")
+        lazy = ("graphsample.invariance", "graphsample.models", "fractions",
+                "dataclasses", "inspect")
         def loaded():
             return sorted(m for m in lazy if m in sys.modules)
         assert cli.main(["estimate", "--what", "vector", "--algo", "ego", "--in", graph,
@@ -873,8 +895,13 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path):
                          "--in", graph, "--n", "6", "--m", "4", "--k", "2",
                          "--reps", "50", "--out", out]) in (0, 1)
         print(loaded())
+        assert cli.main(["generate", "paintbox", "--atoms", "0.5,0.5", "--n", "5",
+                         "--out", out]) == 0
+        print(loaded())
     """)
     proc = subprocess.run([sys.executable, "-c", script, str(graph), str(tmp_path / "out")],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]", "['graphsample.invariance']"]
+    assert proc.stdout.splitlines() == [
+        "[]", "[]", "['graphsample.invariance']",
+        "['fractions', 'graphsample.invariance', 'graphsample.models']"]

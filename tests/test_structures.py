@@ -1,7 +1,7 @@
-import dataclasses
 import hashlib
 import inspect
 import itertools
+import pickle
 import random
 import struct
 import sys
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsample import structures
+from graphsample import estimate, invariance, models, sampling, structures
 from graphsample.structures import (
     UNREACHABLE,
     EdgeSeqGraph,
@@ -206,7 +206,7 @@ def test_ball_matches_edge_scan_reference(g, data):
         assert restrict(b, d) == restrict(f, d)
     for rg in (b, f):
         for name in ("root", "place"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(rg, name, None)
 
 
@@ -1010,3 +1010,96 @@ def test_structure_kind_refusals(build, message):
 
 def test_is_ordered_refuses_labels_below_one():
     assert not is_ordered((0, 1))
+
+
+# -- value semantics ---------------------------------------------------------
+
+# Per value class: a value, one that differs from it in one field, the
+# value's repr, the name of that field, and whether the class is frozen.
+_VALUES = {
+    "VertexGraph": (lambda: VertexGraph(3, frozenset({(2, 1)})),
+                    lambda: VertexGraph(4, frozenset({(2, 1)})),
+                    "VertexGraph(n=3, edges=frozenset({(1, 2)}))", "n", True),
+    "EdgeSeqGraph": (lambda: EdgeSeqGraph([(1, 2), (1, 2)]),
+                     lambda: EdgeSeqGraph([(1, 2)]),
+                     "EdgeSeqGraph(edges=((1, 2), (1, 2)))", "edges", True),
+    "Partition": (lambda: Partition([1, 2, 1]), lambda: Partition([1, 2, 2]),
+                  "Partition(labels=(1, 2, 1))", "labels", True),
+    "RootedGraph": (lambda: RootedGraph.from_edges({1, 2, 3}, {(2, 1), (3, 2)}, 2),
+                    lambda: RootedGraph.from_edges({1, 2, 3}, {(2, 1), (3, 2)}, 1),
+                    "RootedGraph(vertices=[1, 2, 3], edges=[(1, 2), (2, 3)], root=2)",
+                    "root", True),
+    "MarkedCompleteGraph": (lambda: MarkedCompleteGraph(2, (((1, 2), 1),)),
+                            lambda: MarkedCompleteGraph(2, (((1, 2), UNREACHABLE),)),
+                            "MarkedCompleteGraph(k=2, marks=(((1, 2), 1),))", "marks", True),
+    "SamplerSpec": (lambda: sampling.SamplerSpec("p_sample", p=0.5),
+                    lambda: sampling.SamplerSpec("p_sample", p=0.25),
+                    "SamplerSpec(algorithm='p_sample', p=0.5, rho=None)", "p", True),
+    "DiagnoseResult": (lambda: sampling.DiagnoseResult((2, 4), [PatternTally({b"v:1": 2}, 2)],
+                                                       (0.0,), 0.02, "STABILIZING"),
+                       lambda: sampling.DiagnoseResult((2, 4), [PatternTally({b"v:1": 2}, 2)],
+                                                       (0.5,), 0.02, "STABILIZING"),
+                       "DiagnoseResult(schedule=(2, 4), tallies=[PatternTally(counts="
+                       "{b'v:1': 2}, reps=2)], tv_steps=(0.0,), tolerance=0.02, "
+                       "verdict='STABILIZING')", "tv_steps", False),
+    "PatternTally": (lambda: PatternTally({b"v:1": 2}, 2), lambda: PatternTally({b"v:1": 2}, 3),
+                     "PatternTally(counts={b'v:1': 2}, reps=2)", "reps", True),
+    "LLNTrace": (lambda: estimate.LLNTrace((2, 4), (0.5, 0.25)),
+                 lambda: estimate.LLNTrace((2, 4), (0.5, 0.5)),
+                 "LLNTrace(ks=(2, 4), estimates=(0.5, 0.25))", "estimates", False),
+    "ItemProfile": (lambda: estimate.ItemProfile((2,), {1: (0.5,)}, {1: 0.5}, 0.5, (0.5,)),
+                    lambda: estimate.ItemProfile((2,), {1: (0.5,)}, {1: 0.5}, 1.0, (0.5,)),
+                    "ItemProfile(schedule=(2,), series={1: (0.5,)}, estimate={1: 0.5}, "
+                    "mass=0.5, ranked=(0.5,))", "mass", False),
+    "TestReport": (lambda: invariance.TestReport("t", 0.1, 0.2, {b"v:1": 1.0}, {b"v:1": 1.0}),
+                   lambda: invariance.TestReport("t", 0.1, 0.2, {b"v:1": 1.0}, {b"v:1": 1.0},
+                                                 ["n"]),
+                   "TestReport(name='t', statistic=0.1, threshold=0.2, tally_a={b'v:1': 1.0}, "
+                   "tally_b={b'v:1': 1.0}, notes=[])", "notes", False),
+    "StepGraphon": (lambda: models.StepGraphon((0, 1), ((0.5,),)),
+                    lambda: models.StepGraphon((0, 1), ((0.25,),)),
+                    "StepGraphon(boundaries=(0.0, 1.0), values=((0.5,),))", "values", True),
+    "Paintbox": (lambda: models.Paintbox([(1, 0.5)], dust=0.5),
+                 lambda: models.Paintbox([(2, 0.5)], dust=0.5),
+                 "Paintbox(atoms=((1, 0.5),), dust=0.5)", "atoms", True),
+    "MultiplicitySpec": (lambda: models.MultiplicitySpec([((1, 2), 0.5)]),
+                         lambda: models.MultiplicitySpec([((1, 3), 0.5)]),
+                         "MultiplicitySpec(targets=(((1, 2), 0.5),))", "targets", True),
+}
+
+
+def _hash_or_refusal(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(_VALUES))
+def test_value_semantics(name):
+    make, other, text, field, frozen = _VALUES[name]
+    value = make()
+    assert type(value).__name__ == name
+    assert value == make() and not value != make()
+    assert value != other() and not value == other()
+    assert value != (getattr(value, field),)  # another class never compares equal
+    assert repr(value) == text
+    assert pickle.loads(pickle.dumps(value)) == value
+    if not frozen:
+        with pytest.raises(TypeError):  # mutable records stay unhashable
+            hash(value)
+        setattr(value, field, getattr(other(), field))
+        assert value == other()
+        return
+    assert _hash_or_refusal(value) == _hash_or_refusal(make())
+    for change in (lambda: setattr(value, field, None), lambda: delattr(value, field)):
+        with pytest.raises(AttributeError):
+            change()
+    assert value == make()
+
+
+def test_report_notes_are_not_shared():
+    a = invariance.TestReport("t", 0.0, 0.0, {}, {})
+    b = invariance.TestReport("t", 0.0, 0.0, {}, {})
+    a.notes.append("n")
+    assert b.notes == []
