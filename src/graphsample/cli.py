@@ -264,6 +264,11 @@ def _cmd_estimate(args) -> int:
                              "output, and shortest_path, ego and bs_root outputs "
                              "have no pattern file format; use --what vector")
         spec = _spec_from_args(args)
+        if args.what == "lln":  # refused before the input is read
+            if args.algo not in _SEQUENCE_ALGOS:
+                raise UsageError("--what lln supports sequence/partition inputs; "
+                                 "use --what density for graph functionals")
+            schedule = _schedule(args)
         y = _load(args.algo, args.infile)
         n = args.n
         if args.what == "vector":
@@ -282,10 +287,6 @@ def _cmd_estimate(args) -> int:
             row = PatternTally({key: tally.counts.get(key, 0)}, tally.reps)
             _emit(args, gio.render_tally_csv(row))
             return 0
-        if args.algo not in _SEQUENCE_ALGOS:
-            raise UsageError("--what lln supports sequence/partition inputs; "
-                             "use --what density for graph functionals")
-        schedule = _schedule(args)
         label = args.label
 
         def f(x):  # indicator that the restriction starts with the label
@@ -297,8 +298,8 @@ def _cmd_estimate(args) -> int:
         return 0
     profile, header = {"degrees": (degree_profile, "n,vertex,dbar"),
                        "multiplicity": (multiplicity_profile, "n,pair,mbar")}[args.what]
-    g = gio.read_edge_seq(args.infile)
     schedule = _schedule(args)
+    g = gio.read_edge_seq(args.infile)
     _emit(args, gio.render_profile_csv(profile(g, schedule), header))
     return 0
 
@@ -339,10 +340,10 @@ def _cmd_test(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     spec = _spec_from_args(args)
+    schedule = _schedule(args)
     y = _load(args.algo, args.infile)
     if args.n is not None:  # diagnose y|n, so a schedule past n is refused
         y = restrict(y, args.n)
-    schedule = _schedule(args)
     rng = RandomStream(args.seed)
     result = diagnose_limit(spec, y, args.k, schedule, args.reps, rng,
                             tolerance=args.tol)

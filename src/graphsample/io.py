@@ -2,14 +2,18 @@
 
 Edge-list format (bit-exact): one edge per line, two 1-based decimal
 integers separated by a single space, LF line endings.  Line order is
-significant for edge sequences.  An optional first line ``#n <N>`` fixes
-the vertex count of a VertexGraph (otherwise n = max label); it is written
-only when needed, i.e. when the graph has trailing isolated vertices.  A
-``#`` line is that header when its first whitespace-separated token is
-``#n``.  A vertex-graph file holds at most one ``#n`` line; other formats
-refuse it.  A vertex graph's declared or implied vertex count may not exceed
-MAX_VERTICES.  Every other line starting with ``#`` is a metadata comment
-(e.g. ``# seed=...``) and is skipped on load.
+significant for edge sequences.  A line ``#n <N>`` fixes the vertex count
+of a VertexGraph (otherwise n = max label); it is written first, and only
+when needed, i.e. when the graph has trailing isolated vertices.  A ``#``
+line is that header when its first whitespace-separated token is ``#n``.
+A vertex-graph file may hold one ``#n`` line, on any line: the edges
+before it are checked against N just as those after it are.  Other formats
+refuse it.  A vertex graph's declared or implied vertex count may not
+exceed MAX_VERTICES.  Every other line starting with ``#`` is a metadata
+comment (e.g. ``# seed=...``) and is skipped on load.  Lines are those of
+str.splitlines, which also ends a line at CR, form feed, vertical tab,
+U+001C-U+001E, U+0085, U+2028 and U+2029; a message's line number counts
+blank and comment lines.
 
 Step-graphon format: line 1 the block count B, line 2 the B+1 boundaries,
 then B lines of B decimals and nothing more; validated symmetric on load.
@@ -142,51 +146,126 @@ def _ints(number: int, line: str, fields: list, count: int) -> list:
         raise ValueError(f"line {number}: not an integer: {line!r}") from None
 
 
-def parse_vertex_graph(text: str) -> VertexGraph:
-    header, lines = _data_lines(text, vertex_count=True)
-    edges = set()
-    max_label = 0
+def _skipped(line: str) -> bool:
+    """Whether a reader passes over line: blank, or a comment (a ``#``
+    line other than ``#n``)."""
+    fields = line.split()
+    return not fields or fields[0][0] == "#" and fields[0] != "#n"
+
+
+def _declared(line: str) -> int:
+    """The vertex count a ``#n <N>`` line declares; -1 for any other line."""
+    fields = line.split()
+    try:
+        return int(fields[1]) if fields[0] == "#n" and len(fields) == 2 else -1
+    except ValueError:
+        return -1
+
+
+def _refuse(text: str, count: int, check, vertex_count: bool = False):
+    """Raise the error for the first fault in text, a file its reader
+    refused: a ``#n`` fault anywhere comes first, then the first data line
+    in file order that does not hold count integers or whose integers
+    check(number, line, header, values) refuses."""
+    header, lines = _data_lines(text, vertex_count)
     for number, line in lines:
-        u, v = _ints(number, line, line.split(), 2)
-        if header is None:
-            _check_cap(number, line, max(u, v))
-        elif max(u, v) > header[1]:
-            raise ValueError(f"line {number}: edge ({u},{v}) outside 1..{header[1]} "
-                             f"declared on line {header[0]}: {line!r}")
-        if u == v:
-            raise ValueError(f"line {number}: self-loop at vertex {u}: {line!r}")
-        if u < 1 or v < 1:
-            raise ValueError(f"line {number}: edge ({u},{v}) has a vertex below 1: "
-                             f"{line!r}")
-        edges.add((u, v))
-        max_label = max(max_label, u, v)
-    n = header[1] if header is not None else max_label
+        check(number, line, header, _ints(number, line, line.split(), count))
+    raise AssertionError("a reader refused a file that has no fault")
+
+
+def _check_edge_line(number: int, line: str, header, values):
+    u, v = values
+    if header is None:
+        _check_cap(number, line, max(u, v))
+    elif max(u, v) > header[1]:
+        raise ValueError(f"line {number}: edge ({u},{v}) outside 1..{header[1]} "
+                         f"declared on line {header[0]}: {line!r}")
+    if u == v:
+        raise ValueError(f"line {number}: self-loop at vertex {u}: {line!r}")
+    if u < 1 or v < 1:
+        raise ValueError(f"line {number}: edge ({u},{v}) has a vertex below 1: "
+                         f"{line!r}")
+
+
+def _check_pair_line(number: int, line: str, header, values):
+    i, j = values
+    if i == j:
+        raise ValueError(f"line {number}: self-loop pair ({i},{j}): {line!r}")
+    if not 1 <= i < j:
+        raise ValueError(f"line {number}: pair ({i},{j}) must satisfy 1 <= i < j: "
+                         f"{line!r}")
+
+
+def _check_label_line(number: int, line: str, header, values):
+    (v,) = values
+    if v < 1:
+        raise ValueError(f"line {number}: label {v} is not a positive "
+                         f"integer: {line!r}")
+
+
+# Each reader below makes one pass over the lines of text.  A line is
+# split once and its fields converted by one map(int, ...); a data line
+# whose integers pass one chained comparison is kept, a blank or comment
+# line is passed over, and any other line hands the whole file to _refuse,
+# which finds the first fault and names its line.
+
+
+def parse_vertex_graph(text: str) -> VertexGraph:
+    """The vertex graph text holds.  Each edge is kept as (u, v) with
+    u < v, so the induced subgraph on 1..m holds just the edges with
+    v <= m.  A ``#n`` line may come anywhere, once: the edges before it
+    are checked against it when it is read, and those after it as read."""
+    edges = []
+    declared = None        # the #n line's vertex count, once read
+    bound = MAX_VERTICES   # the largest label a line may hold
+    for line in text.splitlines():
+        try:
+            u, v = map(int, line.split())
+            if 0 < u < v <= bound:
+                edges.append((u, v))
+                continue
+            if 0 < v < u <= bound:
+                edges.append((v, u))
+                continue
+        except ValueError:
+            if _skipped(line):
+                continue
+            n = _declared(line) if declared is None else -1
+            if 0 <= n <= bound and all(e[1] <= n for e in edges):
+                declared = bound = n
+                continue
+        _refuse(text, 2, _check_edge_line, vertex_count=True)
+    n = declared if declared is not None else max((e[1] for e in edges), default=0)
     return VertexGraph(n, frozenset(edges))
 
 
 def parse_edge_seq(text: str) -> EdgeSeqGraph:
-    _, lines = _data_lines(text)
     edges = []
-    for number, line in lines:
-        i, j = _ints(number, line, line.split(), 2)
-        if i == j:
-            raise ValueError(f"line {number}: self-loop pair ({i},{j}): {line!r}")
-        if not 1 <= i < j:
-            raise ValueError(f"line {number}: pair ({i},{j}) must satisfy 1 <= i < j: "
-                             f"{line!r}")
-        edges.append((i, j))
+    for line in text.splitlines():
+        try:
+            i, j = map(int, line.split())
+            if 0 < i < j:
+                edges.append((i, j))
+                continue
+        except ValueError:
+            if _skipped(line):
+                continue
+        _refuse(text, 2, _check_pair_line)
     return EdgeSeqGraph(tuple(edges))
 
 
 def parse_label_seq(text: str) -> tuple:
-    _, lines = _data_lines(text)
     seq = []
-    for number, line in lines:
-        (v,) = _ints(number, line, line.split(), 1)
-        if v < 1:
-            raise ValueError(f"line {number}: label {v} is not a positive "
-                             f"integer: {line!r}")
-        seq.append(v)
+    for line in text.splitlines():
+        try:
+            (v,) = map(int, line.split())
+            if v > 0:
+                seq.append(v)
+                continue
+        except ValueError:
+            if _skipped(line):
+                continue
+        _refuse(text, 1, _check_label_line)
     return tuple(seq)
 
 

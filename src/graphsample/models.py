@@ -11,11 +11,14 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .rng import RandomStream
 from .sampling import _rho_at
 from .structures import EdgeSeqGraph, Partition, VertexGraph, _Frozen, relabel_r, relabel_rprime
+
+if TYPE_CHECKING:  # annotation only: fractions loads where a Fraction is built
+    from fractions import Fraction
 
 _EPS = 1e-12
 
@@ -307,6 +310,8 @@ def complete_vertex(n: int) -> VertexGraph:
 def misspec_table(k: int, j: int) -> Fraction:
     """Probability 1/C(k,j) that a graphon model assigns to a once-observed
     size-j pattern recurring in a given position of a size-k sample."""
+    from fractions import Fraction
+
     if not 1 <= j <= k:
         raise ValueError("need 1 <= j <= k")
     return Fraction(1, math.comb(k, j))

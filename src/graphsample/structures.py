@@ -131,16 +131,18 @@ class VertexGraph(_Frozen):
     """Simple undirected graph with vertices labeled 1..n.
 
     Edges are stored once as pairs (u, v) with u < v <= n; no self-loops.
+    A frozenset already in that form is kept as given, else rebuilt.
     """
 
     def __init__(self, n: int, edges: frozenset = frozenset()):
         if n < 0:
             raise ValueError("vertex count must be >= 0")
-        norm = frozenset(_check_edge(u, v) for u, v in edges)
-        for u, v in norm:
-            if not (1 <= u < v <= n):
-                raise ValueError(f"edge ({u},{v}) outside 1..{n}")
-        self._set(n, norm)
+        if not (type(edges) is frozenset and all(0 < u < v <= n for u, v in edges)):
+            edges = frozenset(_check_edge(u, v) for u, v in edges)
+            for u, v in edges:
+                if not (1 <= u < v <= n):
+                    raise ValueError(f"edge ({u},{v}) outside 1..{n}")
+        self._set(n, edges)
 
     def adjacency(self) -> dict:
         """Vertex -> tuple of neighbours, built once per graph; callers

@@ -1,9 +1,11 @@
-"""Exact enumeration oracles for the samplers on tiny inputs.
+"""Exact enumeration oracles for the samplers on tiny inputs, and the
+reference text readers.
 
 These enumerate every ordered selection with its exact (Fraction)
 probability and build the output with straightforward code, independently
 of the sampler implementations.  They are the reference laws that the
-Monte Carlo samplers are checked against.
+Monte Carlo samplers are checked against.  The readers at the end are the
+reference for the one-pass readers of graphsample.io.
 """
 
 from collections import deque
@@ -11,6 +13,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from graphsample.structures import (
+    EdgeSeqGraph,
     Partition,
     VertexGraph,
     ball,
@@ -305,3 +308,114 @@ def law_tv(law_a, law_b):
 
 def as_floats(law):
     return {key: float(p) for key, p in law.items()}
+
+
+# ---------------------------------------------------------------------------
+# text readers
+
+
+#: The reference readers' vertex cap; a test that lowers io.MAX_VERTICES
+#: lowers this too.
+MAX_VERTICES = 10**7
+
+# The three readers below and their helpers are copied verbatim from
+# graphsample.io as it was before its readers became one pass each: a
+# header scan over the whole file, then one check after another on each
+# data line.  They are the reference for which structure a file holds and
+# which message a faulty file gets.
+
+
+def _data_lines(text: str, vertex_count: bool = False):
+    """The ``#n`` header, as (1-based line number in text, vertex count) or
+    None without one, and the data lines, each as (line number, stripped
+    line).  Only a vertex_count format holds a header, at most one."""
+    header = None
+    out = []
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if line.split()[0] == "#n":
+                if not vertex_count:
+                    raise ValueError(f"line {number}: #n header outside a vertex-graph "
+                                     f"file: {line!r}")
+                if header is not None:
+                    raise ValueError(f"line {number}: second #n header (first on "
+                                     f"line {header[0]}): {line!r}")
+                (n,) = _ints(number, line, line.split()[1:], 1)
+                if n < 0:
+                    raise ValueError(f"line {number}: vertex count must be >= 0: {line!r}")
+                _check_cap(number, line, n)
+                header = (number, n)
+            continue
+        out.append((number, line))
+    return header, out
+
+
+def _check_cap(number: int, line: str, n: int):
+    """Refuse a vertex count above MAX_VERTICES: a vertex graph's adjacency
+    and degree vector take memory for every vertex, isolated or not."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"line {number}: vertex count {n} exceeds the limit "
+                         f"{MAX_VERTICES}: {line!r}")
+
+
+def _ints(number: int, line: str, fields: list, count: int) -> list:
+    """fields as integers, or a ValueError naming the line and quoting it
+    when there are not exactly count of them or one is not an integer."""
+    if len(fields) != count:
+        raise ValueError(f"line {number}: expected {count} field(s), found "
+                         f"{len(fields)}: {line!r}")
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise ValueError(f"line {number}: not an integer: {line!r}") from None
+
+
+def parse_vertex_graph(text: str) -> VertexGraph:
+    header, lines = _data_lines(text, vertex_count=True)
+    edges = set()
+    max_label = 0
+    for number, line in lines:
+        u, v = _ints(number, line, line.split(), 2)
+        if header is None:
+            _check_cap(number, line, max(u, v))
+        elif max(u, v) > header[1]:
+            raise ValueError(f"line {number}: edge ({u},{v}) outside 1..{header[1]} "
+                             f"declared on line {header[0]}: {line!r}")
+        if u == v:
+            raise ValueError(f"line {number}: self-loop at vertex {u}: {line!r}")
+        if u < 1 or v < 1:
+            raise ValueError(f"line {number}: edge ({u},{v}) has a vertex below 1: "
+                             f"{line!r}")
+        edges.add((u, v))
+        max_label = max(max_label, u, v)
+    n = header[1] if header is not None else max_label
+    return VertexGraph(n, frozenset(edges))
+
+
+def parse_edge_seq(text: str) -> EdgeSeqGraph:
+    _, lines = _data_lines(text)
+    edges = []
+    for number, line in lines:
+        i, j = _ints(number, line, line.split(), 2)
+        if i == j:
+            raise ValueError(f"line {number}: self-loop pair ({i},{j}): {line!r}")
+        if not 1 <= i < j:
+            raise ValueError(f"line {number}: pair ({i},{j}) must satisfy 1 <= i < j: "
+                             f"{line!r}")
+        edges.append((i, j))
+    return EdgeSeqGraph(tuple(edges))
+
+
+def parse_label_seq(text: str) -> tuple:
+    _, lines = _data_lines(text)
+    seq = []
+    for number, line in lines:
+        (v,) = _ints(number, line, line.split(), 1)
+        if v < 1:
+            raise ValueError(f"line {number}: label {v} is not a positive "
+                             f"integer: {line!r}")
+        seq.append(v)
+    return tuple(seq)

@@ -770,6 +770,21 @@ def test_malformed_flag_value_names_the_flag(argv, message, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    "diagnose --algo uniform_vertex --k 2",
+    "estimate --what degrees",
+    "estimate --what multiplicity",
+    "estimate --what lln --algo sequence --n 4",
+], ids=["diagnose", "degrees", "multiplicity", "lln"])
+def test_malformed_schedule_is_refused_before_the_input_is_read(argv, tmp_path, capsys):
+    """A bad --schedule is a usage error (exit 2) even when --in names no
+    file: the schedule is parsed before the input is read."""
+    missing = tmp_path / "nope.txt"
+    assert main([*argv.split(), "--in", str(missing), "--schedule", "5,"]) == 2
+    assert capsys.readouterr() == (
+        "", "usage error: --schedule takes comma-separated sizes, not '5,'\n")
+
+
 def test_schedule_size_below_one_usage_error(tmp_path, capsys):
     edges = tmp_path / "star_edges.txt"
     main(["generate", "star_edges", "--n", "10", "--out", str(edges)])
@@ -872,15 +887,19 @@ def test_readme_commands_parse():
 def test_a_command_loads_only_the_modules_it_runs(tmp_path):
     """In a fresh process, ``estimate --what vector`` and ``diagnose`` never
     load invariance, models or fractions, and ``test`` does load
-    invariance, so the check cannot pass because nothing loads at all.  No
-    command, ``generate`` included, loads dataclasses or inspect, whose
-    import costs every process start-up several milliseconds."""
-    graph = tmp_path / "c6.txt"
+    invariance, so the check cannot pass because nothing loads at all.
+    Reading a step graphon and ``generate`` load models but not fractions,
+    which only ``estimate --what misspec`` loads.  No command loads
+    dataclasses or inspect, whose import costs every process start-up
+    several milliseconds."""
+    graph, graphon = tmp_path / "c6.txt", tmp_path / "w.txt"
     gio.write_text(graph, "1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n")
+    gio.write_text(graphon, "1\n0 1\n0.5\n")
     script = textwrap.dedent("""
         import sys
         import graphsample.cli as cli
-        graph, out = sys.argv[1:]
+        from graphsample import io
+        graph, graphon, out = sys.argv[1:]
         lazy = ("graphsample.invariance", "graphsample.models", "fractions",
                 "dataclasses", "inspect")
         def loaded():
@@ -895,13 +914,21 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path):
                          "--in", graph, "--n", "6", "--m", "4", "--k", "2",
                          "--reps", "50", "--out", out]) in (0, 1)
         print(loaded())
+        io.read_step_graphon(graphon)
+        print(loaded())
         assert cli.main(["generate", "paintbox", "--atoms", "0.5,0.5", "--n", "5",
                          "--out", out]) == 0
         print(loaded())
+        assert cli.main(["estimate", "--what", "misspec", "--misspec-k", "3",
+                         "--misspec-j", "1", "--out", out]) == 0
+        print(loaded())
     """)
-    proc = subprocess.run([sys.executable, "-c", script, str(graph), str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-c", script, str(graph), str(graphon),
+                           str(tmp_path / "out")],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "[]", "[]", "['graphsample.invariance']",
+        "['graphsample.invariance', 'graphsample.models']",
+        "['graphsample.invariance', 'graphsample.models']",
         "['fractions', 'graphsample.invariance', 'graphsample.models']"]

@@ -1,7 +1,10 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from graphsample import io as gio
 from graphsample.estimate import prefix_density_vector
 from graphsample.models import (
@@ -223,3 +226,130 @@ def test_vertex_count_header_is_its_first_token():
 def test_render_structure_refuses_unknown_kind():
     with pytest.raises(TypeError, match="^cannot render object$"):
         gio.render_structure(object())
+
+
+def test_vertex_graph_refuses_a_bad_edge_set_as_it_did():
+    """A frozenset of (u, v) with 1 <= u < v <= n is kept as given; any
+    other edge set is rebuilt, reversed pairs put in order, and a
+    self-loop or an edge outside 1..n refused with the same messages."""
+    edges = frozenset({(1, 3), (2, 3)})
+    assert VertexGraph(3, edges).edges is edges
+    assert VertexGraph(3, frozenset({(3, 1), (1, 3)})).edges == {(1, 3)}
+    assert VertexGraph(3, [(2, 1), (1, 2)]).edges == {(1, 2)}
+    for n, bad, message in ((3, {(2, 2)}, "self-loop at vertex 2"),
+                            (3, {(1, 4)}, r"edge \(1,4\) outside 1\.\.3"),
+                            (3, {(4, 1)}, r"edge \(1,4\) outside 1\.\.3"),
+                            (3, {(0, 2)}, r"edge \(0,2\) outside 1\.\.3"),
+                            (0, {(1, 2)}, r"edge \(1,2\) outside 1\.\.0")):
+        for edge_set in (frozenset(bad), set(bad), list(bad)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                VertexGraph(n, edge_set)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass readers against the two-pass reference in oracles
+
+_CAP = 20  # MAX_VERTICES while a file is read, so labels near it are cheap
+# every line boundary str.splitlines knows, and whitespace that is not one
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                           "\x85", "\u2028", "\u2029"])
+_PAD = st.sampled_from(["", " ", "\t", "\x1f", " \t "])
+_GAP = st.sampled_from([" ", "  ", "\t", " \x1f "])
+_SKIPPED = st.sampled_from(["", "  ", "\t", "#note 7", "# seed=12", "#", "##n 3", "#n3",
+                            " # x y"])
+
+
+@st.composite
+def _spelled(draw, v: int) -> str:
+    """v as int() reads it: plain, with a sign, or with an underscore."""
+    text = str(v)
+    options = [text, "+" + text] if v >= 0 else [text]
+    if abs(v) >= 10:
+        options.append(text[:-1] + "_" + text[-1])
+    return draw(st.sampled_from(options))
+
+
+@st.composite
+def _line(draw, *values, tag=None) -> str:
+    fields = [draw(_spelled(v)) for v in values]
+    return draw(_PAD) + draw(_GAP).join([tag, *fields] if tag else fields) + draw(_PAD)
+
+
+@st.composite
+def _valid(draw, fmt: str):
+    """The lines of a file that fmt's reader accepts, and the largest label
+    an edge line may hold: the #n count, or _CAP without a #n line."""
+    bound = _CAP
+    if fmt == "label":
+        lines = [draw(_line(v)) for v in draw(st.lists(st.integers(1, 12), max_size=10))]
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12))
+                              .filter(lambda p: p[0] != p[1]), max_size=10))
+        if fmt == "edge":
+            pairs = [(min(p), max(p)) for p in pairs]
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else []
+        lines = [draw(_line(*p)) for p in pairs]  # reversed and repeated edges
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_SKIPPED))
+    place = draw(st.sampled_from(["first", "late", "absent"])) if fmt == "vertex" else "absent"
+    if place != "absent":
+        top = max((max(map(int, line.split())) for line in lines
+                   if line.strip() and not line.strip().startswith("#")), default=0)
+        bound = draw(st.integers(top, top + 3))
+        at = 0 if place == "first" else draw(st.integers(1, max(1, len(lines))))
+        lines.insert(at, draw(_line(bound, tag="#n")))
+    return lines, bound
+
+
+def _fault(fmt: str, bound: int, has_header: bool):
+    """One line that makes a file of fmt faulty wherever it goes."""
+    fixed = ["x", "1.5", "1 #2", "#n 3"] if fmt != "vertex" else [
+        "x 2", "1.5 2", "1 #2", "#n -1", "#n x", "#n", "#n 1 2"]
+    if fmt == "label":
+        drawn = [_line(2, 3), _line(0), _line(-2)]
+    else:
+        drawn = [_line(4), _line(1, 2, 3), _line(3, 3), _line(0, 2), _line(-1, 5)]
+    if fmt == "edge":
+        drawn.append(_line(5, 2))
+    if fmt == "vertex":
+        drawn += [_line(1, bound + 1), _line(bound + 2, 2), _line(_CAP + 1, 1),
+                  _line(_CAP + 1, tag="#n")]
+        if has_header:  # a second #n, the same as the first or not
+            drawn += [_line(bound, tag="#n"), st.integers(0, bound + 2).flatmap(lambda m: _line(m, tag="#n"))]
+    return st.one_of(st.sampled_from(fixed), *drawn)
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"refused: {exc}"
+
+
+_READERS = {"vertex": (gio.parse_vertex_graph, oracles.parse_vertex_graph),
+            "edge": (gio.parse_edge_seq, oracles.parse_edge_seq),
+            "label": (gio.parse_label_seq, oracles.parse_label_seq)}
+
+
+@pytest.mark.parametrize("faults", [0, 1, 2])
+@pytest.mark.parametrize("fmt", list(_READERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reader_matches_the_two_pass_reference(fmt, faults, data):
+    """Every file, valid or with one or two faulty lines anywhere, gives the
+    structure or the message the two-pass reference gives."""
+    lines, bound = data.draw(_valid(fmt))
+    has_header = any(line.split()[:1] == ["#n"] for line in lines)
+    for _ in range(faults):
+        lines.insert(data.draw(st.integers(0, len(lines))),
+                     data.draw(_fault(fmt, bound, has_header)))
+    text = "".join(line + data.draw(_BREAKS) for line in lines)
+    if data.draw(st.booleans()):
+        text = text.rstrip("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+    new, reference = _READERS[fmt]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gio, "MAX_VERTICES", _CAP)
+        mp.setattr(oracles, "MAX_VERTICES", _CAP)
+        expected = _outcome(reference, text)
+        assert isinstance(expected, str) == (faults > 0), text
+        assert _outcome(new, text) == expected, text
