@@ -228,24 +228,6 @@ def test_render_structure_refuses_unknown_kind():
         gio.render_structure(object())
 
 
-def test_vertex_graph_refuses_a_bad_edge_set_as_it_did():
-    """A frozenset of (u, v) with 1 <= u < v <= n is kept as given; any
-    other edge set is rebuilt, reversed pairs put in order, and a
-    self-loop or an edge outside 1..n refused with the same messages."""
-    edges = frozenset({(1, 3), (2, 3)})
-    assert VertexGraph(3, edges).edges is edges
-    assert VertexGraph(3, frozenset({(3, 1), (1, 3)})).edges == {(1, 3)}
-    assert VertexGraph(3, [(2, 1), (1, 2)]).edges == {(1, 2)}
-    for n, bad, message in ((3, {(2, 2)}, "self-loop at vertex 2"),
-                            (3, {(1, 4)}, r"edge \(1,4\) outside 1\.\.3"),
-                            (3, {(4, 1)}, r"edge \(1,4\) outside 1\.\.3"),
-                            (3, {(0, 2)}, r"edge \(0,2\) outside 1\.\.3"),
-                            (0, {(1, 2)}, r"edge \(1,2\) outside 1\.\.0")):
-        for edge_set in (frozenset(bad), set(bad), list(bad)):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                VertexGraph(n, edge_set)
-
-
 # ---------------------------------------------------------------------------
 # the one-pass readers against the two-pass reference in oracles
 

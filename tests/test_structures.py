@@ -1103,3 +1103,21 @@ def test_report_notes_are_not_shared():
     b = invariance.TestReport("t", 0.0, 0.0, {}, {})
     a.notes.append("n")
     assert b.notes == []
+
+
+def test_vertex_graph_keeps_a_normal_edge_set_and_rebuilds_any_other():
+    """A frozenset of (u, v) with 1 <= u < v <= n is kept as given; any
+    other edge set is rebuilt, reversed pairs put in order, and a
+    self-loop or an edge outside 1..n refused with the same messages."""
+    edges = frozenset({(1, 3), (2, 3)})
+    assert VertexGraph(3, edges).edges is edges
+    assert VertexGraph(3, frozenset({(3, 1), (1, 3)})).edges == {(1, 3)}
+    assert VertexGraph(3, [(2, 1), (1, 2)]).edges == {(1, 2)}
+    for n, bad, message in ((3, {(2, 2)}, "self-loop at vertex 2"),
+                            (3, {(1, 4)}, r"edge \(1,4\) outside 1\.\.3"),
+                            (3, {(4, 1)}, r"edge \(1,4\) outside 1\.\.3"),
+                            (3, {(0, 2)}, r"edge \(0,2\) outside 1\.\.3"),
+                            (0, {(1, 2)}, r"edge \(1,2\) outside 1\.\.0")):
+        for edge_set in (frozenset(bad), set(bad), list(bad)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                VertexGraph(n, edge_set)
