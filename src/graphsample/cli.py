@@ -33,20 +33,8 @@ from .estimate import (
     prefix_density_vector,
 )
 from .rng import RandomStream
-from .sampling import (
-    ALGORITHMS,
-    BS_ROOT,
-    EDGE,
-    EGO,
-    P_SAMPLE,
-    PARTITION,
-    SEQUENCE,
-    SHORTEST_PATH,
-    SamplerSpec,
-    diagnose_limit,
-    make_sampler,
-)
-from .structures import Partition, key_for, restrict, size_of
+from .sampling import ALGORITHMS, _ALGORITHMS, SamplerSpec, diagnose_limit, make_sampler
+from .structures import EdgeSeqGraph, Partition, VertexGraph, key_for, restrict, size_of
 
 # the generators that take --n, in the order --help lists them, each named
 # by its function in models, which only generate and misspec import
@@ -56,7 +44,6 @@ _SIZED_GENERATORS = {
     "alternating": "alternating_seq", "singletons": "all_singletons_seq",
     "cycle": "cycle_vertex", "complete": "complete_vertex",
 }
-_SEQUENCE_ALGOS = {SEQUENCE, PARTITION}
 
 # every flag but the selectors: dest -> (option, add_argument keywords), in
 # the order --help lists them; a flag's default is None unless given here
@@ -171,14 +158,15 @@ def _schedule(args) -> tuple:
 def _check_flags(args):
     """Refuse the first flag the task does not read, then name the first
     flag it needs that is missing.  A flag counts as given when its value
-    differs from its default.  p_sample reads no --k: its output size is
-    random."""
+    differs from its default.  An algorithm whose row takes "p" (p_sample)
+    reads no --k: its output size is random."""
     _, selector, tasks = _TASKS[args.command]
     value = getattr(args, selector.lstrip("-")) if selector else None
     # the task as messages name it: "sample", "generate star", "estimate --what lln"
     task = " ".join(w for w in (args.command, selector, value) if w and w != "name")
-    p_sample = getattr(args, "algo", None) == P_SAMPLE
-    flags = [flag for flag in tasks[value].split() if not (p_sample and flag == "k!")]
+    algo = getattr(args, "algo", None)
+    unread = {"k!"} if algo and _ALGORITHMS[algo][3] == "p" else set()
+    flags = [flag for flag in tasks[value].split() if flag not in unread]
     reads = {flag.rstrip("!") for flag in flags} | _READ_BY_ALL
     for dest, (option, kw) in _FLAGS.items():
         default = kw.get("default")
@@ -195,14 +183,15 @@ def _spec_from_args(args) -> SamplerSpec:
 
 
 def _load(algo: str, path):
-    """Read the structure kind that ``algo`` samples from (also used for
-    patterns and second inputs)."""
-    if algo in _SEQUENCE_ALGOS:
-        seq = gio.read_label_seq(path)
-        return Partition(seq) if algo == PARTITION else seq
-    if algo == EDGE:
+    """Read the kind that ``algo``'s row samples (also used for patterns
+    and second inputs)."""
+    kind = _ALGORITHMS[algo][1]
+    if kind is VertexGraph:
+        return gio.read_vertex_graph(path)
+    if kind is EdgeSeqGraph:
         return gio.read_edge_seq(path)
-    return gio.read_vertex_graph(path)
+    seq = gio.read_label_seq(path)
+    return Partition(seq) if kind is Partition else seq
 
 
 def _provenance(seed, **extra) -> str:
@@ -259,13 +248,16 @@ def _cmd_estimate(args) -> int:
         return 0
     rng = RandomStream(args.seed)
     if args.what in ("vector", "density", "lln"):
-        if args.what == "density" and args.algo in (SHORTEST_PATH, EGO, BS_ROOT):
+        _, sampled, reported, _ = _ALGORITHMS[args.algo]
+        if args.what == "density" and reported is not sampled:
+            # a pattern file is read as the kind sampled
+            names = [a for a, (_, i, o, _) in _ALGORITHMS.items() if o is not i]
             raise UsageError("--what density reads its pattern as the sampler's "
-                             "output, and shortest_path, ego and bs_root outputs "
-                             "have no pattern file format; use --what vector")
+                             f"output, and {', '.join(names[:-1])} and {names[-1]} "
+                             "outputs have no pattern file format; use --what vector")
         spec = _spec_from_args(args)
         if args.what == "lln":  # refused before the input is read
-            if args.algo not in _SEQUENCE_ALGOS:
+            if sampled not in (tuple, Partition):
                 raise UsageError("--what lln supports sequence/partition inputs; "
                                  "use --what density for graph functionals")
             schedule = _schedule(args)

@@ -17,7 +17,7 @@ from itertools import accumulate
 
 from .estimate import PatternTally, _prepared, compare, prefix_density_vector, tally_outputs
 from .rng import RandomStream
-from .sampling import P_SAMPLE, SamplerSpec, _as_sampler
+from .sampling import _ALGORITHMS, SamplerSpec, _as_sampler
 from .structures import (
     VertexGraph,
     _Record,
@@ -112,8 +112,9 @@ def test_idempotence(spec_or_sampler, y, n: int, m: int, k: int, reps: int,
 
     p-sampling is rejected: its output size is random, so the second stage
     at a fixed m is undefined."""
-    if isinstance(spec_or_sampler, SamplerSpec) and spec_or_sampler.algorithm == P_SAMPLE:
-        raise ValueError("p_sample has a random output size, so idempotence "
+    algorithm = getattr(spec_or_sampler, "algorithm", None)
+    if isinstance(spec_or_sampler, SamplerSpec) and _ALGORITHMS[algorithm][3] == "p":
+        raise ValueError(f"{algorithm} has a random output size, so idempotence "
                          "through a fixed middle size m is undefined")
     if not (1 <= k <= m <= n):
         raise ValueError("need k <= m <= n")

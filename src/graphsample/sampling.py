@@ -13,7 +13,8 @@ uniform per element (rejecting repeats), so for a fixed stream the
 selection order at size k is a prefix of the selection order at size
 k' > k, and the outputs nest pathwise: output(k) equals the restriction
 of output(k').  The single exception is p-sampling, whose output size is
-random by construction.
+random by construction.  What is known of each algorithm is its row of
+_ALGORITHMS, which every decision by algorithm reads.
 """
 
 from __future__ import annotations
@@ -38,47 +39,44 @@ from .structures import (
     subsample_in_order,
 )
 
-UNIFORM_VERTEX = "uniform_vertex"
-SPARSIFIED = "sparsified"
-P_SAMPLE = "p_sample"
-DEGREE_BIASED = "degree_biased"
-SHORTEST_PATH = "shortest_path"
-SEQUENCE = "sequence"
-PARTITION = "partition"
-EDGE = "edge"
-EGO = "ego"
-BS_ROOT = "bs_root"
-
-ALGORITHMS = (UNIFORM_VERTEX, SPARSIFIED, P_SAMPLE, DEGREE_BIASED, SHORTEST_PATH,
-              SEQUENCE, PARTITION, EDGE, EGO, BS_ROOT)
+# name -> (the function that runs it, by its name in this module, the kind
+# it samples, the kind it reports, the parameter it takes: "p" in k's place,
+# "rho" after k, or None), in the order --help lists the names
+_ALGORITHMS = {
+    "uniform_vertex": ("sample_uniform_vertex", VertexGraph, VertexGraph, None),
+    "sparsified": ("sample_sparsified", VertexGraph, VertexGraph, "rho"),
+    "p_sample": ("sample_p", VertexGraph, VertexGraph, "p"),
+    "degree_biased": ("sample_degree_biased", VertexGraph, VertexGraph, None),
+    "shortest_path": ("sample_shortest_path", VertexGraph, MarkedCompleteGraph, None),
+    "sequence": ("sample_sequence", tuple, tuple, None),
+    "partition": ("sample_partition", Partition, Partition, None),
+    "edge": ("sample_edges", EdgeSeqGraph, EdgeSeqGraph, None),
+    "ego": ("sample_ego", VertexGraph, list, None),
+    "bs_root": ("sample_bs", VertexGraph, RootedGraph, None),
+}
+ALGORITHMS = tuple(_ALGORITHMS)
 
 _THIN_TAG = "edge-thinning"
 
 
 class SamplerSpec(_Frozen):
-    """Which algorithm to run, plus its parameters.
-
-    p is required for p_sample, rho (a constant or a callable k -> [0,1])
-    for sparsified; all other algorithms take no parameters.
-    """
+    """Which algorithm to run, plus the parameter its _ALGORITHMS row names:
+    p in [0,1] for "p" (p_sample), rho (a constant in [0,1] or a callable
+    k -> [0,1]) for "rho" (sparsified).  It takes no other."""
 
     def __init__(self, algorithm: str, p: float | None = None, rho: object = None):
-        if algorithm not in ALGORITHMS:
+        if algorithm not in _ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        if algorithm == P_SAMPLE:
-            if p is None or not 0.0 <= p <= 1.0:
-                raise ValueError("p_sample requires p in [0,1]")
-        elif p is not None:
-            raise ValueError(f"{algorithm} takes no p parameter")
-        if algorithm == SPARSIFIED:
-            if rho is None:
-                raise ValueError("sparsified requires rho")
-            if not callable(rho):
-                v = float(rho)
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError("rho must lie in [0,1]")
-        elif rho is not None:
-            raise ValueError(f"{algorithm} takes no rho parameter")
+        extra = _ALGORITHMS[algorithm][3]
+        if extra == "p" and (p is None or not 0.0 <= p <= 1.0):
+            raise ValueError(f"{algorithm} requires p in [0,1]")
+        for name, value in (("p", p), ("rho", rho)):
+            if value is not None and name != extra:
+                raise ValueError(f"{algorithm} takes no {name} parameter")
+        if extra == "rho" and rho is None:
+            raise ValueError(f"{algorithm} requires rho")
+        if extra == "rho" and not callable(rho) and not 0.0 <= float(rho) <= 1.0:
+            raise ValueError("rho must lie in [0,1]")
         self._set(algorithm, p, rho)
 
 
@@ -274,31 +272,16 @@ def sample_bs(y: VertexGraph, n: int, k: int, rng: RandomStream) -> RootedGraph:
 
 
 def make_sampler(spec: SamplerSpec):
-    """Uniform call surface f(y, n, k, rng) for any SamplerSpec.
-
-    p_sample ignores k (its output size is random)."""
-    alg = spec.algorithm
-    if alg == UNIFORM_VERTEX:
-        return sample_uniform_vertex
-    if alg == SPARSIFIED:
-        return lambda y, n, k, rng: sample_sparsified(y, n, k, spec.rho, rng)
-    if alg == P_SAMPLE:
-        return lambda y, n, k, rng: sample_p(y, n, spec.p, rng)
-    if alg == DEGREE_BIASED:
-        return sample_degree_biased
-    if alg == SHORTEST_PATH:
-        return sample_shortest_path
-    if alg == SEQUENCE:
-        return sample_sequence
-    if alg == PARTITION:
-        return sample_partition
-    if alg == EDGE:
-        return sample_edges
-    if alg == EGO:
-        return sample_ego
-    if alg == BS_ROOT:
-        return sample_bs
-    raise ValueError(f"unknown algorithm {alg!r}")
+    """Uniform call surface f(y, n, k, rng) for any SamplerSpec: the
+    function its _ALGORITHMS row names, looked up in this module now, so a
+    wrapper bound to that name runs.  p_sample ignores k (random size)."""
+    name, _, _, extra = _ALGORITHMS[spec.algorithm]
+    run = globals()[name]
+    if extra == "p":
+        return lambda y, n, k, rng: run(y, n, spec.p, rng)
+    if extra == "rho":
+        return lambda y, n, k, rng: run(y, n, k, spec.rho, rng)
+    return run
 
 
 def _check_schedule(schedule) -> tuple:
