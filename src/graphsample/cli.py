@@ -159,13 +159,13 @@ def _check_flags(args):
     """Refuse the first flag the task does not read, then name the first
     flag it needs that is missing.  A flag counts as given when its value
     differs from its default.  An algorithm whose row takes "p" (p_sample)
-    reads no --k: its output size is random."""
+    reads neither --k nor --k-max: its output size is random."""
     _, selector, tasks = _TASKS[args.command]
     value = getattr(args, selector.lstrip("-")) if selector else None
     # the task as messages name it: "sample", "generate star", "estimate --what lln"
     task = " ".join(w for w in (args.command, selector, value) if w and w != "name")
     algo = getattr(args, "algo", None)
-    unread = {"k!"} if algo and _ALGORITHMS[algo][3] == "p" else set()
+    unread = {"k!", "k_max"} if algo and _ALGORITHMS[algo][3] == "p" else set()
     flags = [flag for flag in tasks[value].split() if flag not in unread]
     reads = {flag.rstrip("!") for flag in flags} | _READ_BY_ALL
     for dest, (option, kw) in _FLAGS.items():

@@ -19,6 +19,7 @@ from .estimate import PatternTally, _prepared, compare, prefix_density_vector, t
 from .rng import RandomStream
 from .sampling import _ALGORITHMS, SamplerSpec, _as_sampler
 from .structures import (
+    RootedGraph,
     VertexGraph,
     _Record,
     _bfs_distances,
@@ -77,6 +78,13 @@ def apply_relabeling(x, perm: tuple):
     return subsample_in_order(x, sorted(range(1, len(perm) + 1), key=lambda p: perm[p - 1]))
 
 
+def _row(spec_or_sampler):
+    """(algorithm, its _ALGORITHMS row); all None for a plain sampler."""
+    if isinstance(spec_or_sampler, SamplerSpec):
+        return spec_or_sampler.algorithm, _ALGORITHMS[spec_or_sampler.algorithm]
+    return None, (None,) * 4
+
+
 def _random_perm(k: int, rng: RandomStream) -> tuple:
     vals = list(range(1, k + 1))
     for i in range(k - 1):
@@ -92,7 +100,14 @@ def _random_perm(k: int, rng: RandomStream) -> tuple:
 def test_exchangeability(spec_or_sampler, y, n: int, k: int, reps: int,
                          rng: RandomStream) -> TestReport:
     """Compare the law of S_{n->k}(y) to the law of T_pi(S_{n->k}(y)) for an
-    independent uniform pi in Sym(k).  Exchangeable output passes."""
+    independent uniform pi in Sym(k).  Exchangeable output passes.
+
+    An algorithm that reports one ball (bs_root) is refused before any
+    replicate: a ball's size is a radius, so it has no positions to permute."""
+    algorithm, (_, _, reported, _) = _row(spec_or_sampler)
+    if reported is RootedGraph:
+        raise ValueError(f"{algorithm} reports one ball, whose size is a radius, "
+                         "so it has no positions to permute for exchangeability")
     sampler = _as_sampler(spec_or_sampler)
     y = _prepared(y, n)
     tally_a = tally_outputs(sampler, y, n, k, reps, rng.substream("exch", 0))
@@ -110,12 +125,18 @@ def test_idempotence(spec_or_sampler, y, n: int, m: int, k: int, reps: int,
     """Compare the direct sample S_{n->k}(y) against the two-stage
     composition S_{m->k}(S_{n->m}(y)).  Idempotent samplers pass.
 
-    p-sampling is rejected: its output size is random, so the second stage
-    at a fixed m is undefined."""
-    algorithm = getattr(spec_or_sampler, "algorithm", None)
-    if isinstance(spec_or_sampler, SamplerSpec) and _ALGORITHMS[algorithm][3] == "p":
+    Refused before any replicate: an algorithm whose row takes p
+    (p_sample), since its output size is random and the second stage at a
+    fixed m is undefined, and one whose output kind is not its input kind
+    (shortest_path, ego, bs_root), since the second stage cannot sample it."""
+    algorithm, (_, sampled, reported, extra) = _row(spec_or_sampler)
+    if extra == "p":
         raise ValueError(f"{algorithm} has a random output size, so idempotence "
                          "through a fixed middle size m is undefined")
+    if reported is not sampled:
+        raise ValueError(f"{algorithm} reports a {reported.__name__}, not the "
+                         f"{sampled.__name__} it samples, so idempotence cannot "
+                         "sample its output again")
     if not (1 <= k <= m <= n):
         raise ValueError("need k <= m <= n")
     sampler = _as_sampler(spec_or_sampler)
@@ -137,20 +158,25 @@ def test_equivalence(spec_or_sampler, y, y2, n: int, k_max: int, reps: int,
     pass; the statistic is the worst TV over k.
 
     Exact equivalence needs all k, so a pass certifies only 'equivalent up
-    to depth k_max'."""
-    if k_max < 1:
+    to depth k_max'.  An algorithm whose row takes p (p_sample) ignores k,
+    so it gets one comparison, named by no depth, and k_max is not read."""
+    takes_p = _row(spec_or_sampler)[1][3] == "p"
+    if k_max < 1 and not takes_p:
         raise ValueError("k_max must be >= 1")
     sampler = _as_sampler(spec_or_sampler)
     y, y2 = _prepared(y, n), _prepared(y2, n)
-    note = f"equivalent up to depth {k_max} only; exact equivalence would need all k"
 
-    def at_depth(k):
+    def compared(k, name, notes=()):
         ta = prefix_density_vector(sampler, y, n, k, reps, rng.substream("equiv", 0, k))
         tb = prefix_density_vector(sampler, y2, n, k, reps, rng.substream("equiv", 1, k))
-        return _report(f"equivalence(k<=[{k_max}])", ta, tb, [note])
+        return _report(name, ta, tb, notes)
 
+    if takes_p:  # one law per input, drawn from the depth-1 streams
+        return compared(1, "equivalence")
+    note = f"equivalent up to depth {k_max} only; exact equivalence would need all k"
     # the k of the largest TV above its threshold, the smallest such k on a tie
-    return max(map(at_depth, range(1, k_max + 1)),
+    return max((compared(k, f"equivalence(k<=[{k_max}])", [note])
+                for k in range(1, k_max + 1)),
                key=lambda rep: rep.statistic - rep.threshold)
 
 

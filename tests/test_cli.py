@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from graphsample import estimate
+from graphsample import estimate, sampling
 from graphsample import io as gio
 from graphsample.cli import GENERATORS, _build_parser, main
 from graphsample.models import y4
@@ -296,13 +296,72 @@ def test_cmd_test_exchangeability_of_rooted_outputs(algo, seed, tmp_path, capsys
     assert capsys.readouterr().out.startswith("exchangeability: PASS")
 
 
-def test_cmd_test_exchangeability_of_a_ball_usage_error(tmp_path, capsys):
+def _count_calls(monkeypatch, name):
+    """Wrap sampling.<name> so each call is recorded; return the record."""
+    calls = []
+    run = getattr(sampling, name)
+
+    def counted(*args):
+        calls.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(sampling, name, counted)
+    return calls
+
+
+def test_cmd_test_exchangeability_of_a_ball_usage_error(tmp_path, capsys, monkeypatch):
+    """A ball has no positions to permute; refused before any replicate."""
     star = tmp_path / "star.txt"
     main(["generate", "star", "--n", "6", "--out", str(star)])
+    calls = _count_calls(monkeypatch, "sample_bs")
     code = main(["test", "--test", "exchangeability", "--algo", "bs_root", "--in",
                  str(star), "--n", "6", "--k", "2", "--reps", "10"])
     assert code == 2
-    assert capsys.readouterr().err == "error: no size defined for RootedGraph\n"
+    assert capsys.readouterr().err == (
+        "error: bs_root reports one ball, whose size is a radius, so it has no "
+        "positions to permute for exchangeability\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("algo, function, reported", [
+    ("shortest_path", "sample_shortest_path", "MarkedCompleteGraph"),
+    ("ego", "sample_ego", "list"),
+    ("bs_root", "sample_bs", "RootedGraph"),
+])
+def test_cmd_test_idempotence_of_another_output_kind_usage_error(
+        algo, function, reported, tmp_path, capsys, monkeypatch):
+    """The second stage cannot sample an output of another kind; refused
+    before any replicate, by the algorithm's name."""
+    c12 = tmp_path / "c12.txt"
+    main(["generate", "cycle", "--n", "12", "--out", str(c12)])
+    capsys.readouterr()
+    calls = _count_calls(monkeypatch, function)
+    code = main(["test", "--test", "idempotence", "--algo", algo, "--in", str(c12),
+                 "--n", "12", "--m", "6", "--k", "2", "--reps", "10"])
+    assert code == 2
+    assert capsys.readouterr() == ("", (
+        f"error: {algo} reports a {reported}, not the VertexGraph it samples, "
+        "so idempotence cannot sample its output again\n"))
+    assert calls == []
+
+
+def test_cmd_test_equivalence_of_p_sample_reads_no_k_max(tmp_path, capsys, monkeypatch):
+    """p_sample ignores k, so equivalence makes one comparison, named by no
+    depth, and a --k-max given is refused."""
+    c10, k10 = tmp_path / "c10.txt", tmp_path / "k10.txt"
+    main(["generate", "cycle", "--n", "10", "--out", str(c10)])
+    main(["generate", "complete", "--n", "10", "--out", str(k10)])
+    capsys.readouterr()
+    argv = ["test", "--test", "equivalence", "--algo", "p_sample", "--p", "0.5",
+            "--in", str(c10), "--in2", str(k10), "--n", "10", "--reps", "200"]
+    assert main([*argv, "--k-max", "2"]) == 2
+    assert capsys.readouterr() == (
+        "", "usage error: test --test equivalence does not read --k-max\n")
+    calls = _count_calls(monkeypatch, "sample_p")
+    assert main(argv) == 1  # a cycle and a complete graph differ at once
+    out = capsys.readouterr().out
+    assert out.startswith("equivalence: FAIL") and "note:" not in out
+    assert len(calls) == 2 * 200
 
 
 def test_cmd_test_writes_summary_and_both_tallies(tmp_path):

@@ -25,7 +25,13 @@ from graphsample.models import (
     y4,
 )
 from graphsample.rng import RandomStream
-from graphsample.sampling import SamplerSpec, _draw_distinct, sample_uniform_vertex
+from graphsample.sampling import (
+    SamplerSpec,
+    _draw_distinct,
+    sample_bs,
+    sample_ego,
+    sample_uniform_vertex,
+)
 from graphsample.structures import (
     EdgeSeqGraph,
     Partition,
@@ -189,7 +195,57 @@ def test_idempotence_rejects_p_sample():
                          3, 10, RandomStream(0))
 
 
+def _no_tally(*args):
+    raise AssertionError("a replicate was run")
+
+
+@pytest.mark.parametrize("algo, message", [
+    ("shortest_path", "shortest_path reports a MarkedCompleteGraph, not the VertexGraph "
+                      "it samples, so idempotence cannot sample its output again"),
+    ("ego", "ego reports a list, not the VertexGraph it samples, so idempotence "
+            "cannot sample its output again"),
+    ("bs_root", "bs_root reports a RootedGraph, not the VertexGraph it samples, so "
+                "idempotence cannot sample its output again"),
+])
+def test_idempotence_refuses_another_output_kind_before_any_replicate(
+        algo, message, monkeypatch):
+    monkeypatch.setattr(invariance, "tally_outputs", _no_tally)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        test_idempotence(SamplerSpec(algo), cycle_vertex(12), 12, 6, 2, 10,
+                         RandomStream(0))
+
+
+def test_exchangeability_refuses_a_ball_before_any_replicate(monkeypatch):
+    monkeypatch.setattr(invariance, "tally_outputs", _no_tally)
+    with pytest.raises(ValueError, match="^bs_root reports one ball, whose size is a "
+                                         "radius, so it has no positions to permute "
+                                         "for exchangeability$"):
+        test_exchangeability(SamplerSpec("bs_root"), cycle_vertex(12), 12, 2, 10,
+                             RandomStream(0))
+
+
+def test_plain_samplers_of_another_output_kind_fail_where_they_did():
+    """Nothing is known of a plain callable: it fails in its replicates."""
+    with pytest.raises(TypeError, match="^unsupported input type list$"):
+        test_idempotence(sample_ego, cycle_vertex(12), 12, 6, 2, 10, RandomStream(0))
+    with pytest.raises(TypeError, match="^no size defined for RootedGraph$"):
+        test_exchangeability(sample_bs, cycle_vertex(12), 12, 2, 10, RandomStream(0))
+
+
 # -- equivalence --------------------------------------------------------------------
+
+@pytest.mark.parametrize("k_max", [0, 1, 3])
+def test_equivalence_of_p_sample_is_one_comparison(k_max):
+    """p_sample ignores k: one comparison of the depth-1 streams' laws, named
+    by no depth and with no depth note, whatever k_max is."""
+    spec = SamplerSpec("p_sample", p=0.5)
+    g, h = cycle_vertex(10), complete_vertex(10)
+    rep = test_equivalence(spec, g, h, 10, k_max, 300, RandomStream(4))
+    rng = RandomStream(4)
+    ta = prefix_density_vector(spec, g, 10, 1, 300, rng.substream("equiv", 0, 1))
+    tb = prefix_density_vector(spec, h, 10, 1, 300, rng.substream("equiv", 1, 1))
+    assert (rep.name, rep.notes, rep.tally_a, rep.tally_b) == ("equivalence", [], ta, tb)
+    assert (rep.statistic, rep.threshold) == compare(ta, tb)
 
 def test_equivalence_star_vs_relabeled_star():
     star = star_edgeseq(40)

@@ -1,6 +1,9 @@
+import ast
 import math
+import re
 from collections.abc import Sequence
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from graphsample.models import (
 )
 from graphsample.rng import RandomStream
 from graphsample.sampling import (
+    _ALGORITHMS,
     ALGORITHMS,
     SamplerSpec,
     _draw_weighted_distinct,
@@ -588,3 +592,35 @@ def test_diagnose_schedule_validation():
 def test_sampling_refusals(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+# -- the algorithm table ------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_algorithm_names_appear_only_in_the_table():
+    """Each algorithm's facts live in its _ALGORITHMS row: no other string
+    constant in the package equals an algorithm name (a name inside a
+    longer message is fine), so no code decides by a name it spells out."""
+    stray = []
+    for path in sorted((ROOT / "src" / "graphsample").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        table = {id(node) for top in tree.body
+                 if isinstance(top, ast.Assign)
+                 and [getattr(t, "id", None) for t in top.targets] == ["_ALGORITHMS"]
+                 for node in ast.walk(top.value)}
+        stray += [f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value in ALGORITHMS
+                  and id(node) not in table]
+    assert stray == []
+
+
+def test_readme_table_is_the_algorithm_table():
+    """README's algorithm table lists ALGORITHMS in order, each with the
+    kind its row samples."""
+    words = {VertexGraph: "vertex graph", tuple: "label sequence",
+             Partition: "ordered partition", EdgeSeqGraph: "edge sequence"}
+    rows = re.findall(r"^\| `(\w+)` +\| ([^|]*?) +\|", (ROOT / "README.md").read_text(),
+                      re.MULTILINE)
+    assert rows == [(name, words[row[1]]) for name, row in _ALGORITHMS.items()]
