@@ -224,7 +224,7 @@ def test_exchangeability_refuses_a_ball_before_any_replicate(monkeypatch):
                              RandomStream(0))
 
 
-def test_plain_samplers_of_another_output_kind_fail_where_they_did():
+def test_plain_sampler_of_another_output_kind_fails_in_its_replicates():
     """Nothing is known of a plain callable: it fails in its replicates."""
     with pytest.raises(TypeError, match="^unsupported input type list$"):
         test_idempotence(sample_ego, cycle_vertex(12), 12, 6, 2, 10, RandomStream(0))
