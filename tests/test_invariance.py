@@ -247,6 +247,7 @@ def test_equivalence_of_p_sample_is_one_comparison(k_max):
     assert (rep.name, rep.notes, rep.tally_a, rep.tally_b) == ("equivalence", [], ta, tb)
     assert (rep.statistic, rep.threshold) == compare(ta, tb)
 
+
 def test_equivalence_star_vs_relabeled_star():
     star = star_edgeseq(40)
     # hub renamed: same graph after canonical relabeling of any sample
