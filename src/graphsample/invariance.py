@@ -15,7 +15,7 @@ import math
 from bisect import bisect_right
 from itertools import accumulate
 
-from .estimate import PatternTally, _prepared, compare, prefix_density_vector, tally_outputs
+from .estimate import PatternTally, _prepared, compare, tally_outputs
 from .rng import RandomStream
 from .sampling import _ALGORITHMS, SamplerSpec, _as_sampler
 from .structures import (
@@ -60,7 +60,15 @@ class TestReport(_Record):
 
 
 def _report(name, tally_a, tally_b, notes=()) -> TestReport:
-    return TestReport(name, *compare(tally_a, tally_b), tally_a, tally_b, list(notes))
+    """The report of compare(tally_a, tally_b), noting a threshold of 1 or
+    more: a TV never exceeds 1, so such a test passes whatever the laws."""
+    tv, threshold = compare(tally_a, tally_b)
+    notes = list(notes)
+    if threshold >= 1:
+        notes.append(f"vacuous threshold: a TV is at most 1, so none can exceed "
+                     f"{threshold:.6f} at this replicate count and the test "
+                     "passes whatever the laws")
+    return TestReport(name, tv, threshold, tally_a, tally_b, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +175,8 @@ def test_equivalence(spec_or_sampler, y, y2, n: int, k_max: int, reps: int,
     y, y2 = _prepared(y, n), _prepared(y2, n)
 
     def compared(k, name, notes=()):
-        ta = prefix_density_vector(sampler, y, n, k, reps, rng.substream("equiv", 0, k))
-        tb = prefix_density_vector(sampler, y2, n, k, reps, rng.substream("equiv", 1, k))
+        ta = tally_outputs(sampler, y, n, k, reps, rng.substream("equiv", 0, k))
+        tb = tally_outputs(sampler, y2, n, k, reps, rng.substream("equiv", 1, k))
         return _report(name, ta, tb, notes)
 
     if takes_p:  # one law per input, drawn from the depth-1 streams

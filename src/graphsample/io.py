@@ -98,32 +98,18 @@ def render_structure(x) -> str:
     raise TypeError(f"cannot render {type(x).__name__}")
 
 
-def _data_lines(text: str, vertex_count: bool = False):
-    """The ``#n`` header, as (1-based line number in text, vertex count) or
-    None without one, and the data lines, each as (line number, stripped
-    line).  Only a vertex_count format holds a header, at most one."""
-    header = None
-    out = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.split()[0] == "#n":
-                if not vertex_count:
-                    raise ValueError(f"line {number}: #n header outside a vertex-graph "
-                                     f"file: {line!r}")
-                if header is not None:
-                    raise ValueError(f"line {number}: second #n header (first on "
-                                     f"line {header[0]}): {line!r}")
-                (n,) = _ints(number, line, line.split()[1:], 1)
-                if n < 0:
-                    raise ValueError(f"line {number}: vertex count must be >= 0: {line!r}")
-                _check_cap(number, line, n)
-                header = (number, n)
-            continue
-        out.append((number, line))
-    return header, out
+def _header(number: int, line: str, header) -> tuple:
+    """(number, N) for line, a ``#n <N>`` line, or a ValueError naming it
+    when header, the ``#n`` line before it, is not None or N is no count."""
+    line = line.strip()
+    if header is not None:
+        raise ValueError(f"line {number}: second #n header (first on "
+                         f"line {header[0]}): {line!r}")
+    (n,) = _ints(number, line, line.split()[1:], 1)
+    if n < 0:
+        raise ValueError(f"line {number}: vertex count must be >= 0: {line!r}")
+    _check_cap(number, line, n)
+    return number, n
 
 
 def _check_cap(number: int, line: str, n: int):
@@ -146,31 +132,24 @@ def _ints(number: int, line: str, fields: list, count: int) -> list:
         raise ValueError(f"line {number}: not an integer: {line!r}") from None
 
 
-def _skipped(line: str) -> bool:
-    """Whether a reader passes over line: blank, or a comment (a ``#``
-    line other than ``#n``)."""
+def _skipped(number: int, line: str, vertex_count: bool = False) -> bool:
+    """Whether a reader passes over line number: blank, or a comment (a
+    ``#`` line other than ``#n``).  Only a vertex_count format holds a
+    ``#n`` line; any other refuses it."""
     fields = line.split()
+    if fields[:1] == ["#n"] and not vertex_count:
+        raise ValueError(f"line {number}: #n header outside a vertex-graph "
+                         f"file: {line.strip()!r}")
     return not fields or fields[0][0] == "#" and fields[0] != "#n"
 
 
-def _declared(line: str) -> int:
-    """The vertex count a ``#n <N>`` line declares; -1 for any other line."""
-    fields = line.split()
-    try:
-        return int(fields[1]) if fields[0] == "#n" and len(fields) == 2 else -1
-    except ValueError:
-        return -1
-
-
-def _refuse(text: str, count: int, check, vertex_count: bool = False):
-    """Raise the error for the first fault in text, a file its reader
-    refused: a ``#n`` fault anywhere comes first, then the first data line
-    in file order that does not hold count integers or whose integers
-    check(number, line, header, values) refuses."""
-    header, lines = _data_lines(text, vertex_count)
-    for number, line in lines:
-        check(number, line, header, _ints(number, line, line.split(), count))
-    raise AssertionError("a reader refused a file that has no fault")
+def _refuse(lines: list, number: int, count: int, check, header=None):
+    """Raise the error for line number (1-based) of lines, a data line its
+    reader refused: it does not hold count integers, or check(number, line,
+    header, values) refuses them, header being the file's (number, N) or None."""
+    line = lines[number - 1].strip()
+    check(number, line, header, _ints(number, line, line.split(), count))
+    raise AssertionError(f"a reader refused line {number}, which has no fault")
 
 
 def _check_edge_line(number: int, line: str, header, values):
@@ -205,9 +184,9 @@ def _check_label_line(number: int, line: str, header, values):
 
 # Each reader below makes one pass over the lines of text.  A line is
 # split once and its fields converted by one map(int, ...); a data line
-# whose integers pass one chained comparison is kept, a blank or comment
-# line is passed over, and any other line hands the whole file to _refuse,
-# which finds the first fault and names its line.
+# whose integers pass one chained comparison is kept, and a blank or
+# comment line is passed over.  A ``#n`` fault is raised where it is read;
+# the first other refused line is remembered and raised after the pass.
 
 
 def parse_vertex_graph(text: str) -> VertexGraph:
@@ -215,10 +194,12 @@ def parse_vertex_graph(text: str) -> VertexGraph:
     u < v, so the induced subgraph on 1..m holds just the edges with
     v <= m.  A ``#n`` line may come anywhere, once: the edges before it
     are checked against it when it is read, and those after it as read."""
+    lines = text.splitlines()
     edges = []
-    declared = None        # the #n line's vertex count, once read
+    header = None          # the #n line as (line number, vertex count), once read
     bound = MAX_VERTICES   # the largest label a line may hold
-    for line in text.splitlines():
+    fault = 0              # the number of the first refused data line, once read
+    for number, line in enumerate(lines, start=1):
         try:
             u, v = map(int, line.split())
             if 0 < u < v <= bound:
@@ -228,44 +209,60 @@ def parse_vertex_graph(text: str) -> VertexGraph:
                 edges.append((v, u))
                 continue
         except ValueError:
-            if _skipped(line):
+            if _skipped(number, line, vertex_count=True):
                 continue
-            n = _declared(line) if declared is None else -1
-            if 0 <= n <= bound and all(e[1] <= n for e in edges):
-                declared = bound = n
+            if line.split()[0] == "#n":
+                header = _header(number, line, header)
+                bound = header[1]
+                if any(e[1] > bound for e in edges):
+                    # the first such edge's line, unless a refused line comes
+                    # earlier: every data line before either one was kept
+                    fault = next((i for i, s in enumerate(lines[:(fault or number) - 1], 1)
+                                  if not _skipped(i, s) and max(map(int, s.split())) > bound),
+                                 fault)
                 continue
-        _refuse(text, 2, _check_edge_line, vertex_count=True)
-    n = declared if declared is not None else max((e[1] for e in edges), default=0)
+        fault = fault or number
+    if fault:
+        _refuse(lines, fault, 2, _check_edge_line, header)
+    n = header[1] if header is not None else max((e[1] for e in edges), default=0)
     return VertexGraph(n, frozenset(edges))
 
 
 def parse_edge_seq(text: str) -> EdgeSeqGraph:
+    lines = text.splitlines()
     edges = []
-    for line in text.splitlines():
+    fault = 0
+    for number, line in enumerate(lines, start=1):
         try:
             i, j = map(int, line.split())
             if 0 < i < j:
                 edges.append((i, j))
                 continue
         except ValueError:
-            if _skipped(line):
+            if _skipped(number, line):
                 continue
-        _refuse(text, 2, _check_pair_line)
+        fault = fault or number
+    if fault:
+        _refuse(lines, fault, 2, _check_pair_line)
     return EdgeSeqGraph(tuple(edges))
 
 
 def parse_label_seq(text: str) -> tuple:
+    lines = text.splitlines()
     seq = []
-    for line in text.splitlines():
+    fault = 0
+    for number, line in enumerate(lines, start=1):
         try:
             (v,) = map(int, line.split())
             if v > 0:
                 seq.append(v)
                 continue
         except ValueError:
-            if _skipped(line):
+            if _skipped(number, line):
                 continue
-        _refuse(text, 1, _check_label_line)
+        fault = fault or number
+    if fault:
+        _refuse(lines, fault, 1, _check_label_line)
     return tuple(seq)
 
 
@@ -300,7 +297,8 @@ def _floats(number: int, line: str) -> tuple:
 def parse_step_graphon(text: str) -> StepGraphon:
     from .models import StepGraphon
 
-    lines = _data_lines(text)[1]
+    lines = [(number, raw.strip()) for number, raw in enumerate(text.splitlines(), start=1)
+             if not _skipped(number, raw)]
     if len(lines) < 2:
         raise ValueError("graphon file needs a block count and boundaries")
     number, line = lines[0]

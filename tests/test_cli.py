@@ -390,6 +390,24 @@ def test_cmd_test_involution(tmp_path):
     assert code == 1
 
 
+def test_cmd_test_notes_a_vacuous_threshold(tmp_path, capsys):
+    """At 10 replicates a side the threshold exceeds 1, so two laws a TV of 1
+    apart still pass (exit 0), and the summary says why; at 40 they fail."""
+    star = tmp_path / "star50.txt"
+    main(["generate", "star", "--n", "50", "--out", str(star)])
+    capsys.readouterr()
+    argv = ["test", "--test", "involution", "--in", str(star), "--n", "50",
+            "--radius", "1", "--root", "1", "--reps"]
+    assert main([*argv, "10"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("involution_invariance: PASS  TV = 1.000000  "
+                      "threshold = 1.788854  reps = 10")
+    assert out[-1] == ("  note: vacuous threshold: a TV is at most 1, so none can exceed "
+                       "1.788854 at this replicate count and the test passes whatever the laws")
+    assert main([*argv, "40"]) == 1
+    assert "vacuous" not in capsys.readouterr().out
+
+
 def test_involution_root_outside_graph_usage_error(tmp_path, capsys):
     c50 = tmp_path / "c50.txt"
     main(["generate", "cycle", "--n", "50", "--out", str(c50)])
@@ -842,6 +860,17 @@ def test_malformed_schedule_is_refused_before_the_input_is_read(argv, tmp_path, 
     assert main([*argv.split(), "--in", str(missing), "--schedule", "5,"]) == 2
     assert capsys.readouterr() == (
         "", "usage error: --schedule takes comma-separated sizes, not '5,'\n")
+
+
+def test_lln_with_a_graph_algorithm_is_refused_before_the_input_is_read(tmp_path, capsys):
+    """A graph --algo is a usage error (exit 2), not an I/O error (exit 3),
+    even when --in names no file."""
+    missing = tmp_path / "nope.txt"
+    assert main(["estimate", "--what", "lln", "--algo", "uniform_vertex", "--in", str(missing),
+                 "--n", "4", "--schedule", "2,3"]) == 2
+    assert capsys.readouterr() == (
+        "", "usage error: --what lln supports sequence/partition inputs; "
+            "use --what density for graph functionals\n")
 
 
 def test_schedule_size_below_one_usage_error(tmp_path, capsys):

@@ -28,6 +28,7 @@ from graphsample.rng import RandomStream
 from graphsample.sampling import (
     SamplerSpec,
     _draw_distinct,
+    diagnose_limit,
     sample_bs,
     sample_ego,
     sample_uniform_vertex,
@@ -466,12 +467,24 @@ def test_tv_threshold_scales_with_reps():
     assert compare(a2, b2)[1] < t_small
 
 
+@pytest.mark.parametrize("reps, vacuous", [(10, True), (32, True), (33, False)])
+def test_report_notes_a_threshold_no_tv_can_exceed(reps, vacuous):
+    """A TV is at most 1, so a threshold of 1 or more (4*sqrt(2/reps) at 32
+    replicates a side or fewer) passes any two laws; the report says so."""
+    a = PatternTally({key_for((1,)): reps}, reps)
+    b = PatternTally({key_for((1, 2)): reps}, reps)
+    rep = invariance._report("disjoint", a, b, ["given"])
+    assert rep.statistic == 1.0 and rep.passed == vacuous
+    assert rep.notes[0] == "given"
+    assert any("vacuous threshold" in note for note in rep.notes) == vacuous
+
+
 @pytest.mark.parametrize("k_max", [0, -1])
 def test_equivalence_rejects_k_max_below_one(k_max, monkeypatch):
     def no_tally(*args):
         raise AssertionError("a tally was built")
 
-    monkeypatch.setattr(invariance, "prefix_density_vector", no_tally)
+    monkeypatch.setattr(invariance, "tally_outputs", no_tally)
     with pytest.raises(ValueError, match="k_max must be >= 1"):
         test_equivalence(SamplerSpec("uniform_vertex"), y4(), y4(), 4, k_max, 100,
                          RandomStream(0))
@@ -526,3 +539,26 @@ def test_invariance_tests_cut_y_n_once(run, builds, monkeypatch):
     monkeypatch.setattr(VertexGraph, "adjacency", counted)
     run(_gnp(60, 0.1, 7), _gnp(60, 0.1, 8))
     assert built.count(40) == builds
+
+
+# -- known false alarms: strict expected failures until their ROADMAP items land
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the TV threshold ignores the "
+                   "pattern count, and k=5 on G(40, 1/2) tallies about 1000 patterns")
+def test_uniform_vertex_is_exchangeable_at_many_patterns():
+    """uniform_vertex is exactly exchangeable, but today it FAILs here, with
+    TV 0.2452 against a threshold of 0.080."""
+    rep = test_exchangeability(SamplerSpec("uniform_vertex"), _gnp(40, 0.5, 7), 40, 5,
+                               5000, RandomStream(1))
+    assert rep.passed
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: diagnose's verdict reads the "
+                   "Monte Carlo noise of 100 replicates, not the input")
+def test_degree_biased_star_stabilizes():
+    """The exact P(edge) of degree-biased k=2 on the star is 1/2 +
+    (n-1)/(2(2n-3)), so the exact consecutive TVs along the schedule are
+    about 1e-4; today the observed ones are 0.10, 0.06 and 0.00."""
+    res = diagnose_limit(SamplerSpec("degree_biased"), star_vertex(5000), 2,
+                         (625, 1250, 2500, 5000), 100, RandomStream(1))
+    assert res.verdict == "STABILIZING"
