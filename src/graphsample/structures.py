@@ -271,22 +271,18 @@ def _distances_to(adj: dict, source: int, targets) -> dict:
 class EdgeSeqGraph(_Frozen):
     """Graph as an ordered sequence of edges (i_k, j_k), i_k < j_k.
 
-    Repeats of a pair encode multiedges.  A tuple of pairs already in that
-    form is kept as given, else rebuilt.
+    Repeats of a pair encode multiedges.
     """
 
     def __init__(self, edges: tuple):
-        if not (type(edges) is tuple and set(map(type, edges)) <= {tuple}
-                and all(0 < i < j for i, j in edges)):
-            norm = []
-            for i, j in edges:
-                if i == j:
-                    raise ValueError(f"self-loop pair ({i},{j})")
-                if not (1 <= i < j):
-                    raise ValueError(f"pair ({i},{j}) must satisfy 1 <= i < j")
-                norm.append((i, j))
-            edges = tuple(norm)
-        self._set(edges)
+        norm = []
+        for i, j in edges:
+            if i == j:
+                raise ValueError(f"self-loop pair ({i},{j})")
+            if not (1 <= i < j):
+                raise ValueError(f"pair ({i},{j}) must satisfy 1 <= i < j")
+            norm.append((i, j))
+        self._set(tuple(norm))
 
 
 def multiplicity_counts(g: EdgeSeqGraph) -> dict:

@@ -65,6 +65,12 @@ def test_edge_seq_rejects_self_loops_and_unordered_pairs():
         EdgeSeqGraph(((3, 2),))
 
 
+def test_edge_seq_rejects_a_pair_below_one():
+    for pair in ((0.5, 2), (0, 2)):
+        with pytest.raises(ValueError, match=r"must satisfy 1 <= i < j"):
+            EdgeSeqGraph((pair,))
+
+
 def test_edge_seq_canonical_flag():
     assert is_ordered(v for e in EdgeSeqGraph(((1, 2), (1, 3))).edges for v in e)
     assert not is_ordered(v for e in EdgeSeqGraph(((1, 2), (4, 5))).edges for v in e)
