@@ -23,7 +23,7 @@ from collections import Counter
 from math import fsum
 
 from .rng import RandomStream
-from .sampling import _as_sampler, _check_schedule, _draw_distinct
+from .sampling import _as_sampler, _check_k_within_n, _check_schedule, _draw_distinct
 from .structures import (EdgeSeqGraph, _Frozen, _Record, key_for, restrict, size_of,
                          subsample_in_order)
 
@@ -272,13 +272,16 @@ def lln_trace(spec_or_sampler, y, n: int, f, j: int, k_schedule, reps: int,
     the mean over replicates of the symmetrized empirical average of f
     applied to a fresh size-k sample, exact while (k)_j <= num_perms and
     sampled from the replicate's stream above that.  Every replicate at
-    every k samples the one structure _prepared(y, n)."""
+    every k samples the one structure _prepared(y, n).  A schedule size
+    above n is refused before any replicate, as sampling._check_k_within_n
+    says."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    ks = _check_schedule(k_schedule)
+    _check_k_within_n(spec_or_sampler, ks[-1], n, f"schedule size {ks[-1]}")
     sampler = _as_sampler(spec_or_sampler)
     y = _prepared(y, n)
     estimates = []
-    ks = _check_schedule(k_schedule)
     for i, k in enumerate(ks):
         def run(lo, hi):  # the averages of replicates lo..hi-1
             vals = []

@@ -17,7 +17,7 @@ from itertools import accumulate
 
 from .estimate import PatternTally, _prepared, compare, tally_outputs
 from .rng import RandomStream
-from .sampling import _ALGORITHMS, SamplerSpec, _as_sampler
+from .sampling import _ALGORITHMS, SamplerSpec, _as_sampler, _check_k_within_n
 from .structures import (
     RootedGraph,
     VertexGraph,
@@ -167,10 +167,13 @@ def test_equivalence(spec_or_sampler, y, y2, n: int, k_max: int, reps: int,
 
     Exact equivalence needs all k, so a pass certifies only 'equivalent up
     to depth k_max'.  An algorithm whose row takes p (p_sample) ignores k,
-    so it gets one comparison, named by no depth, and k_max is not read."""
+    so it gets one comparison, named by no depth, and k_max is not read.
+    A k_max above n is refused before any replicate, as
+    sampling._check_k_within_n says."""
     takes_p = _row(spec_or_sampler)[1][3] == "p"
     if k_max < 1 and not takes_p:
         raise ValueError("k_max must be >= 1")
+    _check_k_within_n(spec_or_sampler, k_max, n, f"k_max = {k_max}")
     sampler = _as_sampler(spec_or_sampler)
     y, y2 = _prepared(y, n), _prepared(y2, n)
 

@@ -98,18 +98,28 @@ def render_structure(x) -> str:
     raise TypeError(f"cannot render {type(x).__name__}")
 
 
-def _header(number: int, line: str, header) -> tuple:
-    """(number, N) for line, a ``#n <N>`` line, or a ValueError naming it
-    when header, the ``#n`` line before it, is not None or N is no count."""
-    line = line.strip()
-    if header is not None:
-        raise ValueError(f"line {number}: second #n header (first on "
-                         f"line {header[0]}): {line!r}")
-    (n,) = _ints(number, line, line.split()[1:], 1)
-    if n < 0:
-        raise ValueError(f"line {number}: vertex count must be >= 0: {line!r}")
-    _check_cap(number, line, n)
-    return number, n
+def _header(lines: list, vertex_count: bool = False):
+    """The file's ``#n <N>`` line as (number, N), or None when it has none.
+    A ValueError names the first ``#n`` line that is refused: any in a
+    format that is not a vertex_count one, a second one, or one whose N is
+    no count."""
+    header = None
+    for number, line in enumerate(lines, start=1):
+        if "#n" not in line or line.split()[0] != "#n":
+            continue
+        line = line.strip()
+        if not vertex_count:
+            raise ValueError(f"line {number}: #n header outside a vertex-graph "
+                             f"file: {line!r}")
+        if header is not None:
+            raise ValueError(f"line {number}: second #n header (first on "
+                             f"line {header[0]}): {line!r}")
+        (n,) = _ints(number, line, line.split()[1:], 1)
+        if n < 0:
+            raise ValueError(f"line {number}: vertex count must be >= 0: {line!r}")
+        _check_cap(number, line, n)
+        header = number, n
+    return header
 
 
 def _check_cap(number: int, line: str, n: int):
@@ -132,22 +142,18 @@ def _ints(number: int, line: str, fields: list, count: int) -> list:
         raise ValueError(f"line {number}: not an integer: {line!r}") from None
 
 
-def _skipped(number: int, line: str, vertex_count: bool = False) -> bool:
-    """Whether a reader passes over line number: blank, or a comment (a
-    ``#`` line other than ``#n``).  Only a vertex_count format holds a
-    ``#n`` line; any other refuses it."""
+def _skipped(line: str) -> bool:
+    """Whether a reader passes over line: blank, a comment or a ``#n``
+    line, each a line whose first field starts with ``#``."""
     fields = line.split()
-    if fields[:1] == ["#n"] and not vertex_count:
-        raise ValueError(f"line {number}: #n header outside a vertex-graph "
-                         f"file: {line.strip()!r}")
-    return not fields or fields[0][0] == "#" and fields[0] != "#n"
+    return not fields or fields[0][0] == "#"
 
 
-def _refuse(lines: list, number: int, count: int, check, header=None):
-    """Raise the error for line number (1-based) of lines, a data line its
-    reader refused: it does not hold count integers, or check(number, line,
+def _refuse(number: int, line: str, count: int, check, header=None):
+    """Raise the error for line number (1-based), a data line its reader
+    refused: it does not hold count integers, or check(number, line,
     header, values) refuses them, header being the file's (number, N) or None."""
-    line = lines[number - 1].strip()
+    line = line.strip()
     check(number, line, header, _ints(number, line, line.split(), count))
     raise AssertionError(f"a reader refused line {number}, which has no fault")
 
@@ -182,23 +188,23 @@ def _check_label_line(number: int, line: str, header, values):
                          f"integer: {line!r}")
 
 
-# Each reader below makes one pass over the lines of text.  A line is
-# split once and its fields converted by one map(int, ...); a data line
-# whose integers pass one chained comparison is kept, and a blank or
-# comment line is passed over.  A ``#n`` fault is raised where it is read;
-# the first other refused line is remembered and raised after the pass.
+# Each reader below reads the text's ``#n`` line first, when it holds one,
+# so a ``#n`` fault comes before every other, then makes one pass over the
+# lines.  A line is split once and its fields converted by one
+# map(int, ...); a data line whose integers pass one chained comparison is
+# kept, a blank, comment or ``#n`` line is passed over, and the first
+# refused data line raises its error.
 
 
 def parse_vertex_graph(text: str) -> VertexGraph:
     """The vertex graph text holds.  Each edge is kept as (u, v) with
     u < v, so the induced subgraph on 1..m holds just the edges with
-    v <= m.  A ``#n`` line may come anywhere, once: the edges before it
-    are checked against it when it is read, and those after it as read."""
+    v <= m.  A ``#n`` line may come anywhere, once: it is read before the
+    edges, so those above it are checked against it as those below it are."""
     lines = text.splitlines()
+    header = _header(lines, vertex_count=True) if "#n" in text else None
+    bound = header[1] if header is not None else MAX_VERTICES  # the largest label
     edges = []
-    header = None          # the #n line as (line number, vertex count), once read
-    bound = MAX_VERTICES   # the largest label a line may hold
-    fault = 0              # the number of the first refused data line, once read
     for number, line in enumerate(lines, start=1):
         try:
             u, v = map(int, line.split())
@@ -209,29 +215,18 @@ def parse_vertex_graph(text: str) -> VertexGraph:
                 edges.append((v, u))
                 continue
         except ValueError:
-            if _skipped(number, line, vertex_count=True):
+            if _skipped(line):
                 continue
-            if line.split()[0] == "#n":
-                header = _header(number, line, header)
-                bound = header[1]
-                if any(e[1] > bound for e in edges):
-                    # the first such edge's line, unless a refused line comes
-                    # earlier: every data line before either one was kept
-                    fault = next((i for i, s in enumerate(lines[:(fault or number) - 1], 1)
-                                  if not _skipped(i, s) and max(map(int, s.split())) > bound),
-                                 fault)
-                continue
-        fault = fault or number
-    if fault:
-        _refuse(lines, fault, 2, _check_edge_line, header)
+        _refuse(number, line, 2, _check_edge_line, header)
     n = header[1] if header is not None else max((e[1] for e in edges), default=0)
     return VertexGraph(n, frozenset(edges))
 
 
 def parse_edge_seq(text: str) -> EdgeSeqGraph:
     lines = text.splitlines()
+    if "#n" in text:
+        _header(lines)
     edges = []
-    fault = 0
     for number, line in enumerate(lines, start=1):
         try:
             i, j = map(int, line.split())
@@ -239,18 +234,17 @@ def parse_edge_seq(text: str) -> EdgeSeqGraph:
                 edges.append((i, j))
                 continue
         except ValueError:
-            if _skipped(number, line):
+            if _skipped(line):
                 continue
-        fault = fault or number
-    if fault:
-        _refuse(lines, fault, 2, _check_pair_line)
+        _refuse(number, line, 2, _check_pair_line)
     return EdgeSeqGraph(tuple(edges))
 
 
 def parse_label_seq(text: str) -> tuple:
     lines = text.splitlines()
+    if "#n" in text:
+        _header(lines)
     seq = []
-    fault = 0
     for number, line in enumerate(lines, start=1):
         try:
             (v,) = map(int, line.split())
@@ -258,11 +252,9 @@ def parse_label_seq(text: str) -> tuple:
                 seq.append(v)
                 continue
         except ValueError:
-            if _skipped(number, line):
+            if _skipped(line):
                 continue
-        fault = fault or number
-    if fault:
-        _refuse(lines, fault, 1, _check_label_line)
+        _refuse(number, line, 1, _check_label_line)
     return tuple(seq)
 
 
@@ -297,8 +289,10 @@ def _floats(number: int, line: str) -> tuple:
 def parse_step_graphon(text: str) -> StepGraphon:
     from .models import StepGraphon
 
+    if "#n" in text:
+        _header(text.splitlines())
     lines = [(number, raw.strip()) for number, raw in enumerate(text.splitlines(), start=1)
-             if not _skipped(number, raw)]
+             if not _skipped(raw)]
     if len(lines) < 2:
         raise ValueError("graphon file needs a block count and boundaries")
     number, line = lines[0]

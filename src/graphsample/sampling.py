@@ -297,6 +297,18 @@ def _check_schedule(schedule) -> tuple:
     return schedule
 
 
+def _check_k_within_n(spec_or_sampler, k: int, n: int, what: str):
+    """Refuse k, the largest size a caller is about to sample, when it
+    exceeds n and spec_or_sampler is a SamplerSpec whose row bounds k by n:
+    every row but bs_root, whose k is a radius, and p_sample, which reads
+    no k.  what names k in the message.  A plain sampler callable is left
+    to its own checks."""
+    if isinstance(spec_or_sampler, SamplerSpec) and k > n:
+        _, _, reported, extra = _ALGORITHMS[spec_or_sampler.algorithm]
+        if reported is not RootedGraph and extra != "p":
+            raise ValueError(f"{what} exceeds n = {n}")
+
+
 def _as_sampler(spec_or_sampler):
     """A sampler callable as is, or make_sampler of a SamplerSpec."""
     return spec_or_sampler if callable(spec_or_sampler) else make_sampler(spec_or_sampler)

@@ -263,15 +263,20 @@ def test_cmd_test_equivalence_exit_codes(tmp_path, capsys):
     assert abs(tv - 0.5) < 0.05
 
 
-@pytest.mark.parametrize("k_max", ["0", "-1"])
-def test_cmd_test_equivalence_k_max_below_one_usage_error(k_max, tmp_path, capsys):
+@pytest.mark.parametrize("k_max, message", [
+    ("0", "k_max must be >= 1"),
+    ("-1", "k_max must be >= 1"),
+    ("9", "k_max = 9 exceeds n = 4"),
+], ids=["0", "-1", "above_n"])
+def test_cmd_test_equivalence_k_max_below_one_usage_error(k_max, message, tmp_path,
+                                                          capsys):
     y4_file = tmp_path / "y4.txt"
     main(["generate", "y4", "--out", str(y4_file)])
     code = main(["test", "--test", "equivalence", "--algo", "uniform_vertex",
                  "--in", str(y4_file), "--in2", str(y4_file), "--n", "4",
                  "--k-max", k_max, "--reps", "10"])
     assert code == 2
-    assert capsys.readouterr().err == "error: k_max must be >= 1\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cmd_test_exchangeability_exit_zero(tmp_path, capsys):
@@ -626,6 +631,12 @@ def test_nan_mass_or_boundary_usage_error(argv, message, tmp_path, capsys):
     ("1 10000001\n",
      "line 1: vertex count 10000001 exceeds the limit 10000000: '1 10000001'"),
     ("#n\n1 2\n", "line 1: expected 1 field(s), found 0: '#n'"),
+    # a #n line below the edges: each edge is checked against it all the same
+    ("1 5\n2 3\n#n 4\n", "line 1: edge (1,5) outside 1..4 declared on line 3: '1 5'"),
+    ("2 3\nx 1\n1 5\n#n 4\n", "line 2: not an integer: 'x 1'"),
+    ("2 3\n1 5\nx 1\n#n 4\n",
+     "line 2: edge (1,5) outside 1..4 declared on line 4: '1 5'"),
+    ("x 1\n#n 4\n#n 5\n", "line 3: second #n header (first on line 2): '#n 5'"),
 ])
 def test_vertex_count_header_errors_name_their_line(tmp_path, capsys, text, message):
     graph = tmp_path / "g.txt"
@@ -924,15 +935,20 @@ def test_estimate_vector_of_p_sample_keeps_its_bytes_without_k(tmp_path, capsys)
             == "465789e2f64eb0c323b7fdba374a129353fbbba7dc40535c0f945dae83da9ced")
 
 
-@pytest.mark.parametrize("schedule", ["6,4,2", "4,4"])
-def test_estimate_lln_schedule_not_increasing_usage_error(schedule, tmp_path, capsys):
+@pytest.mark.parametrize("schedule, message", [
+    ("6,4,2", "schedule must be strictly increasing"),
+    ("4,4", "schedule must be strictly increasing"),
+    ("2,21", "schedule size 21 exceeds n = 20"),
+], ids=["6,4,2", "4,4", "above_n"])
+def test_estimate_lln_schedule_not_increasing_usage_error(schedule, message, tmp_path,
+                                                          capsys):
     seq = tmp_path / "alt.txt"
     main(["generate", "alternating", "--n", "20", "--out", str(seq)])
     capsys.readouterr()
     code = main(["estimate", "--what", "lln", "--algo", "partition", "--in", str(seq),
                  "--n", "20", "--schedule", schedule, "--reps", "10"])
     assert code == 2
-    assert capsys.readouterr() == ("", "error: schedule must be strictly increasing\n")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_diagnose_reads_n(tmp_path, capsys):

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from graphsample import sampling
 from graphsample.estimate import (
     EXACT_TOL,
     PatternTally,
@@ -247,6 +248,24 @@ def test_lln_trace_refuses_reps_below_one_before_sampling(reps):
         lln_trace(sampler, (1, 2) * 20, 40, lambda s: 1.0, 1, (2, 4), reps,
                   RandomStream(0))
     assert calls == []
+
+
+def test_lln_trace_refuses_a_schedule_size_above_n_before_sampling(monkeypatch):
+    calls = []
+
+    def sampler(y, n, k, stream):
+        calls.append(k)
+        return y[:k]
+
+    # the sequence row bounds k by n, so the k = 2 point does not run first
+    monkeypatch.setattr(sampling, "sample_sequence", sampler)
+    with pytest.raises(ValueError, match=r"^schedule size 41 exceeds n = 40$"):
+        lln_trace(SamplerSpec("sequence"), (1, 2) * 20, 40, lambda s: 1.0, 1, (2, 41), 1,
+                  RandomStream(0))
+    assert calls == []
+    # a plain sampler callable is left to its own checks
+    lln_trace(sampler, (1, 2) * 20, 40, lambda s: 1.0, 1, (2, 41), 1, RandomStream(0))
+    assert calls == [2, 41]
 
 
 # -- profiles ----------------------------------------------------------------------------

@@ -113,6 +113,23 @@ def test_exchangeability_fails_for_uniform_draws_sorted_by_label(k, seed):
     assert not rep.passed, rep.summary()
 
 
+@pytest.mark.parametrize("spec, exchangeable", [
+    (SamplerSpec("uniform_vertex"), True),
+    (SamplerSpec("sparsified", rho=0.5), True),
+    (SamplerSpec("ego"), True),
+    (SamplerSpec("shortest_path"), True),
+    (SamplerSpec("degree_biased"), False),  # a hub drawn early sits at vertex 1
+    (SamplerSpec("p_sample", p=0.25), False),  # y's label order: the hub comes first
+], ids=["uniform_vertex", "sparsified", "ego", "shortest_path", "degree_biased",
+        "p_sample"])
+def test_exchangeability_of_each_graph_row_on_a_star(spec, exchangeable):
+    """The paper's correspondence between an invariance and the algorithm
+    that samples: on a hub, TV is 0.007-0.018 for each exchangeable row at
+    seeds 1-3, against a threshold of 0.080, and 0.14-0.21 for the others."""
+    rep = test_exchangeability(spec, star_vertex(12), 12, 3, 5_000, RandomStream(1))
+    assert rep.passed == exchangeable, rep.summary()
+
+
 def test_exchangeability_constant_symmetric_output():
     rep = test_exchangeability(SamplerSpec("sequence"), (4,) * 12, 12, 3,
                                2_000, RandomStream(3))
@@ -479,15 +496,25 @@ def test_report_notes_a_threshold_no_tv_can_exceed(reps, vacuous):
     assert any("vacuous threshold" in note for note in rep.notes) == vacuous
 
 
-@pytest.mark.parametrize("k_max", [0, -1])
-def test_equivalence_rejects_k_max_below_one(k_max, monkeypatch):
+@pytest.mark.parametrize("k_max, message", [
+    (0, "k_max must be >= 1"),
+    (-1, "k_max must be >= 1"),
+    (5, "k_max = 5 exceeds n = 4"),  # not after the tallies at k = 1..4
+], ids=["0", "-1", "above_n"])
+def test_equivalence_rejects_k_max_below_one(k_max, message, monkeypatch):
     def no_tally(*args):
         raise AssertionError("a tally was built")
 
     monkeypatch.setattr(invariance, "tally_outputs", no_tally)
-    with pytest.raises(ValueError, match="k_max must be >= 1"):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         test_equivalence(SamplerSpec("uniform_vertex"), y4(), y4(), 4, k_max, 100,
                          RandomStream(0))
+
+
+def test_equivalence_of_bs_root_reads_k_max_above_n_as_a_radius():
+    rep = test_equivalence(SamplerSpec("bs_root"), star_vertex(6), star_vertex(6), 6, 8, 20,
+                           RandomStream(0))
+    assert rep.name == "equivalence(k<=[8])" and rep.passed
 
 
 # -- refusals ---------------------------------------------------------------------
