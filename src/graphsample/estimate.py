@@ -23,7 +23,7 @@ from collections import Counter
 from math import fsum
 
 from .rng import RandomStream
-from .sampling import _as_sampler, _check_k_within_n, _check_schedule, _draw_distinct
+from .sampling import _as_sampler, _check_k_within_n, _check_schedule
 from .structures import (EdgeSeqGraph, _Frozen, _Record, key_for, restrict, size_of,
                          subsample_in_order)
 
@@ -256,7 +256,7 @@ def empirical_average(x, f, j: int, num_perms: int = 10_000,
         raise ValueError(f"{count} arrangements exceed num_perms = {num_perms}, "
                          f"and sampling them needs an rng")
     else:
-        arrangements = (_draw_distinct(k, j, rng) for _ in range(num_perms))
+        arrangements = (rng.distinct(k, j) for _ in range(num_perms))
     vals = [f(subsample_in_order(x, pos)) for pos in arrangements]
     return fsum(vals) / len(vals)
 
@@ -283,10 +283,12 @@ def lln_trace(spec_or_sampler, y, n: int, f, j: int, k_schedule, reps: int,
     y = _prepared(y, n)
     estimates = []
     for i, k in enumerate(ks):
+        point = rng.substream("lln", i)  # point.substream(r) is rng.substream("lln", i, r)
+
         def run(lo, hi):  # the averages of replicates lo..hi-1
             vals = []
             for r in range(lo, hi):
-                stream = rng.substream("lln", i, r)
+                stream = point.substream(r)
                 x_k = sampler(y, n, k, stream)
                 vals.append(empirical_average(x_k, f, j, num_perms, stream))
             return vals

@@ -106,22 +106,6 @@ def _rho_at(rho, k: int) -> float:
     return val
 
 
-def _draw_distinct(n: int, k: int, rng: RandomStream) -> list:
-    """k distinct uniform values from {1..n}, in selection order.
-
-    Rejection against already-chosen values: repeats are discarded, so the
-    accepted subsequence is a pure function of the stream and the first k
-    accepted values are the same in every call with k' >= k."""
-    chosen = []
-    seen = set()
-    while len(chosen) < k:
-        v = rng.randbelow(n) + 1
-        if v not in seen:
-            seen.add(v)
-            chosen.append(v)
-    return chosen
-
-
 def _draw_weighted_distinct(weights, tree: tuple, k: int, rng: RandomStream) -> list:
     """k distinct draws without replacement, each proportional to its fixed
     integer weight among the not-yet-selected; uniform among the remaining
@@ -178,7 +162,7 @@ def sample_uniform_vertex(y: VertexGraph, n: int, k: int, rng: RandomStream) -> 
     """Select k vertices of y|n uniformly without replacement, report the
     induced subgraph relabeled 1..k in order of appearance."""
     y_n = _restricted(y, n, k)
-    order = _draw_distinct(n, k, rng)
+    order = rng.distinct(n, k)
     return induced_ordered(y_n, order)
 
 
@@ -230,7 +214,7 @@ def sample_shortest_path(y: VertexGraph, n: int, k: int, rng: RandomStream) -> M
     with each edge marked by the shortest-path length inside y|n
     (UNREACHABLE for disconnected pairs)."""
     y_n = _restricted(y, n, k)
-    chosen = _draw_distinct(n, k, rng)
+    chosen = rng.distinct(n, k)
     return shortest_path_marks(y_n, chosen)
 
 
@@ -238,7 +222,7 @@ def sample_sequence(y: tuple, n: int, k: int, rng: RandomStream) -> tuple:
     """k uniform without-replacement positions J_1..J_k of [n]; report the
     subsequence (y_J1, ..., y_Jk)."""
     _restricted(y, n, k, tuple)
-    return subsample_in_order(y, _draw_distinct(n, k, rng))
+    return subsample_in_order(y, rng.distinct(n, k))
 
 
 def sample_partition(pi: Partition, n: int, k: int, rng: RandomStream) -> Partition:
@@ -253,14 +237,14 @@ def sample_edges(y: EdgeSeqGraph, n: int, k: int, rng: RandomStream) -> EdgeSeqG
     """k uniform without-replacement edge positions of y|n; report the
     selected subsequence relabeled canonically.  Output is always canonical."""
     _restricted(y, n, k, EdgeSeqGraph)
-    return subsample_in_order(y, _draw_distinct(n, k, rng))
+    return subsample_in_order(y, rng.distinct(n, k))
 
 
 def sample_ego(y: VertexGraph, n: int, k: int, rng: RandomStream) -> list:
     """k uniform distinct vertices of y|n; report their 1-neighborhoods
     (ego networks), each rooted at the chosen vertex."""
     y_n = _restricted(y, n, k)
-    roots = _draw_distinct(n, k, rng)
+    roots = rng.distinct(n, k)
     return [ball(y_n, v, 1) for v in roots]
 
 

@@ -201,9 +201,12 @@ def induced_ordered(g: VertexGraph, order) -> VertexGraph:
     k = len(order)
     edges = set()
     if k * (k - 1) // 2 <= len(g.edges):
+        present = g.edges
         for a in range(k):
+            u = order[a]
             for b in range(a + 1, k):
-                if g.has_edge(order[a], order[b]):
+                v = order[b]
+                if ((u, v) if u < v else (v, u)) in present:
                     edges.add((a + 1, b + 1))
     else:
         pos = {v: i + 1 for i, v in enumerate(order)}

@@ -105,6 +105,19 @@ def draw_weighted_distinct_linear(weights, k, rng):
     return chosen
 
 
+def draw_distinct_rejection(n, k, rng):
+    """Reference for RandomStream.distinct: one randbelow(n) + 1 call per
+    draw, repeats rejected, accepted values in selection order."""
+    chosen = []
+    seen = set()
+    while len(chosen) < k:
+        v = rng.randbelow(n) + 1
+        if v not in seen:
+            seen.add(v)
+            chosen.append(v)
+    return chosen
+
+
 class Uniforms:
     """Stand-in stream that replays the given uniforms."""
 

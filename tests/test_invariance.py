@@ -27,7 +27,6 @@ from graphsample.models import (
 from graphsample.rng import RandomStream
 from graphsample.sampling import (
     SamplerSpec,
-    _draw_distinct,
     diagnose_limit,
     sample_bs,
     sample_ego,
@@ -98,7 +97,7 @@ _FOUR_HUBS = VertexGraph(40, frozenset((i, j) for i in range(1, 5)
 def _uniform_sorted_by_label(y, n, k, rng):
     """Uniform draws reported in label order, so hubs come first: not
     exchangeable."""
-    order = sorted(_draw_distinct(n, k, rng))
+    order = sorted(rng.distinct(n, k))
     return induced_ordered(restrict_vertices(y, n), order)
 
 
