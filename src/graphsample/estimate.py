@@ -24,8 +24,7 @@ from math import fsum
 
 from .rng import RandomStream
 from .sampling import _as_sampler, _check_k_within_n, _check_schedule
-from .structures import (EdgeSeqGraph, _Frozen, _Record, key_for, restrict, size_of,
-                         subsample_in_order)
+from .structures import EdgeSeqGraph, _Frozen, _Record, key_for, size_of, subsample_in_order
 
 EXACT_TOL = 1e-9  # TV two equal exact laws may show from float rounding alone
 _SPLIT_S = 0.05  # seconds of replicates left that pay for one more process
@@ -81,34 +80,19 @@ def tally_outputs(sampler, y, n: int, k: int, reps: int, rng: RandomStream) -> P
     """Run ``sampler(y, n, k, stream_r)`` for reps replicates and tally the
     canonical keys of the outputs; replicate r always uses rng.substream(r).
 
-    Every replicate samples the one structure _prepared(y, n).
+    y reaches the sampler as given.  A graph sampler of the package cuts
+    y|n in its first replicate and y keeps that cut (restrict_vertices), so
+    every replicate samples one y|n and reuses its memoised adjacency,
+    degrees and ball keys.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    y = _prepared(y, n)
 
     def run(lo, hi):  # key counts of replicates lo..hi-1, first occurrence first
         return Counter(key_for(sampler(y, n, k, rng.substream(r)))
                        for r in range(lo, hi))
 
     return PatternTally(_over_ranges(reps, run), reps)
-
-
-def _prepared(y, n: int):
-    """y|n for a structure y with 1 <= n < size_of(y), else y as given.
-
-    A sampler is taken to see y only through y|n, as every sampler of the
-    paper does, so a replicate loop, or an invariance test before its
-    tallies, cuts y|n once and every replicate samples the same prepared
-    structure (the graph samplers reuse its memoised adjacency, degrees
-    and ball keys).  Any other n, or a y with no size (a graphon, say, for
-    a custom sampler), reaches the sampler as given, and the sampler's own
-    checks apply."""
-    try:
-        size = size_of(y)
-    except TypeError:
-        return y
-    return restrict(y, n) if 1 <= n < size else y
 
 
 def _over_ranges(reps: int, run):
@@ -271,16 +255,14 @@ def lln_trace(spec_or_sampler, y, n: int, f, j: int, k_schedule, reps: int,
     """Group-averaged law of large numbers trace: for each k in the schedule,
     the mean over replicates of the symmetrized empirical average of f
     applied to a fresh size-k sample, exact while (k)_j <= num_perms and
-    sampled from the replicate's stream above that.  Every replicate at
-    every k samples the one structure _prepared(y, n).  A schedule size
-    above n is refused before any replicate, as sampling._check_k_within_n
-    says."""
+    sampled from the replicate's stream above that.  y reaches the sampler
+    as given, as in tally_outputs.  A schedule size above n is refused
+    before any replicate, as sampling._check_k_within_n says."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
     ks = _check_schedule(k_schedule)
     _check_k_within_n(spec_or_sampler, ks[-1], n, f"schedule size {ks[-1]}")
     sampler = _as_sampler(spec_or_sampler)
-    y = _prepared(y, n)
     estimates = []
     for i, k in enumerate(ks):
         point = rng.substream("lln", i)  # point.substream(r) is rng.substream("lln", i, r)

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_right
 from itertools import accumulate
 
-from .estimate import PatternTally, _prepared, compare, tally_outputs
+from .estimate import PatternTally, compare, tally_outputs
 from .rng import RandomStream
 from .sampling import _ALGORITHMS, SamplerSpec, _as_sampler, _check_k_within_n
 from .structures import (
@@ -117,7 +117,6 @@ def test_exchangeability(spec_or_sampler, y, n: int, k: int, reps: int,
         raise ValueError(f"{algorithm} reports one ball, whose size is a radius, "
                          "so it has no positions to permute for exchangeability")
     sampler = _as_sampler(spec_or_sampler)
-    y = _prepared(y, n)
     tally_a = tally_outputs(sampler, y, n, k, reps, rng.substream("exch", 0))
 
     def permuted(yy, nn, kk, stream):
@@ -148,7 +147,6 @@ def test_idempotence(spec_or_sampler, y, n: int, m: int, k: int, reps: int,
     if not (1 <= k <= m <= n):
         raise ValueError("need k <= m <= n")
     sampler = _as_sampler(spec_or_sampler)
-    y = _prepared(y, n)
     tally_a = tally_outputs(sampler, y, n, k, reps, rng.substream("idem", 0))
 
     def composed(yy, nn, kk, stream):
@@ -175,7 +173,6 @@ def test_equivalence(spec_or_sampler, y, y2, n: int, k_max: int, reps: int,
         raise ValueError("k_max must be >= 1")
     _check_k_within_n(spec_or_sampler, k_max, n, f"k_max = {k_max}")
     sampler = _as_sampler(spec_or_sampler)
-    y, y2 = _prepared(y, n), _prepared(y2, n)
 
     def compared(k, name, notes=()):
         ta = tally_outputs(sampler, y, n, k, reps, rng.substream("equiv", 0, k))

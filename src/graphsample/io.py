@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .estimate import ItemProfile, LLNTrace, PatternTally
 from .structures import (
     EdgeSeqGraph,
     MarkedCompleteGraph,
@@ -34,9 +33,10 @@ from .structures import (
     key_text,
 )
 
-if TYPE_CHECKING:  # annotations only: fractions and models load on first use
+if TYPE_CHECKING:  # annotations only: fractions, estimate and models load on first use
     from fractions import Fraction
 
+    from .estimate import ItemProfile, LLNTrace, PatternTally
     from .models import StepGraphon
 
 #: Most vertices a vertex-graph file may declare (``#n``) or imply (its

@@ -14,16 +14,18 @@ Ground types for everything else in the package:
 
 Label sequences are plain tuples of positive ints.  All values here are
 immutable after construction, so a sampler's output is a pure function of
-(input, n, k, seed) however often the input is reused.  That holds
-also for derived data kept outside a value's fields (equality, hashing
-and repr ignore it; it is never mutated once built, but for the ball-key
-memo below, which only gains entries that are pure functions of their
-place).  A vertex graph memoises its adjacency, degrees and Fenwick tree on
-first use, so samplers build them once per input, not per replicate.  It
-also memoises the pattern keys of its balls by (center, radius), so a ball
-that many replicates draw is canonicalised once per graph in each process
-(a forked child starts from the memo as it stood at the fork); the memo
-holds key bytes (8 an edge), never balls or forms, and dies with the
+(input, n, k, seed) however often the input is reused.  That holds also for
+derived data kept outside a value's fields (equality, hashing and repr
+ignore it; it is never mutated once built, but for the ball-key memo below,
+which only gains entries that are pure functions of their place, and the
+restriction slot, which holds one pure function of g at a time).  A vertex
+graph memoises its adjacency, degrees and Fenwick tree on first use, so
+samplers build them once per input, not per replicate.  It keeps its last
+restriction in one slot (restrict_vertices), so a replicate loop cuts y|n
+once.  It also memoises the pattern keys of its balls by (center, radius),
+so a ball that many replicates draw is canonicalised once per graph in each
+process (a forked child starts from the memo as it stood at the fork); the
+memo holds key bytes (8 an edge), never balls or forms, and dies with the
 graph.  A rooted graph is the breadth-first search that found it (root,
 host adjacency, depth map and, for a ball, its place in that memo); its
 adjacency, vertices and edges are derived on first read, so a ball whose
@@ -137,7 +139,7 @@ class VertexGraph(_Frozen):
     def __init__(self, n: int, edges: frozenset = frozenset()):
         if n < 0:
             raise ValueError("vertex count must be >= 0")
-        if not (type(edges) is frozenset and all(0 < u < v <= n for u, v in edges)):
+        if not (type(edges) is frozenset and all(1 <= u < v <= n for u, v in edges)):
             edges = frozenset(_check_edge(u, v) for u, v in edges)
             for u, v in edges:
                 if not (1 <= u < v <= n):
@@ -155,12 +157,17 @@ class VertexGraph(_Frozen):
 
 
 def restrict_vertices(g: VertexGraph, m: int) -> VertexGraph:
-    """Induced subgraph on the first m vertices."""
+    """Induced subgraph on the first m vertices.  g keeps its last cut in
+    one slot, so a replicate loop cuts y|n once and a repeated m returns
+    that same graph."""
     if not 1 <= m <= g.n:
         raise ValueError(f"restriction depth {m} outside 1..{g.n}")
     if m == g.n:
         return g
-    return VertexGraph(m, frozenset(e for e in g.edges if e[1] <= m))
+    cut = g.__dict__.get("_cut")
+    if cut is None or cut.n != m:
+        cut = g.__dict__["_cut"] = VertexGraph(m, frozenset(e for e in g.edges if e[1] <= m))
+    return cut
 
 
 def degrees(g: VertexGraph) -> tuple:

@@ -395,17 +395,26 @@ def test_custom_sampler_gets_an_unsized_input_as_given():
     assert tally.reps == 5 and seen[-5:] == [None] * 5
 
 
-def test_sized_input_reaches_sampler_restricted_once():
+def test_sized_input_reaches_sampler_restricted_once(vertex_builds):
+    # a plain callable gets y as given; a sampler of the package cuts y|n in
+    # its first replicate, and y keeps that cut for the next tally at n
     g = complete_vertex(6)
     seen = []
     tally_outputs(lambda y, n, k, stream: seen.append(y) or (1,), g, 4, 1, 3, RandomStream(0))
-    assert seen == [complete_vertex(4)] * 3 and seen[0] is seen[2]
-    tally_outputs(lambda y, n, k, stream: seen.append(y) or (1,), g, 6, 1, 1, RandomStream(0))
-    assert seen[-1] is g
+    assert len(seen) == 3 and all(y is g for y in seen)
+    g = cycle_vertex(60)
+    sampler = sampling.make_sampler(SamplerSpec("uniform_vertex"))
+    vertex_builds.clear()
+    tally_outputs(sampler, g, 40, 3, 300, RandomStream(1))
+    assert vertex_builds.count(40) == 1
+    vertex_builds.clear()
+    tally_outputs(sampler, g, 40, 3, 300, RandomStream(2))
+    assert vertex_builds.count(40) == 0
 
 
-def test_lln_trace_reaches_sampler_restricted_once():
-    # one y|n for every replicate at every schedule point, and y itself at n = size
+def test_lln_trace_reaches_sampler_restricted_once(vertex_builds):
+    # y as given to a plain callable at every schedule point, and one y|n cut
+    # by a sampler of the package for every replicate at every schedule point
     g = complete_vertex(6)
     seen = []
 
@@ -414,9 +423,12 @@ def test_lln_trace_reaches_sampler_restricted_once():
         return tuple(range(1, k + 1))
 
     lln_trace(sampler, g, 4, _first_is_one, 1, (2, 3), 3, RandomStream(0))
-    assert seen == [complete_vertex(4)] * 6 and all(y is seen[0] for y in seen)
-    lln_trace(sampler, g, 6, _first_is_one, 1, (2,), 1, RandomStream(0))
-    assert seen[-1] is g
+    assert len(seen) == 6 and all(y is g for y in seen)
+    g = cycle_vertex(60)
+    vertex_builds.clear()
+    lln_trace(SamplerSpec("uniform_vertex"), g, 40, lambda x: len(x.edges), 1, (2, 3), 30,
+              RandomStream(1))
+    assert vertex_builds.count(40) == 1
 
 
 # -- replicate ranges across processes -----------------------------------------------

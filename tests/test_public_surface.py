@@ -69,6 +69,16 @@ def test_every_export_is_its_home_module_object():
     assert set(_exports()) <= set(dir(graphsample))
 
 
+def _fresh(script: str) -> list:
+    """The lines a fresh Python process prints running script."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), path])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def test_star_import_binds_every_export_and_imports_load_lazily():
     """In a fresh process: ``import graphsample`` loads no submodule (nor
     fractions), and ``from graphsample import *`` binds every export."""
@@ -82,9 +92,15 @@ def test_star_import_binds_every_export_and_imports_load_lazily():
         print(sorted(name for name in graphsample.__all__
                      if space.get(name) is not getattr(graphsample, name)))
     """)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(PACKAGE.parent), path])))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert _fresh(script) == ["[]", "[]"]
+
+
+def test_io_loads_only_structures():
+    """In a fresh process, ``import graphsample.io`` loads no package module
+    but structures: estimate and models are read for annotations only."""
+    script = textwrap.dedent("""
+        import sys
+        import graphsample.io
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "graphsample"))
+    """)
+    assert _fresh(script) == ["['graphsample', 'graphsample.io', 'graphsample.structures']"]

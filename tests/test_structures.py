@@ -319,6 +319,18 @@ def test_restriction_does_not_inherit_parent_memo():
     assert set(sub.adjacency()) == {1, 2, 3, 4, 5}
 
 
+def test_graph_keeps_its_last_restriction_in_one_slot():
+    g = VertexGraph(_CHORDED.n, _CHORDED.edges)
+    fresh = VertexGraph(_CHORDED.n, _CHORDED.edges)
+    sub = restrict_vertices(g, 5)
+    assert restrict_vertices(g, 5) is sub
+    other = restrict_vertices(g, 4)
+    assert other is not sub
+    assert other == VertexGraph(4, frozenset(e for e in _CHORDED.edges if e[1] <= 4))
+    assert restrict_vertices(g, 4) is other and restrict_vertices(g, 5) is not sub
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+
+
 # -- rooted graphs keep their adjacency and depth map ------------------------------
 
 @given(small_graphs(), st.data())
@@ -1123,6 +1135,7 @@ def test_vertex_graph_keeps_a_normal_edge_set_and_rebuilds_any_other():
                             (3, {(1, 4)}, r"edge \(1,4\) outside 1\.\.3"),
                             (3, {(4, 1)}, r"edge \(1,4\) outside 1\.\.3"),
                             (3, {(0, 2)}, r"edge \(0,2\) outside 1\.\.3"),
+                            (3, {(0.5, 2)}, r"edge \(0\.5,2\) outside 1\.\.3"),
                             (0, {(1, 2)}, r"edge \(1,2\) outside 1\.\.0")):
         for edge_set in (frozenset(bad), set(bad), list(bad)):
             with pytest.raises(ValueError, match=f"^{message}$"):
