@@ -83,7 +83,10 @@ def apply_relabeling(x, perm: tuple):
 
     Position p moves to perm[p-1], so the result lists the positions in
     the inverse order (perm^-1(1), ..., perm^-1(k))."""
-    return subsample_in_order(x, sorted(range(1, len(perm) + 1), key=lambda p: perm[p - 1]))
+    order = [0] * len(perm)
+    for p, q in enumerate(perm, 1):
+        order[q - 1] = p
+    return subsample_in_order(x, order)
 
 
 def _row(spec_or_sampler):
@@ -276,13 +279,21 @@ def test_involution_invariance(root_law, y: VertexGraph, n: int, radius: int,
 
 def _diameter(g: VertexGraph, adj, cap: int) -> int:
     """The largest eccentricity of a vertex within its component, or cap as
-    soon as some vertex has another at distance cap or more."""
-    best = 0
+    soon as some vertex has another at distance cap or more.  The first
+    search starts at a vertex of largest degree.  When it reaches every
+    vertex, the graph is connected, so each vertex's eccentricity e bounds
+    the diameter by 2e: once the largest eccentricity seen is twice the
+    smallest, it is the diameter, and the loop stops."""
+    start = max(range(1, g.n + 1), key=lambda v: len(adj[v]))
+    dist = _bfs_distances(adj, start, limit=cap)
+    connected = len(dist) == g.n
+    best = least = max(dist.values())
     for v in range(1, g.n + 1):
-        ecc = max(_bfs_distances(adj, v, limit=cap).values())
-        if ecc >= cap:
-            return cap
-        best = max(best, ecc)
+        if best >= cap or connected and best >= 2 * least:
+            return best
+        if v != start:
+            ecc = max(_bfs_distances(adj, v, limit=cap).values())
+            best, least = max(best, ecc), min(least, ecc)
     return best
 
 

@@ -219,7 +219,7 @@ def parse_vertex_graph(text: str) -> VertexGraph:
                 continue
         _refuse(number, line, 2, _check_edge_line, header)
     n = header[1] if header is not None else max((e[1] for e in edges), default=0)
-    return VertexGraph(n, frozenset(edges))
+    return VertexGraph._of(n, frozenset(edges))
 
 
 def parse_edge_seq(text: str) -> EdgeSeqGraph:
@@ -237,7 +237,7 @@ def parse_edge_seq(text: str) -> EdgeSeqGraph:
             if _skipped(line):
                 continue
         _refuse(number, line, 2, _check_pair_line)
-    return EdgeSeqGraph(tuple(edges))
+    return EdgeSeqGraph._of(tuple(edges))
 
 
 def parse_label_seq(text: str) -> tuple:

@@ -97,7 +97,7 @@ def sparsified_graphon_draw(w: StepGraphon, rho, k: int, rng: RandomStream) -> V
             if rng.uniform() < column[bi]:
                 edges.add((i, j))
         blocks.append(bj)
-    return VertexGraph(k, frozenset(edges))
+    return VertexGraph._of(k, frozenset(edges))
 
 
 _PATTERN_DENSITY_MAX = 5

@@ -184,7 +184,7 @@ def sample_sparsified(y: VertexGraph, n: int, k: int, rho, rng: RandomStream) ->
     for a, b in sorted(induced.edges, key=lambda e: (e[1], e[0])):
         if thin.uniform() < r:
             kept.add((a, b))
-    return VertexGraph(k, frozenset(kept))
+    return VertexGraph._of(k, frozenset(kept))
 
 
 def sample_p(y: VertexGraph, n: int, p: float, rng: RandomStream) -> VertexGraph:
@@ -230,7 +230,7 @@ def sample_partition(pi: Partition, n: int, k: int, rng: RandomStream) -> Partit
     first appearance; the output is always an ordered partition."""
     _restricted(pi, n, k, Partition)
     sub = sample_sequence(pi.labels, n, k, rng)
-    return Partition(relabel_r(sub))
+    return Partition._of(relabel_r(sub))
 
 
 def sample_edges(y: EdgeSeqGraph, n: int, k: int, rng: RandomStream) -> EdgeSeqGraph:

@@ -29,8 +29,14 @@ memo holds key bytes (8 an edge), never balls or forms, and dies with the
 graph.  A rooted graph is the breadth-first search that found it (root,
 host adjacency, depth map and, for a ball, its place in that memo); its
 adjacency, vertices and edges are derived on first read, so a ball whose
-key the memo holds costs only its search.  Outside input enters through
-RootedGraph.from_edges, which checks it.
+key the memo holds costs only its search.
+
+Outside input enters through a checking constructor: each value class's
+__init__, and RootedGraph.from_edges for a rooted graph.  A value the
+library builds from parts it has already checked (a replicate's output, a
+restriction, a line-by-line checked file) is built by _Record._of, which
+stores the fields and runs no check; _Record._of's docstring lists every
+function that calls it.
 
 Each operation that depends on the kind has one home here: size_of,
 restrict, subsample_in_order (the relabeling action) and key_for.  A
@@ -82,6 +88,22 @@ class _Record:
 
     def _set(self, *values):
         self.__dict__.update(zip(self._fields, values))
+
+    @classmethod
+    def _of(cls, *values):
+        """The value of cls with these fields, stored as given: __init__
+        and its checks do not run, so the fields must be what __init__
+        would store.  Only for values built from parts already checked; its
+        callers are structures.induced_ordered, structures.restrict_vertices,
+        structures.restrict, structures.subsample_in_order,
+        structures.relabel_rprime, sampling.sample_partition,
+        sampling.sample_sparsified, models.sparsified_graphon_draw,
+        io.parse_vertex_graph and io.parse_edge_seq."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        for name, value in zip(cls._fields, values):
+            fields[name] = value
+        return self
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
@@ -166,7 +188,8 @@ def restrict_vertices(g: VertexGraph, m: int) -> VertexGraph:
         return g
     cut = g.__dict__.get("_cut")
     if cut is None or cut.n != m:
-        cut = g.__dict__["_cut"] = VertexGraph(m, frozenset(e for e in g.edges if e[1] <= m))
+        cut = g.__dict__["_cut"] = VertexGraph._of(
+            m, frozenset([e for e in g.edges if e[1] <= m]))
     return cut
 
 
@@ -221,7 +244,7 @@ def induced_ordered(g: VertexGraph, order) -> VertexGraph:
             pu, pv = pos.get(u), pos.get(v)
             if pu is not None and pv is not None:
                 edges.add((pu, pv) if pu < pv else (pv, pu))
-    return VertexGraph(k, frozenset(edges))
+    return VertexGraph._of(k, frozenset(edges))
 
 
 def ball(g: VertexGraph, center: int, r: int) -> "RootedGraph":
@@ -333,20 +356,18 @@ def relabel_r(s: Iterable[int]) -> tuple:
 
 
 def relabel_rprime(edges: Iterable[Edge]) -> EdgeSeqGraph:
-    """Relabel an edge sequence: flatten, relabel by first appearance,
-    regroup into pairs, and swap each pair so the smaller vertex comes
-    first.  The result is always canonical."""
-    flat = []
+    """Relabel an edge sequence's endpoints by first appearance, read pair
+    by pair, and swap each pair so the smaller vertex comes first.  The
+    result is always canonical."""
+    first = {}
+    out = []
     for i, j in edges:
         if i == j:
             raise ValueError(f"self-loop pair ({i},{j})")
-        flat.extend((i, j))
-    relab = relabel_r(flat)
-    out = []
-    for a in range(0, len(relab), 2):
-        i, j = relab[a], relab[a + 1]
-        out.append((i, j) if i < j else (j, i))
-    return EdgeSeqGraph(tuple(out))
+        a = first.setdefault(i, len(first) + 1)
+        b = first.setdefault(j, len(first) + 1)
+        out.append((a, b) if a < b else (b, a))
+    return EdgeSeqGraph._of(tuple(out))
 
 
 class Partition(_Frozen):
@@ -771,9 +792,9 @@ def restrict(x, d: int):
     if not 0 <= d <= size:
         raise ValueError(f"restriction depth {d} outside 0..{size}")
     if isinstance(x, EdgeSeqGraph):
-        return x if d == size else EdgeSeqGraph(x.edges[:d])
+        return x if d == size else EdgeSeqGraph._of(x.edges[:d])
     if isinstance(x, Partition):
-        return Partition(x.labels[:d])
+        return Partition._of(x.labels[:d])
     if isinstance(x, MarkedCompleteGraph):
         return MarkedCompleteGraph(d, tuple((p, v) for p, v in x.marks if p[1] <= d))
     return x[:d]
@@ -788,9 +809,9 @@ def subsample_in_order(x, positions):
     if isinstance(x, VertexGraph):
         return induced_ordered(x, positions)
     if isinstance(x, EdgeSeqGraph):
-        return relabel_rprime(tuple(x.edges[p - 1] for p in positions))
+        return relabel_rprime([x.edges[p - 1] for p in positions])
     if isinstance(x, Partition):
-        return Partition(relabel_r(tuple(x.labels[p - 1] for p in positions)))
+        return Partition._of(relabel_r([x.labels[p - 1] for p in positions]))
     if isinstance(x, MarkedCompleteGraph):
         marks = dict(x.marks)
         k = len(positions)
@@ -798,7 +819,7 @@ def subsample_in_order(x, positions):
             ((a + 1, b + 1), marks[tuple(sorted((positions[a], positions[b])))])
             for a in range(k) for b in range(a + 1, k)))
     if isinstance(x, (tuple, list)):
-        return type(x)(x[p - 1] for p in positions)
+        return type(x)([x[p - 1] for p in positions])
     raise TypeError(f"no relabeling action for {type(x).__name__}")
 
 
@@ -824,9 +845,13 @@ def _pack(ints) -> bytes:
     """The count, then each int as a signed 32-bit big-endian word; an int
     that has no word of its own is escaped, so the packing is total over
     Python ints and injective."""
-    ints = list(ints)
-    if not ints or _ESCAPE < min(ints) and max(ints) < 2 ** 31:
-        return _words(len(ints))(len(ints), *ints)
+    if type(ints) is not list:
+        ints = list(ints)
+    if _ESCAPE not in ints:
+        try:
+            return _words(len(ints))(len(ints), *ints)
+        except struct.error:  # an int outside the signed 32-bit range
+            pass
     words = [_WORD(len(ints))]
     for v in ints:
         if _ESCAPE < v < 2 ** 31:
@@ -848,13 +873,13 @@ def key_for(x) -> bytes:
     every letter, so keys sort as (tag, packing) pairs, ball before balls."""
     if isinstance(x, VertexGraph):
         flat = [x.n]
-        for u, v in sorted(x.edges):
-            flat.extend((u, v))
+        for edge in sorted(x.edges):
+            flat += edge
         return b"vg:" + _pack(flat)
     if isinstance(x, EdgeSeqGraph):
         flat = []
-        for i, j in x.edges:
-            flat.extend((i, j))
+        for edge in x.edges:
+            flat += edge
         return b"es:" + _pack(flat)
     if isinstance(x, Partition):
         return b"part:" + _pack(x.labels)

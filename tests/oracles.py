@@ -13,6 +13,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from graphsample.structures import (
+    _ESCAPE,
+    _WORD,
     EdgeSeqGraph,
     Partition,
     VertexGraph,
@@ -23,6 +25,7 @@ from graphsample.structures import (
     restrict,
     restrict_vertices,
     shortest_path_marks,
+    _words,
 )
 
 
@@ -432,3 +435,52 @@ def parse_label_seq(text: str) -> tuple:
                              f"integer: {line!r}")
         seq.append(v)
     return tuple(seq)
+
+
+# ---------------------------------------------------------------------------
+# the replicate-path builders as they were before their one-pass versions,
+# and the checking constructors that _Record._of skips
+
+
+def relabel_rprime_three_pass(edges):
+    """Relabel an edge sequence: flatten, relabel by first appearance,
+    regroup into pairs, and swap each pair so the smaller vertex comes
+    first.  The result is always canonical."""
+    flat = []
+    for i, j in edges:
+        if i == j:
+            raise ValueError(f"self-loop pair ({i},{j})")
+        flat.extend((i, j))
+    relab = relabel_r(flat)
+    out = []
+    for a in range(0, len(relab), 2):
+        i, j = relab[a], relab[a + 1]
+        out.append((i, j) if i < j else (j, i))
+    return EdgeSeqGraph(tuple(out))
+
+
+def pack_min_max(ints) -> bytes:
+    """The count, then each int as a signed 32-bit big-endian word; an int
+    that has no word of its own is escaped, so the packing is total over
+    Python ints and injective."""
+    ints = list(ints)
+    if not ints or _ESCAPE < min(ints) and max(ints) < 2 ** 31:
+        return _words(len(ints))(len(ints), *ints)
+    words = [_WORD(len(ints))]
+    for v in ints:
+        if _ESCAPE < v < 2 ** 31:
+            words.append(_WORD(v))
+        else:
+            raw = v.to_bytes(v.bit_length() // 8 + 1, "big", signed=True)
+            words += (_WORD(_ESCAPE), _WORD(len(raw)), raw)
+    return b"".join(words)
+
+
+def as_checked(x):
+    """x's fields passed through its class's checking __init__, which must
+    accept them and store them unchanged: the value it builds equals x,
+    hashes as x does and holds fields of the same types."""
+    checked = type(x)(*x._values())
+    assert checked == x and hash(checked) == hash(x), (x, checked)
+    assert [type(v) for v in checked._values()] == [type(v) for v in x._values()], x
+    return checked

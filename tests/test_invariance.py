@@ -390,9 +390,22 @@ _TWO_CYCLES = VertexGraph(11, frozenset(
     [(1, 2), (2, 3), (1, 3)] + [(v, v + 1) for v in range(4, 11)] + [(4, 11)]))
 
 
+def _star_at(hub, n):
+    """The star on 1..n whose centre is vertex hub."""
+    return VertexGraph(n, frozenset((min(v, hub), max(v, hub))
+                                    for v in range(1, n + 1) if v != hub))
+
+
+# A star on 1-5 and a path on 6-11: the search from the hub, the vertex of
+# largest degree, reaches the star alone, whose eccentricities 1 and 2 would
+# end a search of a connected graph at 2; the diameter is the path's, 5.
+_STAR_AND_PATH = VertexGraph(11, frozenset(
+    [(1, v) for v in range(2, 6)] + [(v, v + 1) for v in range(6, 11)]))
+
+
 @pytest.mark.parametrize("g", [cycle_vertex(9), star_vertex(6), y4(), complete_vertex(5),
                                VertexGraph(7, frozenset((v, v + 1) for v in range(1, 7))),
-                               _TWO_CYCLES])
+                               _TWO_CYCLES, _star_at(4, 7), _STAR_AND_PATH])
 @pytest.mark.parametrize("radius", [1, 2, 3])
 def test_truncation_note_matches_brute_force_diameter(g, radius):
     rep = test_involution_invariance({1: 1.0}, g, g.n, radius, 0, RandomStream(0),
@@ -402,6 +415,34 @@ def test_truncation_note_matches_brute_force_diameter(g, radius):
             f"below the diameter {diam}; ball comparison may not be "
             f"meaningful for the infinite-graph statement"] if 2 * radius + 1 >= diam else []
     assert [note for note in rep.notes if note.startswith("truncation")] == want
+
+
+@st.composite
+def _graphs_up_to_12(draw):
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return VertexGraph(n, frozenset(draw(st.sets(st.sampled_from(pairs))) if pairs else ()))
+
+
+@given(_graphs_up_to_12(), st.integers(2, 8))
+def test_diameter_matches_brute_force_below_its_cap(g, cap):
+    assert invariance._diameter(g, g.adjacency(), cap) == min(_diameter_by_brute_force(g), cap)
+
+
+def test_diameter_of_a_star_stops_after_the_hub_and_one_leaf(monkeypatch):
+    # the hub's eccentricity 1 bounds a connected graph's diameter by 2,
+    # which the first leaf reaches: two searches of the 5000 vertices, not 5000
+    searches = []
+    bfs = invariance._bfs_distances
+
+    def counted(adj, source, limit):
+        searches.append(source)
+        return bfs(adj, source, limit=limit)
+
+    monkeypatch.setattr(invariance, "_bfs_distances", counted)
+    g = _star_at(2500, 5000)
+    assert invariance._diameter(g, g.adjacency(), 4) == 2
+    assert searches == [2500, 1]
 
 
 def test_truncation_check_stops_at_the_first_deep_vertex(monkeypatch):

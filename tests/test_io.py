@@ -313,6 +313,19 @@ _READERS = {"vertex": (gio.parse_vertex_graph, oracles.parse_vertex_graph),
             "label": (gio.parse_label_seq, oracles.parse_label_seq)}
 
 
+@pytest.mark.parametrize("fmt", ["vertex", "edge"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reader_value_passes_the_checks(fmt, data):
+    """A valid file's graph, built without its class's checks, is what the
+    checking constructor builds from the same fields."""
+    lines, _ = data.draw(_valid(fmt))
+    text = "".join(line + data.draw(_BREAKS) for line in lines)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gio, "MAX_VERTICES", _CAP)
+        oracles.as_checked(_READERS[fmt][0](text))
+
+
 @pytest.mark.parametrize("faults", [0, 1, 2])
 @pytest.mark.parametrize("fmt", list(_READERS))
 @settings(max_examples=100, deadline=None)

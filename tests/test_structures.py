@@ -1,10 +1,13 @@
+import ast
 import hashlib
 import inspect
 import itertools
 import pickle
 import random
+import re
 import struct
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from graphsample.structures import (
     canonical_rooted,
     degree_tree,
     degrees,
+    induced_ordered,
     is_ordered,
     key_for,
     key_text,
@@ -41,6 +45,7 @@ from graphsample.models import cycle_vertex, star_vertex, y4
 from graphsample.rng import RandomStream
 from graphsample.sampling import SamplerSpec
 
+import oracles
 from oracles import canonical_rooted_reference, refine_full
 
 
@@ -1140,3 +1145,130 @@ def test_vertex_graph_keeps_a_normal_edge_set_and_rebuilds_any_other():
         for edge_set in (frozenset(bad), set(bad), list(bad)):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 VertexGraph(n, edge_set)
+
+
+# -- values built from checked parts by _Record._of ------------------------------
+
+_PAIRS = st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(
+    lambda p: p[0] != p[1]).map(lambda p: (min(p), max(p))), max_size=9)
+_LABELS = st.lists(st.integers(1, 5), max_size=9).map(relabel_r)
+
+
+@settings(max_examples=60)
+@given(small_graphs(), st.data())
+def test_vertex_graphs_built_from_checked_parts_pass_the_checks(g, data):
+    # induced_ordered, restrict_vertices and restrict build without __init__
+    order = data.draw(st.permutations(range(1, g.n + 1)))
+    order = order[:data.draw(st.integers(0, g.n))]
+    assert oracles.as_checked(induced_ordered(g, order)) == oracles._induced(order, g)
+    m = data.draw(st.integers(1, g.n))
+    cut = restrict_vertices(g, m)
+    oracles.as_checked(cut)
+    assert cut.edges == {e for e in g.edges if e[1] <= m}
+    assert restrict(g, m) is cut
+
+
+@settings(max_examples=60)
+@given(_PAIRS, _LABELS, st.data())
+def test_prefixes_and_relabelings_built_from_checked_parts_pass_the_checks(pairs, labels, data):
+    # restrict's edge-sequence and partition prefixes, and subsample_in_order
+    for x in (EdgeSeqGraph(tuple(pairs)), Partition(labels)):
+        size = size_of(x)
+        d = data.draw(st.integers(0, size))
+        prefix = restrict(x, d)
+        if d < size:
+            oracles.as_checked(prefix)
+        assert prefix == type(x)(x._values()[0][:d])
+        positions = data.draw(st.permutations(range(1, size + 1)))
+        positions = positions[:data.draw(st.integers(0, size))]
+        out = oracles.as_checked(subsample_in_order(x, positions))
+        picked = [x._values()[0][p - 1] for p in positions]
+        if isinstance(x, EdgeSeqGraph):
+            assert out == oracles.relabel_rprime_three_pass(picked)
+        else:
+            assert out == Partition(relabel_r(picked))
+
+
+@given(st.lists(st.tuples(st.integers(-3, 6), st.integers(-3, 6)), max_size=8))
+def test_relabel_rprime_matches_the_three_pass_reference(pairs):
+    """Each pair's endpoints relabeled in one pass: the same sequence, or
+    the same self-loop refusal, as flattening, relabeling and regrouping."""
+    try:
+        want = oracles.relabel_rprime_three_pass(pairs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            relabel_rprime(pairs)
+        return
+    assert oracles.as_checked(relabel_rprime(pairs)) == want
+
+
+@settings(max_examples=60)
+@given(_LABELS.filter(bool), st.data())
+def test_sample_partition_passes_the_checks(labels, data):
+    n = data.draw(st.integers(1, len(labels)))
+    k = data.draw(st.integers(1, n))
+    out = sampling.sample_partition(Partition(labels), n, k, RandomStream(data.draw(st.integers(0, 99))))
+    oracles.as_checked(out)
+
+
+@settings(max_examples=40)
+@given(small_graphs(), st.data())
+def test_sparsified_sample_passes_the_checks(g, data):
+    k = data.draw(st.integers(1, g.n))
+    rho = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    out = sampling.sample_sparsified(g, g.n, k, rho, RandomStream(data.draw(st.integers(0, 99))))
+    oracles.as_checked(out)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 12), st.sampled_from([0.3, 1.0]), st.integers(0, 99))
+def test_graphon_draw_passes_the_checks(k, rho, seed):
+    w = models.StepGraphon((0.0, 0.5, 1.0), ((0.9, 0.2), (0.2, 0.6)))
+    oracles.as_checked(models.sparsified_graphon_draw(w, rho, k, RandomStream(seed)))
+
+
+_PACK_EDGES = [-2 ** 31, -2 ** 31 + 1, 2 ** 31 - 1, 2 ** 31, 10 ** 20, -10 ** 20]
+
+
+@pytest.mark.parametrize("ints", [[], *([v] for v in _PACK_EDGES), [1, -2 ** 31, 2],
+                                  [3, 2 ** 31 - 1, -2 ** 31 + 1], _PACK_EDGES],
+                         ids=lambda ints: ",".join(map(str, ints)) or "empty")
+def test_pack_matches_the_min_max_reference_at_the_word_edges(ints):
+    assert structures._pack(ints) == oracles.pack_min_max(ints)
+
+
+@given(st.lists(st.one_of(st.integers(-2 ** 31 - 2, -2 ** 31 + 2), st.integers(-9, 9),
+                          st.integers(2 ** 31 - 2, 2 ** 31 + 2), st.integers())))
+def test_pack_matches_the_min_max_reference(ints):
+    assert structures._pack(ints) == oracles.pack_min_max(ints)
+
+
+def _of_calls() -> set:
+    """(module, function) of every _of( call in the package, the function
+    being the one that encloses the call (None at module level)."""
+    found = set()
+    for path in sorted(Path(structures.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_of"):
+                found.add((path.stem, where))
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(tree, None)
+    return found
+
+
+def test_every_of_caller_is_named_in_its_docstring():
+    """A value built by _Record._of skips its checks, so each function that
+    calls it must be one the docstring names as building from checked parts."""
+    callers = structures._Record._of.__doc__.split("callers are", 1)[1]
+    named = set(re.findall(r"\b(\w+)\.(\w+)\b", callers))
+    calls = _of_calls()
+    assert calls, "no _of( call found"
+    assert calls <= named, f"callers not named in _Record._of's docstring: {sorted(calls - named)}"
+    assert named <= calls, f"named in _Record._of's docstring, calling no _of: {sorted(named - calls)}"
