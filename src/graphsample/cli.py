@@ -248,10 +248,10 @@ def _cmd_estimate(args) -> int:
         return 0
     rng = RandomStream(args.seed)
     if args.what in ("vector", "density", "lln"):
-        _, sampled, reported, _ = _ALGORITHMS[args.algo]
+        _, sampled, reported, *_ = _ALGORITHMS[args.algo]
         if args.what == "density" and reported is not sampled:
             # a pattern file is read as the kind sampled
-            names = [a for a, (_, i, o, _) in _ALGORITHMS.items() if o is not i]
+            names = [a for a, (_, i, o, *_) in _ALGORITHMS.items() if o is not i]
             raise UsageError("--what density reads its pattern as the sampler's "
                              f"output, and {', '.join(names[:-1])} and {names[-1]} "
                              "outputs have no pattern file format; use --what vector")

@@ -8,6 +8,12 @@ replicate loop run its contiguous ranges in forked processes, one per CPU
 the process may run on (_over_ranges), which joins their parts in range
 order, so a tally is bit-identical, dict order included, to one process.
 
+A replicate of an algorithm whose sampling._ALGORITHMS row names a code
+function computes only that code, with the sampler's own checks and draws.
+A code determines the output, so each process builds and keys the output
+of each distinct code once, by running the sampler again on a fresh copy
+of the first replicate's stream that drew the code.
+
 A symmetrized empirical average is exact while its (k)_j arrangements fit
 its num_perms budget, and sampled from the stream it is given above that.
 """
@@ -23,7 +29,7 @@ from collections import Counter
 from math import fsum
 
 from .rng import RandomStream
-from .sampling import _as_sampler, _check_k_within_n, _check_schedule
+from .sampling import _check_k_within_n, _check_schedule, _coded
 from .structures import EdgeSeqGraph, _Frozen, _Record, key_for, size_of, subsample_in_order
 
 EXACT_TOL = 1e-9  # TV two equal exact laws may show from float rounding alone
@@ -76,9 +82,17 @@ def compare(a, b) -> tuple:
     return tv, (4.0 * math.sqrt(noise) if noise else EXACT_TOL)
 
 
-def tally_outputs(sampler, y, n: int, k: int, reps: int, rng: RandomStream) -> PatternTally:
-    """Run ``sampler(y, n, k, stream_r)`` for reps replicates and tally the
-    canonical keys of the outputs; replicate r always uses rng.substream(r).
+def tally_outputs(spec_or_sampler, y, n: int, k: int, reps: int,
+                  rng: RandomStream) -> PatternTally:
+    """Tally the canonical keys of reps replicates of ``sampler(y, n, k,
+    stream_r)``, the sampler a SamplerSpec names or a plain callable;
+    replicate r always uses rng.substream(r).
+
+    For a spec whose row names a code function, replicate r computes only
+    its code.  The first replicate this process sees with a new code gets
+    the key of ``sampler(y, n, k, rng.substream(r))``, run on a fresh copy
+    of its stream, and later replicates with that code reuse the key, so
+    the counts and their order are those of a sampler call per replicate.
 
     y reaches the sampler as given.  A graph sampler of the package cuts
     y|n in its first replicate and y keeps that cut (restrict_vertices), so
@@ -87,10 +101,23 @@ def tally_outputs(sampler, y, n: int, k: int, reps: int, rng: RandomStream) -> P
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    sampler, code = _coded(spec_or_sampler)
+    if code is None:
+        def run(lo, hi):  # key counts of replicates lo..hi-1, first occurrence first
+            return Counter(key_for(sampler(y, n, k, rng.substream(r)))
+                           for r in range(lo, hi))
+    else:
+        keys = {}  # code -> the key of the output it determines
 
-    def run(lo, hi):  # key counts of replicates lo..hi-1, first occurrence first
-        return Counter(key_for(sampler(y, n, k, rng.substream(r)))
-                       for r in range(lo, hi))
+        def run(lo, hi):
+            part = Counter()
+            for r in range(lo, hi):
+                c = code(y, n, k, rng.substream(r))
+                key = keys.get(c)
+                if key is None:
+                    key = keys[c] = key_for(sampler(y, n, k, rng.substream(r)))
+                part[key] += 1
+            return part
 
     return PatternTally(_over_ranges(reps, run), reps)
 
@@ -205,9 +232,11 @@ def _child(wfd: int, run, lo: int, hi: int):
 def prefix_density_vector(spec_or_sampler, y, n: int, k: int, reps: int,
                           rng: RandomStream) -> PatternTally:
     """Tally of all observed size-k outputs; unobserved patterns implicitly
-    carry density 0."""
-    sampler = _as_sampler(spec_or_sampler)
-    return tally_outputs(sampler, y, n, k, reps, rng)
+    carry density 0.  It is tally_outputs with the spec handed on as
+    given, so a row with a code builds and keys each distinct output once;
+    the name stays because perfbench's tracer times it as an estimator
+    driver."""
+    return tally_outputs(spec_or_sampler, y, n, k, reps, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -255,25 +284,51 @@ def lln_trace(spec_or_sampler, y, n: int, f, j: int, k_schedule, reps: int,
     """Group-averaged law of large numbers trace: for each k in the schedule,
     the mean over replicates of the symmetrized empirical average of f
     applied to a fresh size-k sample, exact while (k)_j <= num_perms and
-    sampled from the replicate's stream above that.  y reaches the sampler
-    as given, as in tally_outputs.  A schedule size above n is refused
-    before any replicate, as sampling._check_k_within_n says."""
+    sampled from the replicate's stream above that.  f must be a function
+    of its argument alone.
+
+    y reaches the sampler as given, as in tally_outputs.  In the exact
+    regime a spec whose row names a code function averages once per
+    distinct code, as tally_outputs keys once: the first replicate with a
+    new code averages the output of the sampler run again on a fresh copy
+    of its stream, and later replicates with that code reuse the average.
+    In the sampled regime every replicate samples and averages, since the
+    average reads the stream after the sampler's draws.
+
+    Refused before any replicate: reps below 1, a schedule that is empty,
+    holds a size below 1 or does not increase, a j outside 1..min(schedule),
+    and a schedule size above n, as sampling._check_k_within_n says."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
     ks = _check_schedule(k_schedule)
+    if not 1 <= j <= ks[0]:
+        raise ValueError(f"j = {j} outside 1..{ks[0]}")
     _check_k_within_n(spec_or_sampler, ks[-1], n, f"schedule size {ks[-1]}")
-    sampler = _as_sampler(spec_or_sampler)
+    sampler, code = _coded(spec_or_sampler)
     estimates = []
     for i, k in enumerate(ks):
         point = rng.substream("lln", i)  # point.substream(r) is rng.substream("lln", i, r)
+        if code is None or math.perm(k, j) > num_perms:
+            def run(lo, hi):  # the averages of replicates lo..hi-1
+                vals = []
+                for r in range(lo, hi):
+                    stream = point.substream(r)
+                    x_k = sampler(y, n, k, stream)
+                    vals.append(empirical_average(x_k, f, j, num_perms, stream))
+                return vals
+        else:
+            averages = {}  # code -> the average of the output it determines
 
-        def run(lo, hi):  # the averages of replicates lo..hi-1
-            vals = []
-            for r in range(lo, hi):
-                stream = point.substream(r)
-                x_k = sampler(y, n, k, stream)
-                vals.append(empirical_average(x_k, f, j, num_perms, stream))
-            return vals
+            def run(lo, hi):
+                vals = []
+                for r in range(lo, hi):
+                    c = code(y, n, k, point.substream(r))
+                    avg = averages.get(c)
+                    if avg is None:
+                        x_k = sampler(y, n, k, point.substream(r))
+                        avg = averages[c] = empirical_average(x_k, f, j, num_perms)
+                    vals.append(avg)
+                return vals
 
         estimates.append(fsum(_over_ranges(reps, run)) / reps)
     return LLNTrace(ks, tuple(estimates))

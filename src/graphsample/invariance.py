@@ -17,7 +17,7 @@ from itertools import accumulate
 
 from .estimate import PatternTally, compare, tally_outputs
 from .rng import RandomStream
-from .sampling import _ALGORITHMS, SamplerSpec, _as_sampler, _check_k_within_n
+from .sampling import _ALGORITHMS, SamplerSpec, _check_k_within_n, _coded
 from .structures import (
     RootedGraph,
     VertexGraph,
@@ -93,7 +93,7 @@ def _row(spec_or_sampler):
     """(algorithm, its _ALGORITHMS row); all None for a plain sampler."""
     if isinstance(spec_or_sampler, SamplerSpec):
         return spec_or_sampler.algorithm, _ALGORITHMS[spec_or_sampler.algorithm]
-    return None, (None,) * 4
+    return None, (None,) * 5
 
 
 def _random_perm(k: int, rng: RandomStream) -> tuple:
@@ -115,12 +115,12 @@ def test_exchangeability(spec_or_sampler, y, n: int, k: int, reps: int,
 
     An algorithm that reports one ball (bs_root) is refused before any
     replicate: a ball's size is a radius, so it has no positions to permute."""
-    algorithm, (_, _, reported, _) = _row(spec_or_sampler)
+    algorithm, (_, _, reported, *_) = _row(spec_or_sampler)
     if reported is RootedGraph:
         raise ValueError(f"{algorithm} reports one ball, whose size is a radius, "
                          "so it has no positions to permute for exchangeability")
-    sampler = _as_sampler(spec_or_sampler)
-    tally_a = tally_outputs(sampler, y, n, k, reps, rng.substream("exch", 0))
+    tally_a = tally_outputs(spec_or_sampler, y, n, k, reps, rng.substream("exch", 0))
+    sampler, _ = _coded(spec_or_sampler)
 
     def permuted(yy, nn, kk, stream):
         out = sampler(yy, nn, kk, stream)
@@ -139,7 +139,7 @@ def test_idempotence(spec_or_sampler, y, n: int, m: int, k: int, reps: int,
     (p_sample), since its output size is random and the second stage at a
     fixed m is undefined, and one whose output kind is not its input kind
     (shortest_path, ego, bs_root), since the second stage cannot sample it."""
-    algorithm, (_, sampled, reported, extra) = _row(spec_or_sampler)
+    algorithm, (_, sampled, reported, extra, _) = _row(spec_or_sampler)
     if extra == "p":
         raise ValueError(f"{algorithm} has a random output size, so idempotence "
                          "through a fixed middle size m is undefined")
@@ -149,8 +149,8 @@ def test_idempotence(spec_or_sampler, y, n: int, m: int, k: int, reps: int,
                          "sample its output again")
     if not (1 <= k <= m <= n):
         raise ValueError("need k <= m <= n")
-    sampler = _as_sampler(spec_or_sampler)
-    tally_a = tally_outputs(sampler, y, n, k, reps, rng.substream("idem", 0))
+    tally_a = tally_outputs(spec_or_sampler, y, n, k, reps, rng.substream("idem", 0))
+    sampler, _ = _coded(spec_or_sampler)
 
     def composed(yy, nn, kk, stream):
         z = sampler(yy, nn, m, stream)
@@ -175,11 +175,10 @@ def test_equivalence(spec_or_sampler, y, y2, n: int, k_max: int, reps: int,
     if k_max < 1 and not takes_p:
         raise ValueError("k_max must be >= 1")
     _check_k_within_n(spec_or_sampler, k_max, n, f"k_max = {k_max}")
-    sampler = _as_sampler(spec_or_sampler)
 
     def compared(k, name, notes=()):
-        ta = tally_outputs(sampler, y, n, k, reps, rng.substream("equiv", 0, k))
-        tb = tally_outputs(sampler, y2, n, k, reps, rng.substream("equiv", 1, k))
+        ta = tally_outputs(spec_or_sampler, y, n, k, reps, rng.substream("equiv", 0, k))
+        tb = tally_outputs(spec_or_sampler, y2, n, k, reps, rng.substream("equiv", 1, k))
         return _report(name, ta, tb, notes)
 
     if takes_p:  # one law per input, drawn from the depth-1 streams

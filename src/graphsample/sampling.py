@@ -41,18 +41,24 @@ from .structures import (
 
 # name -> (the function that runs it, by its name in this module, the kind
 # it samples, the kind it reports, the parameter it takes: "p" in k's place,
-# "rho" after k, or None), in the order --help lists the names
+# "rho" after k, or None, and the name of its code function or None), in the
+# order --help lists the names.  A code function _code_<alg>(y, n, k, rng)
+# makes the sampler's checks and draws and returns a hashable value that
+# determines the output, so a tally builds and keys each distinct code's
+# output once.  Outputs that rarely repeat get no code.
 _ALGORITHMS = {
-    "uniform_vertex": ("sample_uniform_vertex", VertexGraph, VertexGraph, None),
-    "sparsified": ("sample_sparsified", VertexGraph, VertexGraph, "rho"),
-    "p_sample": ("sample_p", VertexGraph, VertexGraph, "p"),
-    "degree_biased": ("sample_degree_biased", VertexGraph, VertexGraph, None),
-    "shortest_path": ("sample_shortest_path", VertexGraph, MarkedCompleteGraph, None),
-    "sequence": ("sample_sequence", tuple, tuple, None),
-    "partition": ("sample_partition", Partition, Partition, None),
-    "edge": ("sample_edges", EdgeSeqGraph, EdgeSeqGraph, None),
-    "ego": ("sample_ego", VertexGraph, list, None),
-    "bs_root": ("sample_bs", VertexGraph, RootedGraph, None),
+    "uniform_vertex": ("sample_uniform_vertex", VertexGraph, VertexGraph, None,
+                       "_code_uniform_vertex"),
+    "sparsified": ("sample_sparsified", VertexGraph, VertexGraph, "rho", None),
+    "p_sample": ("sample_p", VertexGraph, VertexGraph, "p", None),
+    "degree_biased": ("sample_degree_biased", VertexGraph, VertexGraph, None,
+                      "_code_degree_biased"),
+    "shortest_path": ("sample_shortest_path", VertexGraph, MarkedCompleteGraph, None, None),
+    "sequence": ("sample_sequence", tuple, tuple, None, "_code_sequence"),
+    "partition": ("sample_partition", Partition, Partition, None, "_code_partition"),
+    "edge": ("sample_edges", EdgeSeqGraph, EdgeSeqGraph, None, "_code_edges"),
+    "ego": ("sample_ego", VertexGraph, list, None, None),
+    "bs_root": ("sample_bs", VertexGraph, RootedGraph, None, None),
 }
 ALGORITHMS = tuple(_ALGORITHMS)
 
@@ -255,11 +261,68 @@ def sample_bs(y: VertexGraph, n: int, k: int, rng: RandomStream) -> RootedGraph:
     return ball(y_n, root, k)
 
 
+# ---------------------------------------------------------------------------
+# codes: what determines an output, found with the sampler's checks and draws
+
+
+def _pair_mask(y_n: VertexGraph, order) -> int:
+    """The selected pairs present in y_n as one int, bit a*k + b for the
+    a-th and b-th of the k selected vertices, a < b, counted from 0: the
+    edges of induced_ordered(y_n, order), found as that function finds
+    them, pair by pair when the pairs are no more than the edges and edge
+    by edge otherwise."""
+    k = len(order)
+    mask = 0
+    if k * (k - 1) // 2 <= len(y_n.edges):
+        present = y_n.edges
+        for a in range(k):
+            u = order[a]
+            for b in range(a + 1, k):
+                v = order[b]
+                if ((u, v) if u < v else (v, u)) in present:
+                    mask |= 1 << (a * k + b)
+    else:
+        pos = {v: i for i, v in enumerate(order)}
+        for u, v in y_n.edges:
+            a, b = pos.get(u), pos.get(v)
+            if a is not None and b is not None:
+                mask |= 1 << (a * k + b if a < b else b * k + a)
+    return mask
+
+
+def _code_uniform_vertex(y: VertexGraph, n: int, k: int, rng: RandomStream) -> int:
+    y_n = _restricted(y, n, k)
+    return _pair_mask(y_n, rng.distinct(n, k))
+
+
+def _code_degree_biased(y: VertexGraph, n: int, k: int, rng: RandomStream) -> int:
+    y_n = _restricted(y, n, k)
+    return _pair_mask(y_n, _draw_weighted_distinct(degrees(y_n), degree_tree(y_n), k, rng))
+
+
+def _code_sequence(y: tuple, n: int, k: int, rng: RandomStream) -> tuple:
+    _restricted(y, n, k, tuple)
+    return tuple([y[p - 1] for p in rng.distinct(n, k)])
+
+
+def _code_partition(pi: Partition, n: int, k: int, rng: RandomStream) -> tuple:
+    _restricted(pi, n, k, Partition)
+    labels = pi.labels
+    return relabel_r([labels[p - 1] for p in rng.distinct(n, k)])
+
+
+def _code_edges(y: EdgeSeqGraph, n: int, k: int, rng: RandomStream) -> tuple:
+    """The drawn pairs' endpoints, relabeled by first appearance."""
+    _restricted(y, n, k, EdgeSeqGraph)
+    edges = y.edges
+    return relabel_r([v for p in rng.distinct(n, k) for v in edges[p - 1]])
+
+
 def make_sampler(spec: SamplerSpec):
     """Uniform call surface f(y, n, k, rng) for any SamplerSpec: the
     function its _ALGORITHMS row names, looked up in this module now, so a
     wrapper bound to that name runs.  p_sample ignores k (random size)."""
-    name, _, _, extra = _ALGORITHMS[spec.algorithm]
+    name, _, _, extra, _ = _ALGORITHMS[spec.algorithm]
     run = globals()[name]
     if extra == "p":
         return lambda y, n, k, rng: run(y, n, spec.p, rng)
@@ -288,14 +351,19 @@ def _check_k_within_n(spec_or_sampler, k: int, n: int, what: str):
     no k.  what names k in the message.  A plain sampler callable is left
     to its own checks."""
     if isinstance(spec_or_sampler, SamplerSpec) and k > n:
-        _, _, reported, extra = _ALGORITHMS[spec_or_sampler.algorithm]
+        _, _, reported, extra, _ = _ALGORITHMS[spec_or_sampler.algorithm]
         if reported is not RootedGraph and extra != "p":
             raise ValueError(f"{what} exceeds n = {n}")
 
 
-def _as_sampler(spec_or_sampler):
-    """A sampler callable as is, or make_sampler of a SamplerSpec."""
-    return spec_or_sampler if callable(spec_or_sampler) else make_sampler(spec_or_sampler)
+def _coded(spec_or_sampler) -> tuple:
+    """(the sampler, its code function or None): the code that a
+    SamplerSpec's row names, looked up in this module now; a plain sampler
+    callable has none."""
+    if callable(spec_or_sampler):
+        return spec_or_sampler, None
+    code = _ALGORITHMS[spec_or_sampler.algorithm][4]
+    return make_sampler(spec_or_sampler), code and globals()[code]
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +402,7 @@ def diagnose_limit(spec: SamplerSpec, y, k: int, schedule, reps: int,
     if schedule[-1] > size_of(y):
         raise ValueError(f"schedule maximum {schedule[-1]} exceeds input size "
                          f"{size_of(y)}")
-    sampler = make_sampler(spec)
-    tallies = [tally_outputs(sampler, y, n, k, reps, rng.substream("diagnose", i))
+    tallies = [tally_outputs(spec, y, n, k, reps, rng.substream("diagnose", i))
                for i, n in enumerate(schedule)]
     tvs = tuple(compare(a, b)[0] for a, b in zip(tallies, tallies[1:]))
     checked = tvs[1:] if len(tvs) > 1 else tvs

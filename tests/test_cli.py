@@ -951,6 +951,38 @@ def test_estimate_lln_schedule_not_increasing_usage_error(schedule, message, tmp
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("j", ["0", "3"])
+def test_estimate_lln_j_outside_the_schedule_usage_error(j, tmp_path, capsys, monkeypatch):
+    """Refused before any replicate: neither the sampler nor its code runs."""
+    seq = tmp_path / "seq.txt"
+    main(["generate", "alternating", "--n", "6", "--out", str(seq)])
+    capsys.readouterr()
+    calls = _count_calls(monkeypatch, "sample_sequence")
+    codes = _count_calls(monkeypatch, "_code_sequence")
+    code = main(["estimate", "--what", "lln", "--algo", "sequence", "--in", str(seq),
+                 "--n", "6", "--j", j, "--schedule", "2,4"])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: j = {j} outside 1..2\n")
+    assert calls == codes == []
+
+
+def test_estimate_vector_builds_each_distinct_output_once(tmp_path, capsys, monkeypatch):
+    """A row with a code calls its sampler once per distinct code, not once
+    per replicate; uniform_vertex's codes and keys correspond one to one.
+    One CPU keeps every replicate in this process, where the calls are
+    counted."""
+    y4_file = tmp_path / "y4.txt"
+    main(["generate", "y4", "--out", str(y4_file)])
+    capsys.readouterr()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    calls = _count_calls(monkeypatch, "sample_uniform_vertex")
+    assert main(["estimate", "--what", "vector", "--algo", "uniform_vertex",
+                 "--in", str(y4_file), "--n", "4", "--k", "3", "--reps", "2000"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]  # below # seed= and the header
+    assert sum(int(row.split(",")[1]) for row in rows) == 2000
+    assert 1 <= len(calls) <= len(rows)
+
+
 def test_diagnose_reads_n(tmp_path, capsys):
     """diagnose cuts its input to --n first: a schedule point past n is
     refused, and --n at the input size changes nothing."""

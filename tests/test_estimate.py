@@ -2,6 +2,8 @@ import math
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from graphsample import sampling
 from graphsample.estimate import (
@@ -32,7 +34,7 @@ from graphsample.models import (
 from graphsample.models import complete_vertex, cycle_vertex
 from graphsample.rng import RandomStream
 from graphsample.sampling import SamplerSpec, sample_edges
-from graphsample.structures import EdgeSeqGraph, Partition, VertexGraph, key_for
+from graphsample.structures import EdgeSeqGraph, Partition, VertexGraph, key_for, relabel_r
 
 import oracles
 
@@ -266,6 +268,24 @@ def test_lln_trace_refuses_a_schedule_size_above_n_before_sampling(monkeypatch):
     # a plain sampler callable is left to its own checks
     lln_trace(sampler, (1, 2) * 20, 40, lambda s: 1.0, 1, (2, 41), 1, RandomStream(0))
     assert calls == [2, 41]
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_lln_trace_refuses_j_outside_the_schedule_before_sampling(j, monkeypatch):
+    calls = []
+
+    def sampler(y, n, k, stream):
+        calls.append(k)
+        return y[:k]
+
+    # the row's sampler and code both record, so no replicate may start
+    monkeypatch.setattr(sampling, "sample_sequence", sampler)
+    monkeypatch.setattr(sampling, "_code_sequence", sampler)
+    for spec_or_sampler in (SamplerSpec("sequence"), sampler):
+        with pytest.raises(ValueError, match=rf"^j = {j} outside 1..2$"):
+            lln_trace(spec_or_sampler, (1, 2, 3) * 2, 6, _first_is_one, j, (2, 4), 5,
+                      RandomStream(0))
+    assert calls == []
 
 
 # -- profiles ----------------------------------------------------------------------------
@@ -658,3 +678,76 @@ def _first_is_one(x):
 def test_estimate_refusals(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+# -- coded tallies -------------------------------------------------------------------
+#
+# A row with a code function tallies codes and builds each distinct code's
+# output once; its tallies and traces must equal those of the sampler called
+# on every replicate, at one process and split across two.
+
+_CODED = [algo for algo, row in sampling._ALGORITHMS.items() if row[4]]
+
+
+@st.composite
+def _coded_case(draw, algo):
+    """(input of algo's kind, n, k) with 1 <= k <= n <= the input's size."""
+    size = draw(st.integers(1, 7))
+    kind = sampling._ALGORITHMS[algo][1]
+    if kind is VertexGraph:
+        pairs = [(u, v) for v in range(2, size + 1) for u in range(1, v)]
+        y = VertexGraph(size, frozenset(draw(st.lists(st.sampled_from(pairs), unique=True))
+                                        if pairs else ()))
+    elif kind is EdgeSeqGraph:
+        y = EdgeSeqGraph(tuple(draw(st.lists(
+            st.tuples(st.integers(1, 4), st.integers(5, 6)) | st.just((1, 2)),
+            min_size=size, max_size=size))))
+    else:
+        labels = tuple(draw(st.lists(st.integers(1, 3), min_size=size, max_size=size)))
+        y = Partition(relabel_r(labels)) if kind is Partition else labels
+    n = draw(st.integers(1, size))
+    return y, n, draw(st.integers(1, n))
+
+
+def _key_byte_sum(x):
+    """A function of an output alone, defined for every kind: its key's
+    byte sum mod 7."""
+    return float(sum(key_for(x)) % 7)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_CODED).flatmap(lambda algo: st.tuples(st.just(algo),
+                                                              _coded_case(algo))),
+       st.integers(1, 40), st.integers(0, 2**32), st.integers(1, 2))
+def test_a_coded_tally_equals_the_samplers(forked, case, reps, seed, procs):
+    algo, (y, n, k) = case
+    forks = forked(procs)
+    made = len(forks)
+    spec = SamplerSpec(algo)
+    coded = tally_outputs(spec, y, n, k, reps, RandomStream(seed))
+    called = tally_outputs(sampling.make_sampler(spec), y, n, k, reps, RandomStream(seed))
+    assert list(coded.counts.items()) == list(called.counts.items())
+    assert coded.reps == called.reps == reps
+    # two processes split each tally after its first replicate, if two are left
+    assert len(forks) - made == (2 if procs == 2 and reps > 2 else 0)
+
+
+@pytest.mark.parametrize("num_perms", [1, 10_000], ids=["sampled", "exact"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_CODED).flatmap(lambda algo: st.tuples(st.just(algo),
+                                                              _coded_case(algo))),
+       st.data(), st.integers(1, 30), st.integers(0, 2**32), st.integers(1, 2))
+def test_a_coded_lln_trace_equals_the_samplers(forked, num_perms, case, data, reps, seed,
+                                               procs):
+    algo, (y, n, _) = case
+    forked(procs)
+    schedule = sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=3)))
+    j = data.draw(st.integers(1, schedule[0]))
+    spec = SamplerSpec(algo)
+    coded = lln_trace(spec, y, n, _key_byte_sum, j, schedule, reps, RandomStream(seed),
+                      num_perms)
+    called = lln_trace(sampling.make_sampler(spec), y, n, _key_byte_sum, j, schedule,
+                       reps, RandomStream(seed), num_perms)
+    assert coded == called

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphsample import sampling
 from graphsample.estimate import tally_outputs
 from graphsample.models import (
     alternating_seq,
@@ -627,3 +628,55 @@ def test_readme_table_is_the_algorithm_table():
     rows = re.findall(r"^\| `(\w+)` +\| ([^|]*?) +\|", (ROOT / "README.md").read_text(),
                       re.MULTILINE)
     assert rows == [(name, words[row[1]]) for name, row in _ALGORITHMS.items()]
+
+
+# -- code functions -----------------------------------------------------------------
+
+_CODED = {algo: row[4] for algo, row in _ALGORITHMS.items() if row[4]}
+# an input of another kind than each row samples, and an empty one of its kind
+_WRONG_KIND = {VertexGraph: (1, 2, 3), tuple: y4(), Partition: (1, 1, 2),
+               EdgeSeqGraph: y4()}
+_EMPTY = {VertexGraph: VertexGraph(0), tuple: (), Partition: Partition(()),
+          EdgeSeqGraph: EdgeSeqGraph(())}
+
+
+def _outcome(fn, *args):
+    """The type and message of the error fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("algorithm", sorted(_CODED))
+def test_a_code_makes_its_samplers_draws_and_determines_its_key(algorithm):
+    """On one stream, a code ends at its sampler's final counter, and equal
+    codes give equal keys; k up to n covers both ways the vertex codes read
+    the graph (pair by pair, and edge by edge once pairs outnumber edges)."""
+    code = getattr(sampling, _CODED[algorithm])
+    sampler = make_sampler(SamplerSpec(algorithm))
+    y = _RESTRICTION_INPUTS.get(algorithm, _HUB_PATH)
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            keys = {}
+            for seed in range(12):
+                a, b = RandomStream(seed, n), RandomStream(seed, n)
+                c = code(y, n, k, a)
+                key = key_for(sampler(y, n, k, b))
+                assert a.counter == b.counter, f"n {n}, k {k}, seed {seed}"
+                assert keys.setdefault(c, key) == key, f"n {n}, k {k}, seed {seed}"
+
+
+@pytest.mark.parametrize("algorithm", sorted(_CODED))
+def test_a_code_refuses_what_its_sampler_refuses(algorithm):
+    code = getattr(sampling, _CODED[algorithm])
+    sampler = make_sampler(SamplerSpec(algorithm))
+    kind = _ALGORITHMS[algorithm][1]
+    y = _RESTRICTION_INPUTS.get(algorithm, _HUB_PATH)
+    cases = [(_WRONG_KIND[kind], 2, 1), (_EMPTY[kind], 1, 1),
+             (y, 0, 1), (y, 10, 1), (y, 5, 0), (y, 5, 6)]
+    for args in cases:
+        refused = _outcome(sampler, *args, RandomStream(0))
+        assert refused is not None, args
+        assert _outcome(code, *args, RandomStream(0)) == refused, args
