@@ -9,10 +9,13 @@ the process may run on (_over_ranges), which joins their parts in range
 order, so a tally is bit-identical, dict order included, to one process.
 
 A replicate of an algorithm whose sampling._ALGORITHMS row names a code
-function computes only that code, with the sampler's own checks and draws.
-A code determines the output, so each process builds and keys the output
-of each distinct code once, by running the sampler again on a fresh copy
-of the first replicate's stream that drew the code.
+function computes that code, with the sampler's own checks and draws.  A
+code determines the output, so a process builds and keys (or averages) the
+output of each distinct code once, by running the sampler again on a fresh
+copy of the first replicate's stream that drew the code.  A code costs
+about what the sampler's draws cost, so a process whose first _PROBE codes
+were more than _NEW_SHARE new calls the sampler on every later replicate
+(_by_code).
 
 A symmetrized empirical average is exact while its (k)_j arrangements fit
 its num_perms budget, and sampled from the stream it is given above that.
@@ -29,12 +32,14 @@ from collections import Counter
 from math import fsum
 
 from .rng import RandomStream
-from .sampling import _check_k_within_n, _check_schedule, _coded
+from .sampling import _check_k_within_n, _check_schedule, _coded, _sized_by_k
 from .structures import EdgeSeqGraph, _Frozen, _Record, key_for, size_of, subsample_in_order
 
 EXACT_TOL = 1e-9  # TV two equal exact laws may show from float rounding alone
 _SPLIT_S = 0.05  # seconds of replicates left that pay for one more process
 _in_child = False  # set in a forked child, which never forks again
+_PROBE = 512  # replicates a process codes before it judges whether codes repeat
+_NEW_SHARE = 0.5  # the share of new codes among them above which coding stops
 
 
 class PatternTally(_Frozen):
@@ -88,11 +93,10 @@ def tally_outputs(spec_or_sampler, y, n: int, k: int, reps: int,
     stream_r)``, the sampler a SamplerSpec names or a plain callable;
     replicate r always uses rng.substream(r).
 
-    For a spec whose row names a code function, replicate r computes only
-    its code.  The first replicate this process sees with a new code gets
-    the key of ``sampler(y, n, k, rng.substream(r))``, run on a fresh copy
-    of its stream, and later replicates with that code reuse the key, so
-    the counts and their order are those of a sampler call per replicate.
+    For a spec whose row names a code function, replicate r computes its
+    code, and the key of ``sampler(y, n, k, rng.substream(r))`` is found
+    once per distinct code in each process (_by_code), so the counts and
+    their order are those of a sampler call per replicate.
 
     y reaches the sampler as given.  A graph sampler of the package cuts
     y|n in its first replicate and y keeps that cut (restrict_vertices), so
@@ -102,24 +106,44 @@ def tally_outputs(spec_or_sampler, y, n: int, k: int, reps: int,
     if reps < 1:
         raise ValueError("reps must be >= 1")
     sampler, code = _coded(spec_or_sampler)
+    values = _by_code(lambda r: key_for(sampler(y, n, k, rng.substream(r))),
+                      code and (lambda r: code(y, n, k, rng.substream(r))))
+    # key counts of replicates lo..hi-1, first occurrence first
+    return PatternTally(_over_ranges(reps, lambda lo, hi: Counter(values(lo, hi))), reps)
+
+
+def _by_code(value, code):
+    """A function of (lo, hi) that lists value(r) for r in lo..hi-1, for
+    value(r) a function of replicate r's output, found by a sampler call on
+    its stream, and code(r), or None, the code of that output.
+
+    With a code, the first replicate with a new code in this process calls
+    value(r) and later ones with that code reuse it.  Once this process has
+    coded _PROBE replicates, it stops coding if more than _NEW_SHARE of
+    them drew a new code, since a code costs about what the sampler's draws
+    cost and saves only when it repeats; every later replicate then calls
+    value(r).  Either way each value is value(r)'s own.
+    """
     if code is None:
-        def run(lo, hi):  # key counts of replicates lo..hi-1, first occurrence first
-            return Counter(key_for(sampler(y, n, k, rng.substream(r)))
-                           for r in range(lo, hi))
-    else:
-        keys = {}  # code -> the key of the output it determines
+        return lambda lo, hi: [value(r) for r in range(lo, hi)]
+    memo = {}  # code -> the value of the output it determines
+    coded = 0  # replicates coded in this process
 
-        def run(lo, hi):
-            part = Counter()
-            for r in range(lo, hi):
-                c = code(y, n, k, rng.substream(r))
-                key = keys.get(c)
-                if key is None:
-                    key = keys[c] = key_for(sampler(y, n, k, rng.substream(r)))
-                part[key] += 1
-            return part
-
-    return PatternTally(_over_ranges(reps, run), reps)
+    def values(lo, hi):
+        nonlocal coded
+        out = []
+        for r in range(lo, hi):
+            if coded == _PROBE and len(memo) > _NEW_SHARE * _PROBE:
+                out += map(value, range(r, hi))  # codes rarely repeat here
+                break
+            c = code(r)
+            v = memo.get(c)
+            if v is None:
+                v = memo[c] = value(r)
+            out.append(v)
+            coded += 1
+        return out
+    return values
 
 
 def _over_ranges(reps: int, run):
@@ -289,48 +313,32 @@ def lln_trace(spec_or_sampler, y, n: int, f, j: int, k_schedule, reps: int,
 
     y reaches the sampler as given, as in tally_outputs.  In the exact
     regime a spec whose row names a code function averages once per
-    distinct code, as tally_outputs keys once: the first replicate with a
-    new code averages the output of the sampler run again on a fresh copy
-    of its stream, and later replicates with that code reuse the average.
+    distinct code in each process, as tally_outputs keys once (_by_code).
     In the sampled regime every replicate samples and averages, since the
     average reads the stream after the sampler's draws.
 
     Refused before any replicate: reps below 1, a schedule that is empty,
-    holds a size below 1 or does not increase, a j outside 1..min(schedule),
-    and a schedule size above n, as sampling._check_k_within_n says."""
+    holds a size below 1 or does not increase, and, for a spec whose
+    outputs have k elements (sampling._sized_by_k), a j outside
+    1..min(schedule) and a schedule size above n."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
     ks = _check_schedule(k_schedule)
-    if not 1 <= j <= ks[0]:
+    if _sized_by_k(spec_or_sampler) and not 1 <= j <= ks[0]:
         raise ValueError(f"j = {j} outside 1..{ks[0]}")
     _check_k_within_n(spec_or_sampler, ks[-1], n, f"schedule size {ks[-1]}")
     sampler, code = _coded(spec_or_sampler)
     estimates = []
     for i, k in enumerate(ks):
         point = rng.substream("lln", i)  # point.substream(r) is rng.substream("lln", i, r)
-        if code is None or math.perm(k, j) > num_perms:
-            def run(lo, hi):  # the averages of replicates lo..hi-1
-                vals = []
-                for r in range(lo, hi):
-                    stream = point.substream(r)
-                    x_k = sampler(y, n, k, stream)
-                    vals.append(empirical_average(x_k, f, j, num_perms, stream))
-                return vals
-        else:
-            averages = {}  # code -> the average of the output it determines
 
-            def run(lo, hi):
-                vals = []
-                for r in range(lo, hi):
-                    c = code(y, n, k, point.substream(r))
-                    avg = averages.get(c)
-                    if avg is None:
-                        x_k = sampler(y, n, k, point.substream(r))
-                        avg = averages[c] = empirical_average(x_k, f, j, num_perms)
-                    vals.append(avg)
-                return vals
+        def value(r):  # the average of replicate r
+            stream = point.substream(r)
+            return empirical_average(sampler(y, n, k, stream), f, j, num_perms, stream)
 
-        estimates.append(fsum(_over_ranges(reps, run)) / reps)
+        coded = code is not None and math.perm(k, j) <= num_perms  # the exact regime
+        values = _by_code(value, (lambda r: code(y, n, k, point.substream(r))) if coded else None)
+        estimates.append(fsum(_over_ranges(reps, values)) / reps)
     return LLNTrace(ks, tuple(estimates))
 
 

@@ -28,6 +28,7 @@ from .structures import (
     VertexGraph,
     _Frozen,
     _Record,
+    _induced_edges,
     ball,
     degree_tree,
     degrees,
@@ -42,10 +43,10 @@ from .structures import (
 # name -> (the function that runs it, by its name in this module, the kind
 # it samples, the kind it reports, the parameter it takes: "p" in k's place,
 # "rho" after k, or None, and the name of its code function or None), in the
-# order --help lists the names.  A code function _code_<alg>(y, n, k, rng)
-# makes the sampler's checks and draws and returns a hashable value that
-# determines the output, so a tally builds and keys each distinct code's
-# output once.  Outputs that rarely repeat get no code.
+# order --help lists the names.  A code function (y, n, k, rng) makes the
+# sampler's checks and draws, as the sampler makes them, and returns a
+# hashable value that determines the output, so a tally builds and keys each
+# distinct code's output once.  Outputs that rarely repeat get no code.
 _ALGORITHMS = {
     "uniform_vertex": ("sample_uniform_vertex", VertexGraph, VertexGraph, None,
                        "_code_uniform_vertex"),
@@ -54,9 +55,9 @@ _ALGORITHMS = {
     "degree_biased": ("sample_degree_biased", VertexGraph, VertexGraph, None,
                       "_code_degree_biased"),
     "shortest_path": ("sample_shortest_path", VertexGraph, MarkedCompleteGraph, None, None),
-    "sequence": ("sample_sequence", tuple, tuple, None, "_code_sequence"),
+    "sequence": ("sample_sequence", tuple, tuple, None, "sample_sequence"),
     "partition": ("sample_partition", Partition, Partition, None, "_code_partition"),
-    "edge": ("sample_edges", EdgeSeqGraph, EdgeSeqGraph, None, "_code_edges"),
+    "edge": ("sample_edges", EdgeSeqGraph, EdgeSeqGraph, None, "_code_edge"),
     "ego": ("sample_ego", VertexGraph, list, None, None),
     "bs_root": ("sample_bs", VertexGraph, RootedGraph, None, None),
 }
@@ -102,6 +103,20 @@ def _restricted(y, n: int, k: int | None = None, kind=VertexGraph):
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"k = {k} outside 1..{n}")
     return restrict_vertices(y, n) if kind is VertexGraph else y
+
+
+def _chosen(y, n: int, k: int, rng: RandomStream, kind=VertexGraph) -> tuple:
+    """(y|n as _restricted checks and cuts it, k uniform distinct vertices
+    or positions of [n] in selection order)."""
+    y_n = _restricted(y, n, k, kind)
+    return y_n, rng.distinct(n, k)
+
+
+def _chosen_by_degree(y: VertexGraph, n: int, k: int, rng: RandomStream) -> tuple:
+    """(y|n as _restricted checks and cuts it, k distinct vertices drawn in
+    proportion to degree, as _draw_weighted_distinct draws them)."""
+    y_n = _restricted(y, n, k)
+    return y_n, _draw_weighted_distinct(degrees(y_n), degree_tree(y_n), k, rng)
 
 
 def _rho_at(rho, k: int) -> float:
@@ -167,9 +182,7 @@ def _draw_weighted_distinct(weights, tree: tuple, k: int, rng: RandomStream) -> 
 def sample_uniform_vertex(y: VertexGraph, n: int, k: int, rng: RandomStream) -> VertexGraph:
     """Select k vertices of y|n uniformly without replacement, report the
     induced subgraph relabeled 1..k in order of appearance."""
-    y_n = _restricted(y, n, k)
-    order = rng.distinct(n, k)
-    return induced_ordered(y_n, order)
+    return induced_ordered(*_chosen(y, n, k, rng))
 
 
 def sample_sparsified(y: VertexGraph, n: int, k: int, rho, rng: RandomStream) -> VertexGraph:
@@ -210,47 +223,38 @@ def sample_degree_biased(y: VertexGraph, n: int, k: int, rng: RandomStream) -> V
     of appearance.  Falls back to uniform among the remaining vertices when
     all remaining weights are zero (e.g. empty graphs), which keeps the
     sampler total and reduces to the uniform sampler there."""
-    y_n = _restricted(y, n, k)
-    order = _draw_weighted_distinct(degrees(y_n), degree_tree(y_n), k, rng)
-    return induced_ordered(y_n, order)
+    return induced_ordered(*_chosen_by_degree(y, n, k, rng))
 
 
 def sample_shortest_path(y: VertexGraph, n: int, k: int, rng: RandomStream) -> MarkedCompleteGraph:
     """k uniform distinct vertices of y|n; report the complete graph on them
     with each edge marked by the shortest-path length inside y|n
     (UNREACHABLE for disconnected pairs)."""
-    y_n = _restricted(y, n, k)
-    chosen = rng.distinct(n, k)
-    return shortest_path_marks(y_n, chosen)
+    return shortest_path_marks(*_chosen(y, n, k, rng))
 
 
 def sample_sequence(y: tuple, n: int, k: int, rng: RandomStream) -> tuple:
     """k uniform without-replacement positions J_1..J_k of [n]; report the
     subsequence (y_J1, ..., y_Jk)."""
-    _restricted(y, n, k, tuple)
-    return subsample_in_order(y, rng.distinct(n, k))
+    return subsample_in_order(*_chosen(y, n, k, rng, tuple))
 
 
 def sample_partition(pi: Partition, n: int, k: int, rng: RandomStream) -> Partition:
     """Subsample the block-label sequence of pi and reorder the labels by
     first appearance; the output is always an ordered partition."""
-    _restricted(pi, n, k, Partition)
-    sub = sample_sequence(pi.labels, n, k, rng)
-    return Partition._of(relabel_r(sub))
+    return Partition._of(_code_partition(pi, n, k, rng))
 
 
 def sample_edges(y: EdgeSeqGraph, n: int, k: int, rng: RandomStream) -> EdgeSeqGraph:
     """k uniform without-replacement edge positions of y|n; report the
     selected subsequence relabeled canonically.  Output is always canonical."""
-    _restricted(y, n, k, EdgeSeqGraph)
-    return subsample_in_order(y, rng.distinct(n, k))
+    return subsample_in_order(*_chosen(y, n, k, rng, EdgeSeqGraph))
 
 
 def sample_ego(y: VertexGraph, n: int, k: int, rng: RandomStream) -> list:
     """k uniform distinct vertices of y|n; report their 1-neighborhoods
     (ego networks), each rooted at the chosen vertex."""
-    y_n = _restricted(y, n, k)
-    roots = rng.distinct(n, k)
+    y_n, roots = _chosen(y, n, k, rng)
     return [ball(y_n, v, 1) for v in roots]
 
 
@@ -262,60 +266,29 @@ def sample_bs(y: VertexGraph, n: int, k: int, rng: RandomStream) -> RootedGraph:
 
 
 # ---------------------------------------------------------------------------
-# codes: what determines an output, found with the sampler's checks and draws
+# codes: what determines an output, found with the sampler's checks and
+# draws.  sequence's output is its own code.
 
 
-def _pair_mask(y_n: VertexGraph, order) -> int:
-    """The selected pairs present in y_n as one int, bit a*k + b for the
-    a-th and b-th of the k selected vertices, a < b, counted from 0: the
-    edges of induced_ordered(y_n, order), found as that function finds
-    them, pair by pair when the pairs are no more than the edges and edge
-    by edge otherwise."""
-    k = len(order)
-    mask = 0
-    if k * (k - 1) // 2 <= len(y_n.edges):
-        present = y_n.edges
-        for a in range(k):
-            u = order[a]
-            for b in range(a + 1, k):
-                v = order[b]
-                if ((u, v) if u < v else (v, u)) in present:
-                    mask |= 1 << (a * k + b)
-    else:
-        pos = {v: i for i, v in enumerate(order)}
-        for u, v in y_n.edges:
-            a, b = pos.get(u), pos.get(v)
-            if a is not None and b is not None:
-                mask |= 1 << (a * k + b if a < b else b * k + a)
-    return mask
+def _code_uniform_vertex(y: VertexGraph, n: int, k: int, rng: RandomStream) -> frozenset:
+    return _induced_edges(*_chosen(y, n, k, rng))
 
 
-def _code_uniform_vertex(y: VertexGraph, n: int, k: int, rng: RandomStream) -> int:
-    y_n = _restricted(y, n, k)
-    return _pair_mask(y_n, rng.distinct(n, k))
-
-
-def _code_degree_biased(y: VertexGraph, n: int, k: int, rng: RandomStream) -> int:
-    y_n = _restricted(y, n, k)
-    return _pair_mask(y_n, _draw_weighted_distinct(degrees(y_n), degree_tree(y_n), k, rng))
-
-
-def _code_sequence(y: tuple, n: int, k: int, rng: RandomStream) -> tuple:
-    _restricted(y, n, k, tuple)
-    return tuple([y[p - 1] for p in rng.distinct(n, k)])
+def _code_degree_biased(y: VertexGraph, n: int, k: int, rng: RandomStream) -> frozenset:
+    return _induced_edges(*_chosen_by_degree(y, n, k, rng))
 
 
 def _code_partition(pi: Partition, n: int, k: int, rng: RandomStream) -> tuple:
+    """The drawn labels relabeled by first appearance: the output's labels."""
     _restricted(pi, n, k, Partition)
-    labels = pi.labels
-    return relabel_r([labels[p - 1] for p in rng.distinct(n, k)])
+    return relabel_r(sample_sequence(pi.labels, n, k, rng))
 
 
-def _code_edges(y: EdgeSeqGraph, n: int, k: int, rng: RandomStream) -> tuple:
+def _code_edge(y: EdgeSeqGraph, n: int, k: int, rng: RandomStream) -> tuple:
     """The drawn pairs' endpoints, relabeled by first appearance."""
-    _restricted(y, n, k, EdgeSeqGraph)
+    y, positions = _chosen(y, n, k, rng, EdgeSeqGraph)
     edges = y.edges
-    return relabel_r([v for p in rng.distinct(n, k) for v in edges[p - 1]])
+    return relabel_r([v for p in positions for v in edges[p - 1]])
 
 
 def make_sampler(spec: SamplerSpec):
@@ -344,16 +317,23 @@ def _check_schedule(schedule) -> tuple:
     return schedule
 
 
+def _sized_by_k(spec_or_sampler) -> bool:
+    """Whether spec_or_sampler is a SamplerSpec whose outputs have k
+    elements: every row but bs_root, whose k is a radius, and p_sample,
+    which reads no k and draws a random size.  A plain sampler callable is
+    left to its own checks."""
+    if not isinstance(spec_or_sampler, SamplerSpec):
+        return False
+    _, _, reported, extra, _ = _ALGORITHMS[spec_or_sampler.algorithm]
+    return reported is not RootedGraph and extra != "p"
+
+
 def _check_k_within_n(spec_or_sampler, k: int, n: int, what: str):
     """Refuse k, the largest size a caller is about to sample, when it
-    exceeds n and spec_or_sampler is a SamplerSpec whose row bounds k by n:
-    every row but bs_root, whose k is a radius, and p_sample, which reads
-    no k.  what names k in the message.  A plain sampler callable is left
-    to its own checks."""
-    if isinstance(spec_or_sampler, SamplerSpec) and k > n:
-        _, _, reported, extra, _ = _ALGORITHMS[spec_or_sampler.algorithm]
-        if reported is not RootedGraph and extra != "p":
-            raise ValueError(f"{what} exceeds n = {n}")
+    exceeds n and spec_or_sampler's outputs have k elements (_sized_by_k).
+    what names k in the message."""
+    if k > n and _sized_by_k(spec_or_sampler):
+        raise ValueError(f"{what} exceeds n = {n}")
 
 
 def _coded(spec_or_sampler) -> tuple:

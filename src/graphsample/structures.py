@@ -228,6 +228,13 @@ def induced_ordered(g: VertexGraph, order) -> VertexGraph:
     """Induced subgraph on the given distinct vertices, relabeled 1..k in
     the order they are listed (label i+1 goes to order[i])."""
     order = list(order)
+    return VertexGraph._of(len(order), _induced_edges(g, order))
+
+
+def _induced_edges(g: VertexGraph, order: list) -> frozenset:
+    """The edges of induced_ordered(g, order), which determine it given k:
+    found pair by pair when the pairs are no more than g's edges, and edge
+    by edge otherwise."""
     k = len(order)
     edges = set()
     if k * (k - 1) // 2 <= len(g.edges):
@@ -244,7 +251,7 @@ def induced_ordered(g: VertexGraph, order) -> VertexGraph:
             pu, pv = pos.get(u), pos.get(v)
             if pu is not None and pv is not None:
                 edges.add((pu, pv) if pu < pv else (pv, pu))
-    return VertexGraph._of(k, frozenset(edges))
+    return frozenset(edges)
 
 
 def ball(g: VertexGraph, center: int, r: int) -> "RootedGraph":

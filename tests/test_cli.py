@@ -953,17 +953,17 @@ def test_estimate_lln_schedule_not_increasing_usage_error(schedule, message, tmp
 
 @pytest.mark.parametrize("j", ["0", "3"])
 def test_estimate_lln_j_outside_the_schedule_usage_error(j, tmp_path, capsys, monkeypatch):
-    """Refused before any replicate: neither the sampler nor its code runs."""
+    """Refused before any replicate: sequence's sampler, which is also its
+    code, never runs."""
     seq = tmp_path / "seq.txt"
     main(["generate", "alternating", "--n", "6", "--out", str(seq)])
     capsys.readouterr()
     calls = _count_calls(monkeypatch, "sample_sequence")
-    codes = _count_calls(monkeypatch, "_code_sequence")
     code = main(["estimate", "--what", "lln", "--algo", "sequence", "--in", str(seq),
                  "--n", "6", "--j", j, "--schedule", "2,4"])
     assert code == 2
     assert capsys.readouterr() == ("", f"error: j = {j} outside 1..2\n")
-    assert calls == codes == []
+    assert calls == []
 
 
 def test_estimate_vector_builds_each_distinct_output_once(tmp_path, capsys, monkeypatch):

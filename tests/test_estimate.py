@@ -5,9 +5,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from graphsample import sampling
+from graphsample import estimate, sampling
 from graphsample.estimate import (
     EXACT_TOL,
+    LLNTrace,
     PatternTally,
     compare,
     degree_profile,
@@ -272,20 +273,30 @@ def test_lln_trace_refuses_a_schedule_size_above_n_before_sampling(monkeypatch):
 
 @pytest.mark.parametrize("j", [0, 3])
 def test_lln_trace_refuses_j_outside_the_schedule_before_sampling(j, monkeypatch):
+    """A spec whose outputs have k elements is refused before any replicate;
+    a plain callable is left to its own checks, so its first output is."""
     calls = []
 
     def sampler(y, n, k, stream):
         calls.append(k)
         return y[:k]
 
-    # the row's sampler and code both record, so no replicate may start
+    # sequence's sampler is its code, so neither may run
     monkeypatch.setattr(sampling, "sample_sequence", sampler)
-    monkeypatch.setattr(sampling, "_code_sequence", sampler)
-    for spec_or_sampler in (SamplerSpec("sequence"), sampler):
+    for spec_or_sampler, made in ((SamplerSpec("sequence"), []), (sampler, [2])):
         with pytest.raises(ValueError, match=rf"^j = {j} outside 1..2$"):
             lln_trace(spec_or_sampler, (1, 2, 3) * 2, 6, _first_is_one, j, (2, 4), 5,
                       RandomStream(0))
-    assert calls == []
+        assert calls == made
+        calls.clear()
+
+
+def test_lln_trace_lets_p_sample_take_j_above_the_schedule():
+    """p_sample reads no k: at p = 1 every output of a 10-cycle has 10
+    vertices, so j = 3 above min(schedule) = 1 is averaged, not refused."""
+    trace = lln_trace(SamplerSpec("p_sample", p=1.0), cycle_vertex(10), 10,
+                      lambda g: float(g.n), 3, (1, 2), 4, RandomStream(0))
+    assert trace == LLNTrace((1, 2), (3.0, 3.0))
 
 
 # -- profiles ----------------------------------------------------------------------------
@@ -715,13 +726,19 @@ def _key_byte_sum(x):
     return float(sum(key_for(x)) % 7)
 
 
+# a probe of 4 replicates lets the tallies below stop coding part way
+_PROBES = st.sampled_from([4, estimate._PROBE])
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(_CODED).flatmap(lambda algo: st.tuples(st.just(algo),
                                                               _coded_case(algo))),
-       st.integers(1, 40), st.integers(0, 2**32), st.integers(1, 2))
-def test_a_coded_tally_equals_the_samplers(forked, case, reps, seed, procs):
+       st.integers(1, 40), st.integers(0, 2**32), st.integers(1, 2), _PROBES)
+def test_a_coded_tally_equals_the_samplers(forked, monkeypatch, case, reps, seed, procs,
+                                           probe):
     algo, (y, n, k) = case
+    monkeypatch.setattr(estimate, "_PROBE", probe)
     forks = forked(procs)
     made = len(forks)
     spec = SamplerSpec(algo)
@@ -738,10 +755,11 @@ def test_a_coded_tally_equals_the_samplers(forked, case, reps, seed, procs):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(_CODED).flatmap(lambda algo: st.tuples(st.just(algo),
                                                               _coded_case(algo))),
-       st.data(), st.integers(1, 30), st.integers(0, 2**32), st.integers(1, 2))
-def test_a_coded_lln_trace_equals_the_samplers(forked, num_perms, case, data, reps, seed,
-                                               procs):
+       st.data(), st.integers(1, 30), st.integers(0, 2**32), st.integers(1, 2), _PROBES)
+def test_a_coded_lln_trace_equals_the_samplers(forked, monkeypatch, num_perms, case, data,
+                                               reps, seed, procs, probe):
     algo, (y, n, _) = case
+    monkeypatch.setattr(estimate, "_PROBE", probe)
     forked(procs)
     schedule = sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=3)))
     j = data.draw(st.integers(1, schedule[0]))
@@ -751,3 +769,27 @@ def test_a_coded_lln_trace_equals_the_samplers(forked, num_perms, case, data, re
     called = lln_trace(sampling.make_sampler(spec), y, n, _key_byte_sum, j, schedule,
                        reps, RandomStream(seed), num_perms)
     assert coded == called
+
+
+@pytest.mark.parametrize("y, calls", [
+    ((1,) * 10, 20 + 1),  # one code: each replicate codes, one builds
+    (tuple(range(1, 11)), 2 * 4 + 16),  # four new codes, then one call each
+], ids=["repeating", "new"])
+def test_a_process_stops_coding_when_its_probe_drew_mostly_new_codes(monkeypatch, y, calls):
+    """sequence's sampler is its code, so a coded replicate calls it once
+    and one with a new code twice.  After a probe of 4 replicates, all new
+    codes stop the coding and one repeated code keeps it; the tally is the
+    sampler's either way."""
+    monkeypatch.setattr(estimate, "_PROBE", 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    made = []
+    run = sampling.sample_sequence
+
+    def counted(*args):
+        made.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(sampling, "sample_sequence", counted)
+    coded = tally_outputs(SamplerSpec("sequence"), y, 10, 6, 20, RandomStream(3))
+    assert len(made) == calls
+    assert coded == tally_outputs(counted, y, 10, 6, 20, RandomStream(3))
