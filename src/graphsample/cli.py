@@ -165,7 +165,7 @@ def _check_flags(args):
     # the task as messages name it: "sample", "generate star", "estimate --what lln"
     task = " ".join(w for w in (args.command, selector, value) if w and w != "name")
     algo = getattr(args, "algo", None)
-    unread = {"k!", "k_max"} if algo and _ALGORITHMS[algo][3] == "p" else set()
+    unread = {"k!", "k_max"} if algo and _ALGORITHMS[algo].takes == "p" else set()
     flags = [flag for flag in tasks[value].split() if flag not in unread]
     reads = {flag.rstrip("!") for flag in flags} | _READ_BY_ALL
     for dest, (option, kw) in _FLAGS.items():
@@ -185,7 +185,7 @@ def _spec_from_args(args) -> SamplerSpec:
 def _load(algo: str, path):
     """Read the kind that ``algo``'s row samples (also used for patterns
     and second inputs)."""
-    kind = _ALGORITHMS[algo][1]
+    kind = _ALGORITHMS[algo].sampled
     if kind is VertexGraph:
         return gio.read_vertex_graph(path)
     if kind is EdgeSeqGraph:
@@ -248,16 +248,16 @@ def _cmd_estimate(args) -> int:
         return 0
     rng = RandomStream(args.seed)
     if args.what in ("vector", "density", "lln"):
-        _, sampled, reported, *_ = _ALGORITHMS[args.algo]
-        if args.what == "density" and reported is not sampled:
+        row = _ALGORITHMS[args.algo]
+        if args.what == "density" and row.reported is not row.sampled:
             # a pattern file is read as the kind sampled
-            names = [a for a, (_, i, o, *_) in _ALGORITHMS.items() if o is not i]
+            names = [a for a, r in _ALGORITHMS.items() if r.reported is not r.sampled]
             raise UsageError("--what density reads its pattern as the sampler's "
                              f"output, and {', '.join(names[:-1])} and {names[-1]} "
                              "outputs have no pattern file format; use --what vector")
         spec = _spec_from_args(args)
         if args.what == "lln":  # refused before the input is read
-            if sampled not in (tuple, Partition):
+            if row.sampled not in (tuple, Partition):
                 raise UsageError("--what lln supports sequence/partition inputs; "
                                  "use --what density for graph functionals")
             schedule = _schedule(args)

@@ -17,7 +17,7 @@ from itertools import accumulate
 
 from .estimate import PatternTally, compare, tally_outputs
 from .rng import RandomStream
-from .sampling import _ALGORITHMS, SamplerSpec, _check_k_within_n, _coded
+from .sampling import _check_k_within_n, _coded, _row
 from .structures import (
     RootedGraph,
     VertexGraph,
@@ -89,13 +89,6 @@ def apply_relabeling(x, perm: tuple):
     return subsample_in_order(x, order)
 
 
-def _row(spec_or_sampler):
-    """(algorithm, its _ALGORITHMS row); all None for a plain sampler."""
-    if isinstance(spec_or_sampler, SamplerSpec):
-        return spec_or_sampler.algorithm, _ALGORITHMS[spec_or_sampler.algorithm]
-    return None, (None,) * 5
-
-
 def _random_perm(k: int, rng: RandomStream) -> tuple:
     vals = list(range(1, k + 1))
     for i in range(k - 1):
@@ -115,9 +108,8 @@ def test_exchangeability(spec_or_sampler, y, n: int, k: int, reps: int,
 
     An algorithm that reports one ball (bs_root) is refused before any
     replicate: a ball's size is a radius, so it has no positions to permute."""
-    algorithm, (_, _, reported, *_) = _row(spec_or_sampler)
-    if reported is RootedGraph:
-        raise ValueError(f"{algorithm} reports one ball, whose size is a radius, "
+    if _row(spec_or_sampler).reported is RootedGraph:
+        raise ValueError(f"{spec_or_sampler.algorithm} reports one ball, whose size is a radius, "
                          "so it has no positions to permute for exchangeability")
     tally_a = tally_outputs(spec_or_sampler, y, n, k, reps, rng.substream("exch", 0))
     sampler, _ = _coded(spec_or_sampler)
@@ -139,13 +131,13 @@ def test_idempotence(spec_or_sampler, y, n: int, m: int, k: int, reps: int,
     (p_sample), since its output size is random and the second stage at a
     fixed m is undefined, and one whose output kind is not its input kind
     (shortest_path, ego, bs_root), since the second stage cannot sample it."""
-    algorithm, (_, sampled, reported, extra, _) = _row(spec_or_sampler)
-    if extra == "p":
-        raise ValueError(f"{algorithm} has a random output size, so idempotence "
+    row = _row(spec_or_sampler)
+    if row.takes == "p":
+        raise ValueError(f"{spec_or_sampler.algorithm} has a random output size, so idempotence "
                          "through a fixed middle size m is undefined")
-    if reported is not sampled:
-        raise ValueError(f"{algorithm} reports a {reported.__name__}, not the "
-                         f"{sampled.__name__} it samples, so idempotence cannot "
+    if row.reported is not row.sampled:
+        raise ValueError(f"{spec_or_sampler.algorithm} reports a {row.reported.__name__}, "
+                         f"not the {row.sampled.__name__} it samples, so idempotence cannot "
                          "sample its output again")
     if not (1 <= k <= m <= n):
         raise ValueError("need k <= m <= n")
@@ -171,7 +163,7 @@ def test_equivalence(spec_or_sampler, y, y2, n: int, k_max: int, reps: int,
     so it gets one comparison, named by no depth, and k_max is not read.
     A k_max above n is refused before any replicate, as
     sampling._check_k_within_n says."""
-    takes_p = _row(spec_or_sampler)[1][3] == "p"
+    takes_p = _row(spec_or_sampler).takes == "p"
     if k_max < 1 and not takes_p:
         raise ValueError("k_max must be >= 1")
     _check_k_within_n(spec_or_sampler, k_max, n, f"k_max = {k_max}")

@@ -165,7 +165,7 @@ def paintbox_draw(pb: Paintbox, k: int, rng: RandomStream) -> Partition:
     for i in range(k):
         a = bisect_right(totals, rng.uniform())
         raw.append(ids[a] if a < len(ids) else fresh + i)
-    return Partition(relabel_r(raw))
+    return Partition._of(relabel_r(raw))
 
 
 # ---------------------------------------------------------------------------

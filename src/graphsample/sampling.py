@@ -13,8 +13,8 @@ uniform per element (rejecting repeats), so for a fixed stream the
 selection order at size k is a prefix of the selection order at size
 k' > k, and the outputs nest pathwise: output(k) equals the restriction
 of output(k').  The single exception is p-sampling, whose output size is
-random by construction.  What is known of each algorithm is its row of
-_ALGORITHMS, which every decision by algorithm reads.
+random by construction.  What is known of each algorithm is its _Row in
+_ALGORITHMS, which every decision by algorithm reads by field name.
 """
 
 from __future__ import annotations
@@ -40,51 +40,68 @@ from .structures import (
     subsample_in_order,
 )
 
-# name -> (the function that runs it, by its name in this module, the kind
-# it samples, the kind it reports, the parameter it takes: "p" in k's place,
-# "rho" after k, or None, and the name of its code function or None), in the
-# order --help lists the names.  A code function (y, n, k, rng) makes the
-# sampler's checks and draws, as the sampler makes them, and returns a
-# hashable value that determines the output, so a tally builds and keys each
-# distinct code's output once.  Outputs that rarely repeat get no code.
+class _Row(_Frozen):
+    """What is known of one algorithm: run, the name in this module of the
+    function that runs it; sampled, the kind it samples; reported, the kind
+    it reports; takes, the parameter it takes ("p" in k's place, "rho" after
+    k, or None); and code, the name in this module of its code function or
+    None.  A code function (y, n, k, rng) makes the sampler's checks and
+    draws, as the sampler makes them, and returns a hashable value that
+    determines the output, so a tally builds and keys each distinct code's
+    output once.  Outputs that rarely repeat get no code."""
+
+    def __init__(self, run: str, sampled: type, reported: type,
+                 takes: str | None = None, code: str | None = None):
+        self._set(run, sampled, reported, takes, code)
+
+
+# name -> its _Row, in the order --help lists the names
 _ALGORITHMS = {
-    "uniform_vertex": ("sample_uniform_vertex", VertexGraph, VertexGraph, None,
-                       "_code_uniform_vertex"),
-    "sparsified": ("sample_sparsified", VertexGraph, VertexGraph, "rho", None),
-    "p_sample": ("sample_p", VertexGraph, VertexGraph, "p", None),
-    "degree_biased": ("sample_degree_biased", VertexGraph, VertexGraph, None,
-                      "_code_degree_biased"),
-    "shortest_path": ("sample_shortest_path", VertexGraph, MarkedCompleteGraph, None, None),
-    "sequence": ("sample_sequence", tuple, tuple, None, "sample_sequence"),
-    "partition": ("sample_partition", Partition, Partition, None, "_code_partition"),
-    "edge": ("sample_edges", EdgeSeqGraph, EdgeSeqGraph, None, "_code_edge"),
-    "ego": ("sample_ego", VertexGraph, list, None, None),
-    "bs_root": ("sample_bs", VertexGraph, RootedGraph, None, None),
+    "uniform_vertex": _Row("sample_uniform_vertex", VertexGraph, VertexGraph,
+                           code="_code_uniform_vertex"),
+    "sparsified": _Row("sample_sparsified", VertexGraph, VertexGraph, takes="rho"),
+    "p_sample": _Row("sample_p", VertexGraph, VertexGraph, takes="p"),
+    "degree_biased": _Row("sample_degree_biased", VertexGraph, VertexGraph,
+                          code="_code_degree_biased"),
+    "shortest_path": _Row("sample_shortest_path", VertexGraph, MarkedCompleteGraph),
+    "sequence": _Row("sample_sequence", tuple, tuple, code="sample_sequence"),
+    "partition": _Row("sample_partition", Partition, Partition, code="_code_partition"),
+    "edge": _Row("sample_edges", EdgeSeqGraph, EdgeSeqGraph, code="_code_edge"),
+    "ego": _Row("sample_ego", VertexGraph, list),
+    "bs_root": _Row("sample_bs", VertexGraph, RootedGraph),
 }
+_NO_ROW = _Row(None, None, None)  # a plain sampler callable's: nothing is known
 ALGORITHMS = tuple(_ALGORITHMS)
 
 _THIN_TAG = "edge-thinning"
 
 
 class SamplerSpec(_Frozen):
-    """Which algorithm to run, plus the parameter its _ALGORITHMS row names:
+    """Which algorithm to run, plus the parameter its row takes:
     p in [0,1] for "p" (p_sample), rho (a constant in [0,1] or a callable
     k -> [0,1]) for "rho" (sparsified).  It takes no other."""
 
     def __init__(self, algorithm: str, p: float | None = None, rho: object = None):
         if algorithm not in _ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        extra = _ALGORITHMS[algorithm][3]
-        if extra == "p" and (p is None or not 0.0 <= p <= 1.0):
+        takes = _ALGORITHMS[algorithm].takes
+        if takes == "p" and (p is None or not 0.0 <= p <= 1.0):
             raise ValueError(f"{algorithm} requires p in [0,1]")
         for name, value in (("p", p), ("rho", rho)):
-            if value is not None and name != extra:
+            if value is not None and name != takes:
                 raise ValueError(f"{algorithm} takes no {name} parameter")
-        if extra == "rho" and rho is None:
+        if takes == "rho" and rho is None:
             raise ValueError(f"{algorithm} requires rho")
-        if extra == "rho" and not callable(rho) and not 0.0 <= float(rho) <= 1.0:
+        if takes == "rho" and not callable(rho) and not 0.0 <= float(rho) <= 1.0:
             raise ValueError("rho must lie in [0,1]")
         self._set(algorithm, p, rho)
+
+
+def _row(spec_or_sampler) -> _Row:
+    """A SamplerSpec's row, or _NO_ROW for a plain sampler callable."""
+    if isinstance(spec_or_sampler, SamplerSpec):
+        return _ALGORITHMS[spec_or_sampler.algorithm]
+    return _NO_ROW
 
 
 def _restricted(y, n: int, k: int | None = None, kind=VertexGraph):
@@ -293,13 +310,13 @@ def _code_edge(y: EdgeSeqGraph, n: int, k: int, rng: RandomStream) -> tuple:
 
 def make_sampler(spec: SamplerSpec):
     """Uniform call surface f(y, n, k, rng) for any SamplerSpec: the
-    function its _ALGORITHMS row names, looked up in this module now, so a
+    function its row's run names, looked up in this module now, so a
     wrapper bound to that name runs.  p_sample ignores k (random size)."""
-    name, _, _, extra, _ = _ALGORITHMS[spec.algorithm]
-    run = globals()[name]
-    if extra == "p":
+    row = _row(spec)
+    run = globals()[row.run]
+    if row.takes == "p":
         return lambda y, n, k, rng: run(y, n, spec.p, rng)
-    if extra == "rho":
+    if row.takes == "rho":
         return lambda y, n, k, rng: run(y, n, k, spec.rho, rng)
     return run
 
@@ -322,10 +339,8 @@ def _sized_by_k(spec_or_sampler) -> bool:
     elements: every row but bs_root, whose k is a radius, and p_sample,
     which reads no k and draws a random size.  A plain sampler callable is
     left to its own checks."""
-    if not isinstance(spec_or_sampler, SamplerSpec):
-        return False
-    _, _, reported, extra, _ = _ALGORITHMS[spec_or_sampler.algorithm]
-    return reported is not RootedGraph and extra != "p"
+    row = _row(spec_or_sampler)
+    return row is not _NO_ROW and row.reported is not RootedGraph and row.takes != "p"
 
 
 def _check_k_within_n(spec_or_sampler, k: int, n: int, what: str):
@@ -342,7 +357,7 @@ def _coded(spec_or_sampler) -> tuple:
     callable has none."""
     if callable(spec_or_sampler):
         return spec_or_sampler, None
-    code = _ALGORITHMS[spec_or_sampler.algorithm][4]
+    code = _row(spec_or_sampler).code
     return make_sampler(spec_or_sampler), code and globals()[code]
 
 

@@ -96,8 +96,9 @@ class _Record:
         would store.  Only for values built from parts already checked; its
         callers are structures.induced_ordered, structures.restrict_vertices,
         structures.restrict, structures.subsample_in_order,
-        structures.relabel_rprime, sampling.sample_partition,
-        sampling.sample_sparsified, models.sparsified_graphon_draw,
+        structures.relabel_rprime, structures.shortest_path_marks,
+        sampling.sample_partition, sampling.sample_sparsified,
+        models.sparsified_graphon_draw, models.paintbox_draw,
         io.parse_vertex_graph and io.parse_edge_seq."""
         self = object.__new__(cls)
         fields = self.__dict__
@@ -756,7 +757,7 @@ def shortest_path_marks(g: VertexGraph, chosen) -> MarkedCompleteGraph:
         dist = _distances_to(adj, chosen[a], chosen[a + 1:])
         for b in range(a + 1, k):
             marks[(a + 1, b + 1)] = dist.get(chosen[b], UNREACHABLE)
-    return MarkedCompleteGraph(k, tuple(sorted(marks.items())))
+    return MarkedCompleteGraph._of(k, tuple(sorted(marks.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +804,7 @@ def restrict(x, d: int):
     if isinstance(x, Partition):
         return Partition._of(x.labels[:d])
     if isinstance(x, MarkedCompleteGraph):
-        return MarkedCompleteGraph(d, tuple((p, v) for p, v in x.marks if p[1] <= d))
+        return MarkedCompleteGraph._of(d, tuple((p, v) for p, v in x.marks if p[1] <= d))
     return x[:d]
 
 
@@ -822,7 +823,7 @@ def subsample_in_order(x, positions):
     if isinstance(x, MarkedCompleteGraph):
         marks = dict(x.marks)
         k = len(positions)
-        return MarkedCompleteGraph(k, tuple(
+        return MarkedCompleteGraph._of(k, tuple(
             ((a + 1, b + 1), marks[tuple(sorted((positions[a], positions[b])))])
             for a in range(k) for b in range(a + 1, k)))
     if isinstance(x, (tuple, list)):

@@ -697,14 +697,14 @@ def test_estimate_refusals(build, message):
 # output once; its tallies and traces must equal those of the sampler called
 # on every replicate, at one process and split across two.
 
-_CODED = [algo for algo, row in sampling._ALGORITHMS.items() if row[4]]
+_CODED = [algo for algo, row in sampling._ALGORITHMS.items() if row.code]
 
 
 @st.composite
 def _coded_case(draw, algo):
     """(input of algo's kind, n, k) with 1 <= k <= n <= the input's size."""
     size = draw(st.integers(1, 7))
-    kind = sampling._ALGORITHMS[algo][1]
+    kind = sampling._ALGORITHMS[algo].sampled
     if kind is VertexGraph:
         pairs = [(u, v) for v in range(2, size + 1) for u in range(1, v)]
         y = VertexGraph(size, frozenset(draw(st.lists(st.sampled_from(pairs), unique=True))

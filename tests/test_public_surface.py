@@ -104,3 +104,13 @@ def test_io_loads_only_structures():
         print(sorted(m for m in sys.modules if m.split(".")[0] == "graphsample"))
     """)
     assert _fresh(script) == ["['graphsample', 'graphsample.io', 'graphsample.structures']"]
+
+
+def test_readme_quick_tour_runs(capsys):
+    """README's "Library quick tour" block runs as written, each reps= cut
+    to 2_000, and the idempotence test it prints passes."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Library quick tour\n\n```python\n(.*?)^```", text,
+                      re.M | re.S).group(1)
+    exec(compile(re.sub(r"\breps=[\d_]+", "reps=2_000", block), "README.md", "exec"), {})
+    assert "idempotence(n=4,m=3,k=2): PASS" in capsys.readouterr().out

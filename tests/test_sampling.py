@@ -627,12 +627,35 @@ def test_readme_table_is_the_algorithm_table():
              Partition: "ordered partition", EdgeSeqGraph: "edge sequence"}
     rows = re.findall(r"^\| `(\w+)` +\| ([^|]*?) +\|", (ROOT / "README.md").read_text(),
                       re.MULTILINE)
-    assert rows == [(name, words[row[1]]) for name, row in _ALGORITHMS.items()]
+    assert rows == [(name, words[row.sampled]) for name, row in _ALGORITHMS.items()]
+
+
+def test_readme_names_the_rows_with_a_code():
+    """README names the rows whose tallies build each distinct code's output
+    once, then "The other rows (...)": the rows with a code and those
+    without, each in table order."""
+    text = " ".join((ROOT / "README.md").read_text().split())
+    coded = re.search(r"not once per replicate, for (.*?)\. ", text).group(1)
+    other = re.search(r"The other rows \((.*?)\)", text).group(1)
+    assert re.findall(r"`(\w+)`", coded) == [a for a, row in _ALGORITHMS.items() if row.code]
+    assert re.findall(r"`(\w+)`", other) == [a for a, row in _ALGORITHMS.items()
+                                              if not row.code]
+
+
+def test_every_row_is_well_formed():
+    """A row's run and code name functions of sampling, it takes None, "p"
+    or "rho", and it samples a kind that cli._load reads, so a typo in a new
+    row fails here rather than inside a coded tally."""
+    for name, row in _ALGORITHMS.items():
+        assert callable(getattr(sampling, row.run, None)), name
+        assert row.code is None or callable(getattr(sampling, row.code, None)), name
+        assert row.takes in (None, "p", "rho"), name
+        assert row.sampled in (VertexGraph, EdgeSeqGraph, tuple, Partition), name
 
 
 # -- code functions -----------------------------------------------------------------
 
-_CODED = {algo: row[4] for algo, row in _ALGORITHMS.items() if row[4]}
+_CODED = {algo: row.code for algo, row in _ALGORITHMS.items() if row.code}
 # an input of another kind than each row samples, and an empty one of its kind
 _WRONG_KIND = {VertexGraph: (1, 2, 3), tuple: y4(), Partition: (1, 1, 2),
                EdgeSeqGraph: y4()}
@@ -672,7 +695,7 @@ def test_a_code_makes_its_samplers_draws_and_determines_its_key(algorithm):
 def test_a_code_refuses_what_its_sampler_refuses(algorithm):
     code = getattr(sampling, _CODED[algorithm])
     sampler = make_sampler(SamplerSpec(algorithm))
-    kind = _ALGORITHMS[algorithm][1]
+    kind = _ALGORITHMS[algorithm].sampled
     y = _RESTRICTION_INPUTS.get(algorithm, _HUB_PATH)
     cases = [(_WRONG_KIND[kind], 2, 1), (_EMPTY[kind], 1, 1),
              (y, 0, 1), (y, 10, 1), (y, 5, 0), (y, 5, 6)]

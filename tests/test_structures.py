@@ -1227,6 +1227,29 @@ def test_graphon_draw_passes_the_checks(k, rho, seed):
     oracles.as_checked(models.sparsified_graphon_draw(w, rho, k, RandomStream(seed)))
 
 
+@settings(max_examples=40)
+@given(st.integers(1, 12), st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 99))
+def test_paintbox_draw_passes_the_checks(k, dust, seed):
+    pb = models.Paintbox(((1, (1 - dust) / 2), (3, (1 - dust) / 2)), dust=dust)
+    oracles.as_checked(models.paintbox_draw(pb, k, RandomStream(seed)))
+
+
+@settings(max_examples=60)
+@given(small_graphs(), st.data())
+def test_marked_complete_graphs_built_from_checked_parts_pass_the_checks(g, data):
+    # shortest_path_marks, and restrict's and subsample_in_order's marked cases,
+    # whose results are the marks of the vertices they keep
+    chosen = data.draw(st.permutations(range(1, g.n + 1)))
+    chosen = chosen[:data.draw(st.integers(0, g.n))]
+    x = oracles.as_checked(shortest_path_marks(g, chosen))
+    d = data.draw(st.integers(0, x.k))
+    assert oracles.as_checked(restrict(x, d)) == shortest_path_marks(g, chosen[:d])
+    positions = data.draw(st.permutations(range(1, x.k + 1)))
+    positions = positions[:data.draw(st.integers(0, x.k))]
+    assert (oracles.as_checked(subsample_in_order(x, positions))
+            == shortest_path_marks(g, [chosen[p - 1] for p in positions]))
+
+
 _PACK_EDGES = [-2 ** 31, -2 ** 31 + 1, 2 ** 31 - 1, 2 ** 31, 10 ** 20, -10 ** 20]
 
 
